@@ -45,6 +45,7 @@ from .stabilizer import (
     ProjectionCheck,
     StabilizerBasis,
     algebra_type,
+    drop_phase,
     phase_projection_check,
     principal_angles,
     projection_dim,

@@ -10,16 +10,15 @@ usage error, 3 size guard, 4 undecided equivalence.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .states import to_density
+from .states import is_product
 from .local_unitary import apply_local_unitary, haar_random_local_unitary
 from .stabilizer import (
     NULL_TOL,
     algebra_type,
-    stabilizer_density,
+    drop_phase,
     stabilizer_pure,
 )
 from .invariants import fingerprint_drift, invariant_fingerprint
@@ -84,18 +83,18 @@ def _states(args, expected: int):
 def cmd_analyze(args) -> int:
     (spec, psi), = _states(args, 1)
     k = stabilizer_pure(psi, args.tol_null)
-    k_rho = stabilizer_density(to_density(psi), args.tol_null)
-    at = algebra_type(k_rho)
-    rep = classify(psi, tol=args.tol_null, confirm=False)
+    # the density stabilizer of |psi><psi| is the pure one with the phase dropped
+    k_rho = drop_phase(k, args.tol_null)
+    blocks = is_product(psi).blocks
     payload = {
         "state": spec,
         "n": psi.n,
         "stab_dim": k.dim,
         "proj_dims": list(k.proj_dims),
         "density_stab_dim": k_rho.dim,
-        "algebra_type": at.kind,
+        "algebra_type": algebra_type(k_rho).kind,
         "singular_gap": None if not np.isfinite(k.gap) else float(k.gap),
-        "product_structure": rep.to_dict()["product_structure"],
+        "product_structure": [list(b) for b in blocks] if len(blocks) > 1 else "nonproduct",
     }
     _emit(args, payload)
     return EXIT_OK
@@ -116,20 +115,18 @@ def cmd_orbit(args) -> int:
     base_k = stabilizer_pure(psi, args.tol_null)
     base_fp = invariant_fingerprint(psi)
 
-    def sample(i: int):
+    rows = []
+    for i in range(args.samples):
         rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(7, i)))
         moved = apply_local_unitary(haar_random_local_unitary(psi.n, rng), psi)
         k = stabilizer_pure(moved, args.tol_null)
         drift = fingerprint_drift(base_fp, invariant_fingerprint(moved))
-        return {
+        rows.append({
             "sample": i,
             "stab_dim": k.dim,
             "proj_dims": list(k.proj_dims),
             "drift": float(drift),
-        }
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(sample, range(args.samples)))
+        })
     max_drift = max(row["drift"] for row in rows)
     consistent = all(
         row["stab_dim"] == base_k.dim and tuple(row["proj_dims"]) == base_k.proj_dims

@@ -2,8 +2,9 @@
 
 The stabilizer of a pure state is the set of X in u(1) + su(2)^n with
 X|psi> = 0; the stabilizer of a density matrix is the set of X in su(2)^n
-with [X, rho] = 0.  Both are kernels of real-linear maps and are computed
-by realified SVD with a relative singular-value cutoff.
+with [X, rho] = 0.  Both are kernels of real-linear maps.  Each map is
+realified, reduced to its small triangular QR factor R, and R's SVD gives
+the spectrum and the kernel, cut with a relative singular-value tolerance.
 """
 
 import warnings
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import subspace_angles
 
-from .states import PureState, DensityMatrix, RANK_TOL, apply_matrix_to_density, purity
+from .states import PureState, DensityMatrix, RANK_TOL, purity
 from .local_unitary import SU2_BASIS, LieElement, lie_element_from_flat, apply_matrix_to_qubit
 
 # relative singular-value cutoff for rank decisions
@@ -25,6 +26,8 @@ SPAN_TOL = 1e-7
 CLOSURE_TOL = 1e-7
 # direct commutator solves cost O(4^n); above this the rank-one path is used
 DENSITY_DIRECT_LIMIT = 6
+# rows per block when a tall map is reduced to its triangular factor
+QR_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,12 +94,33 @@ def _canonical_rows(rows: np.ndarray, phase_col: bool) -> np.ndarray:
     return rows
 
 
+def _triangular_factor(real_map: np.ndarray) -> np.ndarray:
+    """The square R of real_map = Q R, without forming Q.
+
+    Maps with many rows are factored in cache-sized row blocks first and the
+    stacked block factors factored again (a two-level TSQR); each step is an
+    orthogonal reduction, so R is as accurate as from one Householder QR.
+    """
+    m, k = real_map.shape
+    if m >= 2 * QR_BLOCK_ROWS and m % QR_BLOCK_ROWS == 0:
+        blocks = real_map.T.reshape(k, m // QR_BLOCK_ROWS, QR_BLOCK_ROWS).transpose(1, 2, 0)
+        real_map = np.linalg.qr(blocks, mode="r").reshape(-1, k)
+    return np.linalg.qr(real_map, mode="r")
+
+
 def _null_space(real_map: np.ndarray, tol: float):
-    """Kernel rows, full spectrum, and the spectral gap across the cut."""
-    _, s, vh = np.linalg.svd(real_map, full_matrices=False)
+    """Kernel rows, full spectrum, and the spectral gap across the cut.
+
+    The map is tall, so real_map = Q R with a square R that has the same
+    singular values and right singular vectors.  Only R is formed, never the
+    tall orthonormal factor, and the SVD runs on R.  Forming the Gram matrix
+    real_map.T @ real_map and calling eigh would be cheaper still but squares
+    the condition number, which would put the NULL_TOL cut at machine epsilon.
+    """
     k = real_map.shape[1]
-    if s.size < k:  # wide matrices would lose kernel directions here
+    if real_map.shape[0] < k:  # wide matrices would lose kernel directions here
         raise ValueError("defining map has fewer rows than columns")
+    _, s, vh = np.linalg.svd(_triangular_factor(real_map))
     rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
     if 0 < rank < k:
         with np.errstate(divide="ignore"):
@@ -131,31 +155,54 @@ def _dominant_eigenvector(rho: DensityMatrix) -> PureState:
 
 
 def _density_direct(rho: DensityMatrix, tol: float):
+    """Solve [X, rho] = 0 on all of su(2)^n; the map has 4^n rows.
+
+    X is skew-Hermitian and rho Hermitian, so [X, rho] = X rho + (X rho)^H:
+    one one-sided product per qubit serves all three generators.  The
+    commutator C is Hermitian, so Re C is symmetric and Im C antisymmetric;
+    the two are Frobenius-orthogonal and C.real + C.imag has the same norm as
+    C.  Realifying every linear combination that way keeps the Gram matrix of
+    the naive [Re vec C; Im vec C] map, hence its singular values and kernel,
+    with half the rows.
+    """
     n = rho.n
     d = 2**n
-    cols = np.empty((d * d, 3 * n), dtype=np.complex128)
+    real_map = np.empty((3 * n, d, d))
     for j in range(1, n + 1):
-        for a in range(3):
-            m = SU2_BASIS[a]
-            comm = apply_matrix_to_density(m, rho.matrix, j, n, "left")
-            comm -= apply_matrix_to_density(m, rho.matrix, j, n, "right")
-            cols[:, 3 * (j - 1) + a] = comm.reshape(-1)
-    real_map = np.concatenate([cols.real, cols.imag], axis=0)
-    return _null_space(real_map, tol)
+        t = rho.matrix.reshape(2 ** (j - 1), 2, 2 ** (n - j) * d)
+        left = np.matmul(SU2_BASIS[:, None], t[None]).reshape(3, d, d)
+        # C.real + C.imag = (L.real + L.imag) + (L.real - L.imag)^T for C = L + L^H
+        block = real_map[3 * (j - 1) : 3 * j]
+        np.add(left.real, left.imag, out=block)
+        block += np.swapaxes(left.real - left.imag, 1, 2)
+    return _null_space(real_map.reshape(3 * n, d * d).T, tol)
 
 
-def _density_projected(rho: DensityMatrix, tol: float):
+def drop_phase(pure: StabilizerBasis, tol: float = NULL_TOL) -> StabilizerBasis:
+    """Density stabilizer of |psi><psi| from the pure stabilizer of psi.
+
+    Dropping the u(1) phase coordinate maps the pure stabilizer onto the
+    density stabilizer of the same state.  The result keeps the spectrum and
+    gap of the pure map, and its method is 'projected'.
+    """
+    if pure.ambient != "pure":
+        raise ValueError(f"drop_phase needs a pure stabilizer, got {pure.ambient!r}")
+    rows = pure.basis[:, 1:]
+    if rows.shape[0]:
+        _, s, vh = np.linalg.svd(rows, full_matrices=False)
+        r = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
+        if r != pure.dim:
+            warnings.warn("phase projection lost stabilizer directions; input may be ill-conditioned")
+        rows = vh[:r]
+    return StabilizerBasis(
+        "density", pure.n, _canonical_rows(rows, False), pure.singular_values, pure.gap,
+        method="projected",
+    )
+
+
+def _density_projected(rho: DensityMatrix, tol: float) -> StabilizerBasis:
     """Rank-one shortcut: solve the pure stabilizer and drop the phase."""
-    psi = _dominant_eigenvector(rho)
-    pure = stabilizer_pure(psi, tol)
-    projected = pure.basis[:, 1:]
-    if projected.shape[0] == 0:
-        return projected, pure.singular_values, pure.gap
-    _, s, vh = np.linalg.svd(projected, full_matrices=False)
-    r = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-    if r != pure.dim:
-        warnings.warn("phase projection lost stabilizer directions; input may be ill-conditioned")
-    return vh[:r], pure.singular_values, pure.gap
+    return drop_phase(stabilizer_pure(_dominant_eigenvector(rho), tol), tol)
 
 
 def stabilizer_density(rho: DensityMatrix, tol: float = NULL_TOL, method: str = "auto") -> StabilizerBasis:
@@ -174,12 +221,11 @@ def stabilizer_density(rho: DensityMatrix, tol: float = NULL_TOL, method: str = 
     if method == "projected" or (method == "auto" and n > DENSITY_DIRECT_LIMIT):
         if not rank_one:
             raise ValueError("projected method requires a rank-one density matrix")
-        rows, svals, gap = _density_projected(rho, tol)
-        return StabilizerBasis("density", n, _canonical_rows(rows, False), svals, gap, method="projected")
+        return _density_projected(rho, tol)
     rows, svals, gap = _density_direct(rho, tol)
     out = StabilizerBasis("density", n, _canonical_rows(rows, False), svals, gap, method="direct")
     if method == "auto" and rank_one:
-        proj_rows, _, _ = _density_projected(rho, tol)
+        proj_rows = _density_projected(rho, tol).basis
         ok = proj_rows.shape[0] == out.dim
         if ok and out.dim > 0:
             ok = float(np.max(principal_angles(out.basis, proj_rows), initial=0.0)) < SPAN_TOL

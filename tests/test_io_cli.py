@@ -6,7 +6,9 @@ import pytest
 from stabscope import (
     GuardError,
     StateFormatError,
+    algebra_type,
     apply_local_unitary,
+    classify,
     ghz_state,
     haar_random_local_unitary,
     load_state,
@@ -17,6 +19,8 @@ from stabscope import (
     resolve_state,
     state_to_dict,
     state_to_text,
+    stabilizer_density,
+    to_density,
     w_state,
 )
 from stabscope.cli import main
@@ -208,6 +212,38 @@ def test_cli_orbit_consistency(capsys):
     assert len(payload["rows"]) == 3
     assert all(row["stab_dim"] == 2 for row in payload["rows"])
     assert payload["max_drift"] < 1e-8
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"ghz:{n}:0.8" for n in range(3, 9)]
+    + ["w:3", "w:5", "haar:3", "haar:5", "singlets", "canon4:0.5:-0.25:0.25", "basis:0110"],
+)
+def test_cli_analyze_density_fields_match_direct_solve(spec, tmp_path, capsys):
+    if spec.startswith("haar"):
+        n = int(spec.split(":")[1])
+        psi = random_state(n, np.random.default_rng(n))
+        spec = str(tmp_path / "haar.json")
+        (tmp_path / "haar.json").write_text(json.dumps(state_to_dict(psi)))
+    else:
+        psi = named_state(spec)
+    assert main(["analyze", "--state", spec, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    direct = stabilizer_density(to_density(psi), method="direct")
+    assert payload["density_stab_dim"] == direct.dim
+    assert payload["algebra_type"] == algebra_type(direct).kind
+    expected = classify(psi, confirm=False).to_dict()["product_structure"]
+    assert payload["product_structure"] == expected
+
+
+def test_cli_orbit_is_reproducible_and_ordered(capsys):
+    args = ["orbit", "--state", "w:4", "--samples", "6", "--seed", "5", "--format", "json"]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    assert main(args) == 0
+    assert capsys.readouterr().out == first
+    rows = json.loads(first)["rows"]
+    assert [row["sample"] for row in rows] == list(range(6))
 
 
 def test_cli_invariants_text_output(capsys):

@@ -6,7 +6,11 @@ from stabscope import (
     SU2_BASIS,
     StabilizerBasis,
     algebra_type,
+    apply_local_unitary,
+    drop_phase,
     ghz_state,
+    haar_random_local_unitary,
+    partial_trace,
     phase_projection_check,
     principal_angles,
     random_state,
@@ -19,7 +23,7 @@ from stabscope import (
     to_density,
     w_state,
 )
-from stabscope.stabilizer import GAP_MIN
+from stabscope.stabilizer import GAP_MIN, NULL_TOL, _null_space
 
 
 def _dense_pure_map(psi):
@@ -198,3 +202,64 @@ def test_block_columns_layout():
     assert k.basis.shape == (2, 10)
     assert k.block_columns(1).shape == (2, 3)
     assert np.allclose(k.basis[:, 0], 0.0, atol=1e-9)
+
+
+def _embedded(m, j, n):
+    full = np.eye(1, dtype=complex)
+    for k in range(n):
+        full = np.kron(full, m if k == j else np.eye(2))
+    return full
+
+
+def _naive_density_map(rho):
+    """Independent assembly of [X, rho] with np.kron, realified to 2 * 4**n rows."""
+    n = rho.n
+    cols = []
+    for j in range(n):
+        for m in SU2_BASIS:
+            x = _embedded(m, j, n)
+            cols.append((x @ rho.matrix - rho.matrix @ x).reshape(-1))
+    cols = np.column_stack(cols)
+    return np.concatenate([cols.real, cols.imag], axis=0)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(31)
+    yield "mixed:1", DensityMatrix(np.eye(2) / 2), 3
+    yield "pure:1", to_density(random_state(1, rng)), 1
+    yield "singlets", to_density(tensor_product(singlet_state(), singlet_state())), 6
+    for n in range(2, 6):
+        yield f"mixed:{n}", DensityMatrix(np.eye(2**n) / 2**n), 3 * n
+        g = haar_random_local_unitary(n, rng)
+        yield f"ghz_orbit:{n}", to_density(apply_local_unitary(g, ghz_state(n, 0.8, 0.6))), n - 1
+        wide = to_density(random_state(n + 2, rng))
+        yield f"rank4:{n}", partial_trace(wide, (n + 1, n + 2)), 0
+
+
+@pytest.mark.parametrize("name, rho, expected_dim", list(_oracle_cases()))
+def test_direct_density_solve_matches_naive_realified_map(name, rho, expected_dim):
+    real_map = _naive_density_map(rho)
+    _, s, vh = np.linalg.svd(real_map, full_matrices=False)
+    rank = int(np.sum(s > NULL_TOL * s[0])) if s[0] > 0 else 0
+    oracle = StabilizerBasis("density", rho.n, vh[rank:], s, np.inf)
+    k = stabilizer_density(rho, method="direct")
+    assert k.dim == oracle.dim == expected_dim, name
+    assert k.proj_dims == oracle.proj_dims, name
+    assert np.allclose(k.singular_values, s, rtol=0.0, atol=1e-12 * max(s[0], 1e-300)), name
+    assert np.allclose(k.basis.T @ k.basis, oracle.basis.T @ oracle.basis, atol=1e-10), name
+
+
+def test_null_space_rejects_wide_maps():
+    with pytest.raises(ValueError, match="fewer rows than columns"):
+        _null_space(np.ones((2, 3)), NULL_TOL)
+
+
+def test_drop_phase_matches_projected_method():
+    psi = ghz_state(7, 0.6, 0.8)
+    k = drop_phase(stabilizer_pure(psi))
+    ref = stabilizer_density(to_density(psi), method="projected")
+    assert k.method == "projected"
+    assert k.dim == ref.dim == 6
+    assert np.max(principal_angles(k.basis, ref.basis), initial=0.0) < 1e-9
+    with pytest.raises(ValueError, match="pure stabilizer"):
+        drop_phase(ref)
