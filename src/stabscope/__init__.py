@@ -45,7 +45,6 @@ from .stabilizer import (
     ProjectionCheck,
     StabilizerBasis,
     algebra_type,
-    drop_phase,
     phase_projection_check,
     principal_angles,
     projection_dim,

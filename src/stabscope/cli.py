@@ -18,7 +18,7 @@ from .local_unitary import apply_local_unitary, haar_random_local_unitary
 from .stabilizer import (
     NULL_TOL,
     algebra_type,
-    drop_phase,
+    _drop_phase,
     stabilizer_pure,
 )
 from .invariants import fingerprint_drift, invariant_fingerprint
@@ -84,7 +84,7 @@ def cmd_analyze(args) -> int:
     (spec, psi), = _states(args, 1)
     k = stabilizer_pure(psi, args.tol_null)
     # the density stabilizer of |psi><psi| is the pure one with the phase dropped
-    k_rho = drop_phase(k, args.tol_null)
+    k_rho = _drop_phase(k, args.tol_null)
     blocks = is_product(psi).blocks
     payload = {
         "state": spec,

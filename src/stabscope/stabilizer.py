@@ -26,8 +26,6 @@ SPAN_TOL = 1e-7
 CLOSURE_TOL = 1e-7
 # direct commutator solves cost O(4^n); above this the rank-one path is used
 DENSITY_DIRECT_LIMIT = 6
-# rows per block when a tall map is reduced to its triangular factor
-QR_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,20 +92,6 @@ def _canonical_rows(rows: np.ndarray, phase_col: bool) -> np.ndarray:
     return rows
 
 
-def _triangular_factor(real_map: np.ndarray) -> np.ndarray:
-    """The square R of real_map = Q R, without forming Q.
-
-    Maps with many rows are factored in cache-sized row blocks first and the
-    stacked block factors factored again (a two-level TSQR); each step is an
-    orthogonal reduction, so R is as accurate as from one Householder QR.
-    """
-    m, k = real_map.shape
-    if m >= 2 * QR_BLOCK_ROWS and m % QR_BLOCK_ROWS == 0:
-        blocks = real_map.T.reshape(k, m // QR_BLOCK_ROWS, QR_BLOCK_ROWS).transpose(1, 2, 0)
-        real_map = np.linalg.qr(blocks, mode="r").reshape(-1, k)
-    return np.linalg.qr(real_map, mode="r")
-
-
 def _null_space(real_map: np.ndarray, tol: float):
     """Kernel rows, full spectrum, and the spectral gap across the cut.
 
@@ -120,7 +104,7 @@ def _null_space(real_map: np.ndarray, tol: float):
     k = real_map.shape[1]
     if real_map.shape[0] < k:  # wide matrices would lose kernel directions here
         raise ValueError("defining map has fewer rows than columns")
-    _, s, vh = np.linalg.svd(_triangular_factor(real_map))
+    _, s, vh = np.linalg.svd(np.linalg.qr(real_map, mode="r"))
     rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
     if 0 < rank < k:
         with np.errstate(divide="ignore"):
@@ -178,15 +162,13 @@ def _density_direct(rho: DensityMatrix, tol: float):
     return _null_space(real_map.reshape(3 * n, d * d).T, tol)
 
 
-def drop_phase(pure: StabilizerBasis, tol: float = NULL_TOL) -> StabilizerBasis:
+def _drop_phase(pure: StabilizerBasis, tol: float = NULL_TOL) -> StabilizerBasis:
     """Density stabilizer of |psi><psi| from the pure stabilizer of psi.
 
     Dropping the u(1) phase coordinate maps the pure stabilizer onto the
     density stabilizer of the same state.  The result keeps the spectrum and
     gap of the pure map, and its method is 'projected'.
     """
-    if pure.ambient != "pure":
-        raise ValueError(f"drop_phase needs a pure stabilizer, got {pure.ambient!r}")
     rows = pure.basis[:, 1:]
     if rows.shape[0]:
         _, s, vh = np.linalg.svd(rows, full_matrices=False)
@@ -202,7 +184,7 @@ def drop_phase(pure: StabilizerBasis, tol: float = NULL_TOL) -> StabilizerBasis:
 
 def _density_projected(rho: DensityMatrix, tol: float) -> StabilizerBasis:
     """Rank-one shortcut: solve the pure stabilizer and drop the phase."""
-    return drop_phase(stabilizer_pure(_dominant_eigenvector(rho), tol), tol)
+    return _drop_phase(stabilizer_pure(_dominant_eigenvector(rho), tol), tol)
 
 
 def stabilizer_density(rho: DensityMatrix, tol: float = NULL_TOL, method: str = "auto") -> StabilizerBasis:

@@ -236,16 +236,6 @@ def test_cli_analyze_density_fields_match_direct_solve(spec, tmp_path, capsys):
     assert payload["product_structure"] == expected
 
 
-def test_cli_orbit_is_reproducible_and_ordered(capsys):
-    args = ["orbit", "--state", "w:4", "--samples", "6", "--seed", "5", "--format", "json"]
-    assert main(args) == 0
-    first = capsys.readouterr().out
-    assert main(args) == 0
-    assert capsys.readouterr().out == first
-    rows = json.loads(first)["rows"]
-    assert [row["sample"] for row in rows] == list(range(6))
-
-
 def test_cli_invariants_text_output(capsys):
     assert main(["invariants", "--state", "canon4:0.5:0.2:0.3"]) == 0
     out = capsys.readouterr().out
@@ -255,8 +245,13 @@ def test_cli_invariants_text_output(capsys):
 
 
 def test_cli_runs_are_deterministic(capsys):
-    args = ["classify", "--state", "canon4:0.6:0.1:0.4", "--format", "json", "--seed", "3"]
-    assert main(args) == 0
-    first = capsys.readouterr().out
-    assert main(args) == 0
-    assert capsys.readouterr().out == first
+    for args in (
+        ["classify", "--state", "canon4:0.6:0.1:0.4", "--format", "json", "--seed", "3"],
+        ["orbit", "--state", "w:4", "--samples", "6", "--seed", "5", "--format", "json"],
+    ):
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert main(args) == 0
+        assert capsys.readouterr().out == first
+    rows = json.loads(first)["rows"]
+    assert [row["sample"] for row in rows] == list(range(6))

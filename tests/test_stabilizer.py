@@ -7,7 +7,6 @@ from stabscope import (
     StabilizerBasis,
     algebra_type,
     apply_local_unitary,
-    drop_phase,
     ghz_state,
     haar_random_local_unitary,
     partial_trace,
@@ -252,14 +251,3 @@ def test_direct_density_solve_matches_naive_realified_map(name, rho, expected_di
 def test_null_space_rejects_wide_maps():
     with pytest.raises(ValueError, match="fewer rows than columns"):
         _null_space(np.ones((2, 3)), NULL_TOL)
-
-
-def test_drop_phase_matches_projected_method():
-    psi = ghz_state(7, 0.6, 0.8)
-    k = drop_phase(stabilizer_pure(psi))
-    ref = stabilizer_density(to_density(psi), method="projected")
-    assert k.method == "projected"
-    assert k.dim == ref.dim == 6
-    assert np.max(principal_angles(k.basis, ref.basis), initial=0.0) < 1e-9
-    with pytest.raises(ValueError, match="pure stabilizer"):
-        drop_phase(ref)
