@@ -1,16 +1,26 @@
-"""Local-unitary equivalence of pure states: invariant screening followed by
-multi-start fidelity maximization over SU(2)^n.
+"""Local-unitary equivalence of pure states.
+
+decide_equivalence screens first: the stabilizer dimension, the per-qubit
+projection dimensions, then the invariant fingerprint, walked one component
+at a time and stopped at the first one that separates the states.  Pairs
+that pass the screens meet the one-qubit standard form (Kraus, PRL 104,
+020504, 2010): each qubit of both states is rotated into the eigenbasis of
+its one-qubit reduced state, after which, when every one-qubit spectrum is
+nondegenerate, an equivalence is a diagonal phase per qubit, read off the
+amplitudes of one single-bit-flip index pair.  That witness is accepted only
+if the infidelity recomputed from it is below tol; otherwise (degenerate
+spectra such as balanced GHZ or the four-qubit su(2) family, GHZ support,
+inequivalent pairs) multi-start fidelity maximization over SU(2)^n decides.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .states import PureState, apply_matrix_to_qubit
+from .states import PureState, apply_matrix_to_qubit, reduced_state
 from .local_unitary import SU2_BASIS, LocalUnitary, haar_su2, su2_matrix
 from .stabilizer import stabilizer_pure
-from .invariants import invariant_fingerprint, separating_component
+from .invariants import fingerprint_components, first_difference
 
 # infidelity below this certifies equivalence
 EQUIV_TOL = 1e-7
@@ -90,6 +100,9 @@ def lu_infidelity(
     """
     if psi.n != phi.n:
         raise ValueError(f"states live on {psi.n} and {phi.n} qubits")
+    # only this stage needs scipy.optimize, the slowest import in the package
+    from scipy.optimize import minimize
+
     n = psi.n
     children = np.random.SeedSequence(seed).spawn(max(restarts, 1))
     best_f = np.inf
@@ -116,13 +129,63 @@ def lu_infidelity(
             )
         if best_f < stop:
             break
+    _, witness = _align(psi, phi, best_factors)
+    return FidelitySearch(best_f, witness, used)
+
+
+def _align(psi: PureState, phi: PureState, factors: np.ndarray) -> tuple[float, LocalUnitary]:
+    """Infidelity 1 - |<phi| g psi>|^2 of the SU(2) factors g, and the
+    LocalUnitary that adds the global phase aligning g psi with phi."""
     cur = psi.vector
-    for j in range(n):
-        cur = apply_matrix_to_qubit(best_factors[j], cur, j + 1, n)
+    for j in range(psi.n):
+        cur = apply_matrix_to_qubit(factors[j], cur, j + 1, psi.n)
     z = np.vdot(phi.vector, cur)
     phase = np.conj(z) / abs(z) if abs(z) > 1e-15 else 1.0 + 0j
-    witness = LocalUnitary(best_factors, phase)
-    return FidelitySearch(best_f, witness, used)
+    return max(1.0 - float(abs(z)) ** 2, 0.0), LocalUnitary(factors, phase)
+
+
+def _eigenframes(psi: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """Per qubit, the unitary whose columns are the eigenvectors of the
+    one-qubit reduced state, eigenvalues descending, and the amplitudes of
+    psi with every qubit rotated into that basis."""
+    n = psi.n
+    frames = np.empty((n, 2, 2), dtype=np.complex128)
+    vec = psi.vector
+    for j in range(n):
+        _, vecs = np.linalg.eigh(reduced_state(psi, (j + 1,)).matrix)
+        frames[j] = vecs[:, ::-1]
+        vec = apply_matrix_to_qubit(frames[j].conj().T, vec, j + 1, n)
+    return frames, vec
+
+
+def _standard_form_factors(psi: PureState, phi: PureState) -> np.ndarray | None:
+    """Candidate SU(2) factors taking psi to phi, from the one-qubit standard form.
+
+    With both states in their eigenframes, an equivalence for nondegenerate
+    spectra is diag(e^{i theta_j}, e^{-i theta_j}) on each qubit up to a
+    global phase.  For qubit j the index pair (i, i with bit j set) whose
+    smaller amplitude modulus in psi is largest fixes e^{2 i theta_j} as the
+    ratio of phi's to psi's amplitude at i over the same ratio at its
+    partner.  None when no such pair has both amplitudes nonzero.
+    """
+    n = psi.n
+    ua, a = _eigenframes(psi)
+    ub, b = _eigenframes(phi)
+    index = np.arange(2**n)
+    factors = np.empty((n, 2, 2), dtype=np.complex128)
+    for j in range(n):
+        bit = 1 << (n - 1 - j)
+        low = index[(index & bit) == 0]
+        high = low | bit
+        weight = np.minimum(np.abs(a[low]), np.abs(a[high]))
+        k = int(np.argmax(weight))
+        if weight[k] == 0.0:
+            return None
+        i, ip = low[k], high[k]
+        theta = 0.5 * np.angle(b[i] * np.conj(a[i]) * np.conj(b[ip]) * a[ip])
+        u = ub[j] @ np.diag([np.exp(1j * theta), np.exp(-1j * theta)]) @ ua[j].conj().T
+        factors[j] = u / np.sqrt(np.linalg.det(u))
+    return factors
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +195,10 @@ class EquivVerdict:
     status is 'equivalent', 'inequivalent', or 'unknown'.  witness holds the
     aligning LocalUnitary when equivalent; separator names the invariant that
     differs (name, value_a, value_b) when inequivalent.  best_infidelity and
-    restarts_used report the optimization stage (None when screening decided).
+    restarts_used report the alignment stage (None when screening decided;
+    restarts_used is 0 when the standard form decided).  decided_by names the
+    deciding stage: 'stab_dim', 'proj_dims', 'fingerprint:<component>',
+    'standard_form' or 'optimizer'.
     """
 
     status: str
@@ -140,12 +206,14 @@ class EquivVerdict:
     separator: tuple | None
     best_infidelity: float | None
     restarts_used: int | None
+    decided_by: str | None = None
 
     def to_dict(self) -> dict:
         out = {
             "status": self.status,
             "best_infidelity": self.best_infidelity,
             "restarts_used": self.restarts_used,
+            "decided_by": self.decided_by,
         }
         if self.separator is not None:
             name, va, vb = self.separator
@@ -178,10 +246,12 @@ def decide_equivalence(
     """Decide local-unitary equivalence.
 
     Pipeline: stabilizer dimension and per-qubit projection dimensions
-    (cheap LU-covariant separators), then the invariant fingerprint, then
-    multi-start fidelity optimization.  'unknown' is an honest outcome: no
-    separating invariant was found and the optimizer did not certify
-    equivalence either.
+    (cheap LU-covariant separators), then the invariant fingerprint up to
+    its first separating component, then the standard-form witness, then
+    multi-start fidelity optimization.  'equivalent' always comes with a
+    witness whose recomputed infidelity is below tol.  'unknown' is an
+    honest outcome: no separating invariant was found and no witness
+    certified equivalence either.
     """
     if psi.n != phi.n:
         raise ValueError(f"states live on {psi.n} and {phi.n} qubits")
@@ -189,19 +259,30 @@ def decide_equivalence(
     ka = stabilizer_pure(psi, **kwargs)
     kb = stabilizer_pure(phi, **kwargs)
     if ka.dim != kb.dim:
-        return EquivVerdict("inequivalent", None, ("stab_dim", ka.dim, kb.dim), None, None)
+        return EquivVerdict(
+            "inequivalent", None, ("stab_dim", ka.dim, kb.dim), None, None, "stab_dim"
+        )
     if ka.proj_dims != kb.proj_dims:
         return EquivVerdict(
-            "inequivalent", None, ("proj_dims", ka.proj_dims, kb.proj_dims), None, None
+            "inequivalent", None, ("proj_dims", ka.proj_dims, kb.proj_dims), None, None,
+            "proj_dims",
         )
-    fa = invariant_fingerprint(psi)
-    fb = invariant_fingerprint(phi)
-    sep = separating_component(fa, fb, fingerprint_tol)
+    sep = first_difference(
+        fingerprint_components(psi), fingerprint_components(phi), fingerprint_tol
+    )
     if sep is not None:
-        return EquivVerdict("inequivalent", None, sep, None, None)
+        return EquivVerdict("inequivalent", None, sep, None, None, f"fingerprint:{sep[0]}")
+    factors = _standard_form_factors(psi, phi)
+    if factors is not None:
+        infidelity, witness = _align(psi, phi, factors)
+        if infidelity < tol:
+            return EquivVerdict("equivalent", witness, None, infidelity, 0, "standard_form")
     search = lu_infidelity(psi, phi, restarts=restarts, seed=seed)
     if search.infidelity < tol:
         return EquivVerdict(
-            "equivalent", search.witness, None, search.infidelity, search.restarts_used
+            "equivalent", search.witness, None, search.infidelity, search.restarts_used,
+            "optimizer",
         )
-    return EquivVerdict("unknown", None, None, search.infidelity, search.restarts_used)
+    return EquivVerdict(
+        "unknown", None, None, search.infidelity, search.restarts_used, "optimizer"
+    )

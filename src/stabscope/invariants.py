@@ -3,11 +3,10 @@ and the polynomial family built from per-qubit copy permutations.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .states import PureState, bit_table, subset_purity, _check_subset
+from .states import PureState, bit_table, subset_purity, _bipartition_sides, _check_subset
 
 # fingerprints of the same orbit agree to this relative tolerance
 INVARIANCE_TOL = 1e-8
@@ -134,20 +133,16 @@ def canonical_poly3_im(a: float, b: complex) -> float:
     return -24.0 * a**2 * b1 * b2 * (b1**2 + b2**2 + a * b1)
 
 
-def _purity_subsets(n: int):
-    """Proper subsets with no complement duplicates: size below n/2, plus the
-    half-size subsets containing qubit 1."""
-    labels = range(1, n + 1)
-    for k in range(1, n // 2 + 1):
-        for subset in combinations(labels, k):
-            if 2 * k == n and 1 not in subset:
-                continue
-            yield subset
-
-
 def subset_key(subset) -> str:
     sep = "." if max(subset) > 9 else ""
     return sep.join(str(j) for j in subset)
+
+
+def _keyed_subsets(n: int) -> dict:
+    """Fingerprint purity keys mapped to their qubit subsets, one side of each
+    bipartition, in enumeration order; a key shared by two subsets keeps the
+    later one, as the fingerprint's purity dict does."""
+    return {subset_key(s): s for s in _bipartition_sides(n)}
 
 
 @dataclass(frozen=True)
@@ -185,12 +180,24 @@ class InvariantFingerprint:
 
 def invariant_fingerprint(psi: PureState, triples=DEFAULT_TRIPLES) -> InvariantFingerprint:
     """Collect the purity, pair, and polynomial invariants of a state."""
-    purities = {subset_key(s): subset_purity(psi, s) for s in _purity_subsets(psi.n)}
+    purities = {key: subset_purity(psi, s) for key, s in _keyed_subsets(psi.n).items()}
     pair = pair_invariants(psi) if psi.n == 4 else None
     poly = (
         {t.key: polynomial_invariant(psi, t) for t in triples} if psi.n == 4 else None
     )
     return InvariantFingerprint(psi.n, purities, pair, poly)
+
+
+def fingerprint_components(psi: PureState, triples=DEFAULT_TRIPLES):
+    """Yield invariant_fingerprint(psi, triples).components() one at a time,
+    computing each value only when the iteration reaches it."""
+    for key, subset in sorted(_keyed_subsets(psi.n).items()):
+        yield f"purity:{key}", subset_purity(psi, subset)
+    if psi.n == 4:
+        for i, v in enumerate(pair_invariants(psi)):
+            yield f"pair:I{i + 1}", v
+        for key, t in sorted({t.key: t for t in triples}.items()):
+            yield f"poly:{key}", polynomial_invariant(psi, t)
 
 
 def fingerprint_drift(fa: InvariantFingerprint, fb: InvariantFingerprint) -> float:
@@ -205,11 +212,17 @@ def fingerprint_drift(fa: InvariantFingerprint, fb: InvariantFingerprint) -> flo
     return drift
 
 
+def first_difference(ca, cb, tol: float) -> tuple | None:
+    """First (name, x, y) of two parallel (name, value) sequences with
+    |x - y| > tol, or None; iterators are consumed only that far."""
+    for (name, x), (_, y) in zip(ca, cb):
+        if abs(x - y) > tol:
+            return (name, x, y)
+    return None
+
+
 def separating_component(
     fa: InvariantFingerprint, fb: InvariantFingerprint, tol: float
 ) -> tuple | None:
     """First fingerprint component differing by more than tol, or None."""
-    for (name, x), (_, y) in zip(fa.components(), fb.components()):
-        if abs(x - y) > tol:
-            return (name, x, y)
-    return None
+    return first_difference(fa.components(), fb.components(), tol)

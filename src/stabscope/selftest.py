@@ -2,13 +2,11 @@
 
 Each criterion is a standalone function taking a master seed and returning a
 CriterionResult.  All randomness derives from that seed through fixed spawn
-keys, so repeated runs produce identical pass/fail outcomes, and criteria can
-run in parallel workers with output assembled in index order.
+keys, so repeated runs produce identical pass/fail outcomes.  The suite runs
+the criteria one after another in index order.
 """
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -593,19 +591,15 @@ class SelftestReport:
         return out
 
 
-def run_selftest(master_seed: int = 0, workers: int | None = None, stream=None) -> SelftestReport:
-    """Run all criteria in parallel workers; report in index order."""
+def run_selftest(master_seed: int = 0, stream=None) -> SelftestReport:
+    """Run all criteria serially in index order."""
     t0 = perf_counter()
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
     results = []
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        futures = [pool.submit(fn, master_seed) for _, _, fn in CRITERIA]
-        for future in futures:
-            res = future.result()
-            results.append(res)
-            if stream is not None:
-                print(res.line(), file=stream, flush=True)
+    for _, _, fn in CRITERIA:
+        res = fn(master_seed)
+        results.append(res)
+        if stream is not None:
+            print(res.line(), file=stream, flush=True)
     elapsed = perf_counter() - t0
     passed = all(r.passed for r in results) and elapsed < TOTAL_TIME_LIMIT
     report = SelftestReport(passed, tuple(results), elapsed)

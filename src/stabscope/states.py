@@ -240,6 +240,18 @@ class FactorizationReport:
         return len(self.blocks) > 1
 
 
+def _bipartition_sides(n: int):
+    """One side of every bipartition of qubits 1..n, each bipartition once:
+    the subsets smaller than n/2, plus the half-size subsets containing
+    qubit 1, in order of size and then lexicographically."""
+    labels = range(1, n + 1)
+    for k in range(1, n // 2 + 1):
+        for subset in combinations(labels, k):
+            if 2 * k == n and 1 not in subset:
+                continue
+            yield subset
+
+
 def is_product(psi: PureState) -> FactorizationReport:
     """Test every bipartition of a pure state and return the finest factorization."""
     n = psi.n
@@ -250,17 +262,14 @@ def is_product(psi: PureState) -> FactorizationReport:
     pure_subsets: list[tuple[int, ...]] = []
     # a subset and its complement have identical purity for a pure global
     # state, so only the smaller side ever hits the Gram computation
-    for k in range(1, n // 2 + 1):
-        for subset in combinations(labels, k):
-            if 2 * k == n and 1 not in subset:
-                continue
-            p = subset_purity(psi, subset)
-            comp = tuple(j for j in labels if j not in subset)
-            purities[subset] = p
-            purities[comp] = p
-            if 1.0 - p < RANK_TOL:
-                pure_subsets.append(subset)
-                pure_subsets.append(comp)
+    for subset in _bipartition_sides(n):
+        p = subset_purity(psi, subset)
+        comp = tuple(j for j in labels if j not in subset)
+        purities[subset] = p
+        purities[comp] = p
+        if 1.0 - p < RANK_TOL:
+            pure_subsets.append(subset)
+            pure_subsets.append(comp)
     pure_subsets.sort(key=lambda s: (len(s), s))
     blocks = []
     remaining = set(labels)

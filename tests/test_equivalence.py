@@ -1,17 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stabscope
 from stabscope import (
     LocalUnitary,
+    PureState,
     apply_local_unitary,
     canonical_four_qubit_state,
     decide_equivalence,
     ghz_state,
     haar_random_local_unitary,
+    invariant_fingerprint,
     lu_infidelity,
     random_state,
+    separating_component,
     w_state,
 )
+from stabscope.equivalence import FINGERPRINT_TOL
+from stabscope.invariants import fingerprint_components, first_difference
 
 
 def _fidelity(psi, phi):
@@ -60,12 +71,14 @@ def test_decide_stabilizer_dimension_separator():
     assert verdict.status == "inequivalent"
     assert verdict.separator == ("stab_dim", 2, 1)
     assert verdict.best_infidelity is None  # optimizer never ran
+    assert verdict.decided_by == "stab_dim"
 
 
 def test_decide_fingerprint_separator_between_ghz_weights():
     verdict = decide_equivalence(ghz_state(4, 0.9), ghz_state(4, 0.7))
     assert verdict.status == "inequivalent"
     assert verdict.separator[0].startswith("purity:")
+    assert verdict.decided_by == "fingerprint:" + verdict.separator[0]
 
 
 def test_decide_swap_polynomial_separator_on_conjugate_pair():
@@ -104,6 +117,7 @@ def test_verdict_serialization_round_trip():
     verdict = decide_equivalence(ghz_state(3), w_state(3))
     payload = json.loads(json.dumps(verdict.to_dict()))
     assert payload["status"] == "inequivalent"
+    assert payload["decided_by"] == "stab_dim"
     assert payload["separator"]["invariant"] == "stab_dim"
     assert payload["separator"]["value_a"] == 2
     assert payload["separator"]["value_b"] == 1
@@ -113,6 +127,7 @@ def test_verdict_serialization_round_trip():
     verdict = decide_equivalence(psi, moved, restarts=12, seed=1)
     payload = json.loads(json.dumps(verdict.to_dict()))
     assert payload["status"] == "equivalent"
+    assert payload["decided_by"] == "standard_form"
     factors = np.array(
         [[[complex(re, im) for re, im in row] for row in f] for f in payload["witness"]["factors"]]
     )
@@ -120,3 +135,101 @@ def test_verdict_serialization_round_trip():
     phase = complex(payload["witness"]["global_phase"]["re"], payload["witness"]["global_phase"]["im"])
     rebuilt = LocalUnitary(list(factors), phase)
     assert _fidelity(apply_local_unitary(rebuilt, psi), moved) > 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_haar_orbit_pairs_are_decided_by_the_standard_form(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(3 if n < 10 else 1):
+        psi = random_state(n, rng)
+        moved = apply_local_unitary(haar_random_local_unitary(n, rng), psi)
+        verdict = decide_equivalence(psi, moved)
+        assert verdict.status == "equivalent"
+        assert verdict.decided_by == "standard_form"
+        assert verdict.restarts_used == 0
+        assert verdict.best_infidelity < 1e-7
+        assert _fidelity(apply_local_unitary(verdict.witness, psi), moved) > 1.0 - 1e-7
+
+
+def test_conjugate_haar_state_is_left_to_the_optimizer():
+    # purities cannot tell a state from its conjugate, and the standard-form
+    # witness for such a pair fails verification
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        psi = random_state(5, rng)
+        verdict = decide_equivalence(psi, PureState(psi.vector.conj()), restarts=3)
+        assert verdict.status != "equivalent"
+        assert verdict.decided_by == "optimizer"
+        assert verdict.restarts_used > 0
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [ghz_state(3), ghz_state(5), canonical_four_qubit_state(0.5, 0.3 + 0.2j)],
+    ids=["ghz3", "ghz5", "canon4"],
+)
+def test_degenerate_spectra_fall_through_to_the_optimizer(psi):
+    rng = np.random.default_rng(8)
+    a = apply_local_unitary(haar_random_local_unitary(psi.n, rng), psi)
+    b = apply_local_unitary(haar_random_local_unitary(psi.n, rng), psi)
+    verdict = decide_equivalence(a, b, seed=1)
+    assert verdict.status == "equivalent"
+    assert verdict.decided_by == "optimizer"
+    assert verdict.restarts_used >= 1
+
+
+def _lazy_separator(psi, phi, tol):
+    return first_difference(fingerprint_components(psi), fingerprint_components(phi), tol)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_fingerprint_components_match_the_full_fingerprint(n):
+    psi = random_state(n, np.random.default_rng(60 + n))
+    assert list(fingerprint_components(psi)) == invariant_fingerprint(psi).components()
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_lazy_separator_matches_the_full_fingerprint(n):
+    rng = np.random.default_rng(80 + n)
+    psi = random_state(n, rng)
+    fa = invariant_fingerprint(psi)
+    pairs = [
+        random_state(n, rng),
+        apply_local_unitary(haar_random_local_unitary(n, rng), psi),
+    ]
+    for phi in pairs:
+        fb = invariant_fingerprint(phi)
+        diffs = sorted(abs(x - y) for (_, x), (_, y) in zip(fa.components(), fb.components()))
+        # tolerances that put the first separator at the start, deep inside
+        # the walk, or nowhere
+        for tol in (FINGERPRINT_TOL, diffs[len(diffs) // 2], diffs[-1] * 0.999, diffs[-1]):
+            assert _lazy_separator(psi, phi, tol) == separating_component(fa, fb, tol)
+
+
+@pytest.mark.parametrize(
+    "psi, phi",
+    [
+        (ghz_state(4, 0.9), ghz_state(4, 0.7)),
+        (ghz_state(6, 0.9), ghz_state(6, 0.7)),
+        (canonical_four_qubit_state(0.5, 0.3j), canonical_four_qubit_state(0.5, -0.3j)),
+        (canonical_four_qubit_state(0.5, 0.2 + 0.3j), canonical_four_qubit_state(0.5, 0.2 - 0.3j)),
+    ],
+    ids=["ghz4-weights", "ghz6-weights", "conjugate-imaginary", "conjugate-generic"],
+)
+def test_lazy_separator_matches_on_screened_pairs(psi, phi):
+    full = separating_component(
+        invariant_fingerprint(psi), invariant_fingerprint(phi), FINGERPRINT_TOL
+    )
+    assert full is not None
+    assert _lazy_separator(psi, phi, FINGERPRINT_TOL) == full
+    assert decide_equivalence(psi, phi).separator == full
+
+
+def test_import_does_not_load_the_optimizer():
+    src = str(Path(stabscope.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, stabscope; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

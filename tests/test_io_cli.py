@@ -143,6 +143,8 @@ def test_cli_equiv_exit_codes(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "equivalent"
     assert payload["witness"] is not None
+    # balanced GHZ has degenerate one-qubit spectra, so the optimizer decides
+    assert payload["decided_by"] == "optimizer"
 
     assert main(["equiv", "--state", "ghz:3", "--state", "w:3"]) == 1
     capsys.readouterr()

@@ -21,7 +21,7 @@ from stabscope import (
     to_density,
     w_state,
 )
-from stabscope.states import bit_complement, bit_table, bits_to_int, flip_index, int_to_bits
+from stabscope.states import _bipartition_sides, bit_complement, bit_table, bits_to_int, flip_index, int_to_bits
 
 
 @given(st.integers(min_value=1, max_value=10), st.data())
@@ -192,3 +192,12 @@ def test_random_state_is_deterministic_per_seed():
     a = random_state(3, 42)
     b = random_state(3, 42)
     assert np.array_equal(a.vector, b.vector)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bipartition_sides_cover_each_bipartition_once(n):
+    labels = frozenset(range(1, n + 1))
+    sides = list(_bipartition_sides(n))
+    splits = {frozenset((frozenset(s), labels - frozenset(s))) for s in sides}
+    assert len(sides) == len(splits) == 2 ** (n - 1) - 1
+    assert all(0 < len(s) <= n / 2 for s in sides)
