@@ -248,24 +248,21 @@ def canonicalize_four_qubit(
         _, b_minus, _ = rescaled(cand_minus)
         chosen = None
         ambiguous = False
-        # primary resolution: the degree-3 invariant is odd under conjugation
-        predicted = canonical_poly3_im(an, b_plus)
-        if abs(predicted) > POLY_DECISION_TOL:
-            measured = float(np.imag(polynomial_invariant(psi, REFERENCE_TRIPLE)))
+        # the degree-3 invariant is odd under conjugation; when it degenerates,
+        # the same invariant with qubits 3 and 4 exchanged sees c instead of b
+        for swapped, (triple, coeff) in enumerate(
+            ((REFERENCE_TRIPLE, b_plus), (SWAP34_TRIPLE, c_plus))
+        ):
+            predicted = canonical_poly3_im(an, coeff)
+            if abs(predicted) <= POLY_DECISION_TOL:
+                if not swapped:
+                    notes.append("degree-3 invariant degenerate for these parameters")
+                continue
+            measured = float(np.imag(polynomial_invariant(psi, triple)))
             chosen = b_plus if abs(measured - predicted) <= abs(measured + predicted) else b_minus
-        else:
-            notes.append("degree-3 invariant degenerate for these parameters")
-            # secondary: same invariant with qubits 3 and 4 exchanged, which
-            # sees the coefficient c instead of b
-            predicted_swap = canonical_poly3_im(an, c_plus)
-            if abs(predicted_swap) > POLY_DECISION_TOL:
-                measured = float(np.imag(polynomial_invariant(psi, SWAP34_TRIPLE)))
-                chosen = (
-                    b_plus
-                    if abs(measured - predicted_swap) <= abs(measured + predicted_swap)
-                    else b_minus
-                )
+            if swapped:
                 notes.append("resolved by the qubit-swap invariant")
+            break
         if chosen is None:
             # no invariant separates the candidates; fall back to explicit
             # equivalence tests and flag the outcome

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import PureState, apply_matrix_to_qubit, reduced_state
-from .local_unitary import SU2_BASIS, LocalUnitary, haar_su2, su2_matrix
+from .local_unitary import LocalUnitary, _exp_and_dexp, exp_su2, haar_su2
 from .stabilizer import stabilizer_pure
 from .invariants import fingerprint_components, first_difference
 
@@ -28,27 +28,6 @@ EQUIV_TOL = 1e-7
 FINGERPRINT_TOL = 1e-6
 # restarts stop early once the best infidelity falls below this
 STOP_TOL = 1e-12
-
-
-def _exp_and_dexp(v: np.ndarray):
-    """exp of an su(2) element and its three partial derivatives.
-
-    With m = su2_matrix(v) and theta = |v|, exp = cos(theta) I + sinc(theta) m;
-    the derivative along coordinate a follows from d(theta)/dv_a = v_a/theta.
-    """
-    theta = float(np.linalg.norm(v))
-    m = su2_matrix(v)
-    eye = np.eye(2, dtype=np.complex128)
-    if theta < 1e-9:
-        e = eye + m
-        d = [SU2_BASIS[a].copy() for a in range(3)]
-        return e, d
-    c, s = np.cos(theta), np.sin(theta)
-    sinc = s / theta
-    e = c * eye + sinc * m
-    core = -s * eye + ((theta * c - s) / theta**2) * m
-    d = [(v[a] / theta) * core + sinc * SU2_BASIS[a] for a in range(3)]
-    return e, d
 
 
 def _infidelity_and_grad(x: np.ndarray, base: np.ndarray, psi: np.ndarray, phi: np.ndarray, n: int):
@@ -124,9 +103,7 @@ def lu_infidelity(
         if f < best_f:
             best_f = f
             v = res.x.reshape(n, 3)
-            best_factors = np.stack(
-                [_exp_and_dexp(v[j])[0] @ base[j] for j in range(n)]
-            )
+            best_factors = np.stack([exp_su2(v[j]) @ base[j] for j in range(n)])
         if best_f < stop:
             break
     _, witness = _align(psi, phi, best_factors)

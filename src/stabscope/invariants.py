@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState, bit_table, subset_purity, _bipartition_sides, _check_subset
+from .states import PureState, subset_purity, _bipartition_sides, _check_subset
 
 # fingerprints of the same orbit agree to this relative tolerance
 INVARIANCE_TOL = 1e-8
@@ -92,33 +92,25 @@ MAX_COPIES = 4
 def polynomial_invariant(psi: PureState, triple: PermutationTriple) -> complex:
     """Degree-2m polynomial LU invariant of a four-qubit state.
 
-    Sums, over all m-tuples of basis indices, the product of m amplitudes
-    against m conjugated amplitudes whose index bits are reassembled per
-    qubit slot: slot 1 keeps the bit of the same copy, slots 2, 3, 4 pull
-    their bit from the copy selected by sigma, tau, phi.  The sum runs in a
-    fixed order so values are bit-stable.
+    Contracts m copies of psi.tensor() against m conjugated copies: copy k
+    carries index letters (k1, k2, k3, k4), and its conjugated partner shares
+    slot 1 with it but takes slots 2, 3, 4 from copies sigma[k], tau[k],
+    phi[k].  Every letter appears in exactly one plain and one conjugated
+    factor, so one einsum sums the product over all m-tuples of indices.
     """
     if psi.n != 4:
         raise ValueError(f"polynomial_invariant requires n = 4, got n = {psi.n}")
     m = triple.m
     if m > MAX_COPIES:
         raise ValueError(f"copy count {m} exceeds {MAX_COPIES}")
-    c = psi.vector
-    bits = bit_table(4)
-    idx = np.indices((16,) * m).reshape(m, -1)
-    ket = np.ones(idx.shape[1], dtype=np.complex128)
-    for k in range(m):
-        ket *= c[idx[k]]
-    bra = np.ones(idx.shape[1], dtype=np.complex128)
-    for k in range(m):
-        j = (
-            (bits[idx[k], 0] << 3)
-            | (bits[idx[triple.sigma[k] - 1], 1] << 2)
-            | (bits[idx[triple.tau[k] - 1], 2] << 1)
-            | bits[idx[triple.phi[k] - 1], 3]
-        )
-        bra *= c[j].conj()
-    return complex(np.sum(ket * bra))
+    # the four slot indices of copy k are the letters 4k, ..., 4k + 3
+    ket = ["abcdefghijklmnop"[4 * k : 4 * k + 4] for k in range(m)]
+    bra = [
+        ket[k][0] + ket[s - 1][1] + ket[t - 1][2] + ket[p - 1][3]
+        for k, (s, t, p) in enumerate(zip(triple.sigma, triple.tau, triple.phi))
+    ]
+    x = psi.tensor()
+    return complex(np.einsum(",".join(ket + bra) + "->", *[x] * m, *[x.conj()] * m))
 
 
 def canonical_poly3_im(a: float, b: complex) -> float:
@@ -133,16 +125,18 @@ def canonical_poly3_im(a: float, b: complex) -> float:
     return -24.0 * a**2 * b1 * b2 * (b1**2 + b2**2 + a * b1)
 
 
-def subset_key(subset) -> str:
-    sep = "." if max(subset) > 9 else ""
+def subset_key(subset, n: int = 0) -> str:
+    """Key of a qubit subset: its labels run together ("12"), or joined by
+    "." when a label has two digits or the state has 12 or more qubits, where
+    the single qubit 12 and the pair (1, 2) would otherwise share "12"."""
+    sep = "." if max(subset) > 9 or n > 11 else ""
     return sep.join(str(j) for j in subset)
 
 
 def _keyed_subsets(n: int) -> dict:
     """Fingerprint purity keys mapped to their qubit subsets, one side of each
-    bipartition, in enumeration order; a key shared by two subsets keeps the
-    later one, as the fingerprint's purity dict does."""
-    return {subset_key(s): s for s in _bipartition_sides(n)}
+    bipartition, in enumeration order."""
+    return {subset_key(s, n): s for s in _bipartition_sides(n)}
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ as -i t * identity and is only meaningful for pure-state stabilizers.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
 
 from .states import PureState, DensityMatrix, apply_matrix_to_qubit, apply_matrix_to_density
 
@@ -40,18 +39,34 @@ def su2_coords(mat: np.ndarray) -> np.ndarray:
     return coords
 
 
-def exp_su2(coords) -> np.ndarray:
-    """Matrix exponential of an su(2) element, in closed form.
+def _exp_and_dexp(v: np.ndarray):
+    """exp of an su(2) element and its three partial derivatives, in closed form.
 
-    For M with coordinates v and theta = |v|, M^2 = -theta^2 * I, so
-    exp(M) = cos(theta) I + (sin(theta)/theta) M.
+    For m = su2_matrix(v) and theta = |v|, m^2 = -theta^2 * I, so
+    exp(m) = cos(theta) I + sinc(theta) m; the derivative along coordinate a
+    follows from d(theta)/dv_a = v_a/theta.  Below theta = 1e-9 the value is
+    I + m, exact to rounding, and the derivatives are the basis matrices,
+    within theta of the exact ones.
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    m = su2_matrix(coords)
-    theta = np.linalg.norm(coords)
-    if theta < 1e-12:
-        return np.eye(2, dtype=np.complex128) + m
-    return np.cos(theta) * np.eye(2) + (np.sin(theta) / theta) * m
+    theta = float(np.linalg.norm(v))
+    m = su2_matrix(v)
+    eye = np.eye(2, dtype=np.complex128)
+    if theta < 1e-9:
+        e = eye + m
+        d = [SU2_BASIS[a].copy() for a in range(3)]
+        return e, d
+    c, s = np.cos(theta), np.sin(theta)
+    sinc = s / theta
+    e = c * eye + sinc * m
+    core = -s * eye + ((theta * c - s) / theta**2) * m
+    d = [(v[a] / theta) * core + sinc * SU2_BASIS[a] for a in range(3)]
+    return e, d
+
+
+def exp_su2(coords) -> np.ndarray:
+    """Matrix exponential of an su(2) element, in closed form:
+    cos(theta) I + (sin(theta)/theta) M for M = su2_matrix(coords), theta = |coords|."""
+    return _exp_and_dexp(np.asarray(coords, dtype=np.float64))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,20 +249,16 @@ def conjugate_element(g: LocalUnitary, x: LieElement) -> LieElement:
 def haar_su2(count: int, rng) -> np.ndarray:
     """(count, 2, 2) stack of independent Haar-distributed SU(2) matrices.
 
-    Complex Ginibre matrices are QR-decomposed, the phases fixed so R has a
-    positive diagonal (giving Haar on U(2)), then each determinant is
-    rescaled to 1.
+    Complex Ginibre matrices are QR-decomposed in one batch, the phases fixed
+    so R has a positive diagonal (giving Haar on U(2)), then each determinant
+    is rescaled to 1.
     """
     rng = np.random.default_rng(rng)
     z = (rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))) / np.sqrt(2.0)
-    out = np.empty_like(z)
-    for k in range(count):
-        q, r = qr(z[k])
-        d = np.diagonal(r)
-        q = q * (d / np.abs(d))
-        det = np.linalg.det(q)
-        out[k] = q / np.sqrt(det)
-    return out
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (d / np.abs(d))[:, None, :]
+    return q / np.sqrt(np.linalg.det(q))[:, None, None]
 
 
 def haar_random_local_unitary(n: int, rng) -> LocalUnitary:

@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from .states import PureState, DensityMatrix, RANK_TOL, purity
 from .local_unitary import SU2_BASIS, LieElement, lie_element_from_flat, apply_matrix_to_qubit
@@ -239,6 +238,9 @@ def principal_angles(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     if da == 0 or db == 0:
         return np.array([np.pi / 2])
+    # loaded on first use so that `import stabscope` stays numpy-only
+    from scipy.linalg import subspace_angles
+
     return subspace_angles(rows_a.T, rows_b.T)
 
 

@@ -15,13 +15,14 @@ from stabscope import (
     decide_equivalence,
     ghz_state,
     haar_random_local_unitary,
+    haar_su2,
     invariant_fingerprint,
     lu_infidelity,
     random_state,
     separating_component,
     w_state,
 )
-from stabscope.equivalence import FINGERPRINT_TOL
+from stabscope.equivalence import FINGERPRINT_TOL, _infidelity_and_grad
 from stabscope.invariants import fingerprint_components, first_difference
 
 
@@ -226,10 +227,40 @@ def test_lazy_separator_matches_on_screened_pairs(psi, phi):
 
 
 def test_import_does_not_load_the_optimizer():
+    # neither the import nor an analyze run needs scipy: only lu_infidelity
+    # and principal_angles load it, on first use
     src = str(Path(stabscope.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, stabscope; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, stabscope\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "from stabscope import cli\n"
+        "code = cli.main(['analyze', '--state', 'ghz:4', '--format', 'json'])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
+
+
+@pytest.mark.parametrize("scale", [0.0, 3e-10, 1.0], ids=["zero", "below-cut", "generic"])
+def test_infidelity_gradient_matches_central_differences(scale):
+    n = 3
+    rng = np.random.default_rng(5)
+    psi = random_state(n, rng)
+    phi = random_state(n, rng)
+    base = haar_su2(n, rng)
+    x = scale * rng.standard_normal(3 * n) / np.sqrt(3.0)
+    _, grad = _infidelity_and_grad(x, base, psi.vector, phi.vector, n)
+    h = 1e-6
+    fd = np.empty(3 * n)
+    for i in range(3 * n):
+        e = np.zeros(3 * n)
+        e[i] = h
+        fp, _ = _infidelity_and_grad(x + e, base, psi.vector, phi.vector, n)
+        fm, _ = _infidelity_and_grad(x - e, base, psi.vector, phi.vector, n)
+        fd[i] = (fp - fm) / (2.0 * h)
+    assert np.allclose(grad, fd, atol=1e-8)

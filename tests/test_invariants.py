@@ -25,6 +25,8 @@ from stabscope import (
     w_state,
 )
 from stabscope.invariants import subset_key
+from stabscope.selftest import _poly3_reference
+from stabscope.states import _bipartition_sides
 
 # canonical family point used to pin numeric conventions
 CAL_A = 1.0
@@ -147,6 +149,21 @@ def test_fingerprint_structure_by_size():
 def test_subset_key_uses_separator_for_wide_labels():
     assert subset_key((1, 2)) == "12"
     assert subset_key((1, 10)) == "1.10"
+    assert subset_key((1, 2), 11) == "12"
+    # at n = 12 the single qubit 12 and the pair (1, 2) get distinct keys
+    assert subset_key((1, 2), 12) == "1.2"
+    assert subset_key((12,), 12) == "12"
+    for n in range(1, 13):
+        keys = {subset_key(s, n) for s in _bipartition_sides(n)}
+        assert len(keys) == 2 ** (n - 1) - 1, n
+
+
+@pytest.mark.parametrize("triple", DEFAULT_TRIPLES, ids=lambda t: t.key)
+def test_polynomial_invariant_matches_literal_sum(triple):
+    for seed in range(5):
+        psi = random_state(4, np.random.default_rng(seed))
+        ref = _poly3_reference(psi, triple)
+        assert abs(polynomial_invariant(psi, triple) - ref) <= 1e-12 * abs(ref)
 
 
 def test_fingerprint_drift_and_separation():

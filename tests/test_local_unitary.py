@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, qr
 
 from stabscope import (
     SU2_BASIS,
@@ -196,6 +196,26 @@ def test_haar_su2_outputs_special_unitaries_deterministically():
         assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-12)
     again = haar_su2(5, np.random.default_rng(9))
     assert np.allclose(batch, again)
+
+
+def _haar_su2_per_matrix(count, seed):
+    """Reference sampler: the same Ginibre draws, one scipy QR per matrix."""
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))) / np.sqrt(2.0)
+    out = np.empty_like(z)
+    for k in range(count):
+        q, r = qr(z[k])
+        d = np.diagonal(r)
+        q = q * (d / np.abs(d))
+        out[k] = q / np.sqrt(np.linalg.det(q))
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 12])
+def test_haar_su2_batch_equals_per_matrix_qr(count):
+    # bit-equal draws keep every seeded corpus and --seed output unchanged
+    for seed in range(50):
+        assert np.array_equal(haar_su2(count, np.random.default_rng(seed)), _haar_su2_per_matrix(count, seed))
 
 
 def test_haar_local_unitary_has_unit_global_phase():
