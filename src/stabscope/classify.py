@@ -5,26 +5,22 @@ dimension n-1 falls into one of two classes: every qubit projection of the
 stabilizer is one-dimensional and the state is equivalent to a generalized
 GHZ state, or n = 4 with all projections three-dimensional, the stabilizer a
 copy of su(2), and the state equivalent to a canonical complement-pair state.
-This module detects the branch and produces the canonical form together with
-a local unitary achieving it.
+This module detects the branch and builds the canonical form from the
+stabilizer itself, together with a local unitary achieving it.  No
+invariant or optimizer search is involved: in both classes the stabilizer
+fixes the canonicalising unitary up to symmetries of the canonical form.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (
-    PureState,
-    canonical_four_qubit_state,
-    is_product,
-    to_density,
-)
+from .states import PureState, canonical_four_qubit_state, is_product
 from .local_unitary import (
     SU2_BASIS,
     LocalUnitary,
     apply_local_unitary,
     compose,
-    identity_local_unitary,
     su2_matrix,
 )
 from .stabilizer import (
@@ -33,23 +29,16 @@ from .stabilizer import (
     algebra_type,
     stabilizer_pure,
 )
-from .invariants import (
-    REFERENCE_TRIPLE,
-    SWAP34_TRIPLE,
-    canonical_poly3_im,
-    pair_invariants,
-    polynomial_invariant,
-)
-from .equivalence import EQUIV_TOL, decide_equivalence
 
+# infidelity below this certifies a local-unitary witness: a four-qubit
+# canonical form here, an equivalence in decide_equivalence
+EQUIV_TOL = 1e-7
 # off-support amplitude mass allowed after GHZ reduction
 SUPPORT_TOL = 1e-8
 # the stabilizer's defining normal vector must be balanced to this
 BALANCE_TOL = 1e-7
-# triangle closure slack when reconstructing b from |b|, |c|
-TRIANGLE_TOL = 1e-7
-# below this the degree-3 invariant cannot resolve the conjugation
-POLY_DECISION_TOL = 1e-9
+# four-qubit coefficients below this put the state outside the abc != 0 class
+COEFF_TOL = 1e-8
 
 
 class CanonicalizationError(RuntimeError):
@@ -183,124 +172,89 @@ def canonicalize_ghz(
     return GhzCanonicalForm(alpha, beta, g_total, residual)
 
 
+def _su2_lift(rot: np.ndarray) -> np.ndarray:
+    """SU(2) matrix h with h e_a h^dag = sum_b rot[a, b] e_b for a rotation rot.
+
+    h e_a = M_a h is linear in h: with h flattened row by row, the blocks
+    I (x) e_a^T - M_a (x) I stack into a 12x4 map whose kernel is spanned by
+    h, since only scalars commute with all of su(2).  The kernel vector
+    rescaled to determinant 1 is h up to the sign SO(3) cannot see.
+    """
+    eye = np.eye(2)
+    images = np.tensordot(rot, SU2_BASIS, axes=1)
+    system = np.concatenate(
+        [np.kron(eye, e.T) - np.kron(m, eye) for e, m in zip(SU2_BASIS, images)]
+    )
+    h = np.linalg.svd(system)[2][-1].conj().reshape(2, 2)
+    # the polar factor is exactly unitary even when rot is only nearly a rotation
+    u, _, vh = np.linalg.svd(h)
+    h = u @ vh
+    return h / np.sqrt(np.linalg.det(h))
+
+
 @dataclass(frozen=True, eq=False)
 class FourQubitCanonicalForm:
+    """a > 0 and b, c = -a - b at the scale of the normalized state.
+    unitary maps the input onto canonical_four_qubit_state(a, b) and is None
+    when its infidelity (residual) is not below the tolerance."""
+
     a: float
     b: complex
     c: complex
-    ambiguous: bool
     unitary: LocalUnitary | None
-    residual: float | None
+    residual: float
     notes: tuple[str, ...]
 
 
 def canonicalize_four_qubit(
-    psi: PureState,
-    restarts: int = 12,
-    seed=0,
-    confirm: bool = True,
-    tol: float = EQUIV_TOL,
+    psi: PureState, stab: StabilizerBasis | None = None, tol: float = EQUIV_TOL
 ) -> FourQubitCanonicalForm:
-    """Recover the canonical coefficients (a, b, c) of a four-qubit state in
-    the su(2)-stabilizer class, working purely through invariants.
+    """Reduce a four-qubit state whose stabilizer is dim 3 with every qubit
+    projection three-dimensional to a(|0011>+|1100>) + b(|1001>+|0110>)
+    + c(|1010>+|0101>) with a > 0 and c = -a - b.
 
-    The pair invariants give the moduli; the triangle a + b + c = 0 then
-    determines b up to conjugation, which the degree-3 invariant resolves.
-    When that invariant degenerates, the same invariant of the
-    qubit-(3,4)-swapped state is tried, and failing that the two explicit
-    candidates are tested with decide_equivalence; only non-invariant
-    resolutions carry the ambiguous flag.  With confirm=True the chosen
-    canonical state is verified against the input and the optimizer's
-    witness is returned as the canonicalizer.
+    The stabilizer is a copy of su(2) whose qubit-j coordinate block is
+    B_j = B_1 R_j, with R_j the rotation carrying qubit 1's generator to
+    qubit j's.  Lifting each R_j to h_j in SU(2) and applying
+    (I, h_2^dag, h_3^dag, h_4^dag) turns the stabilizer into the diagonal
+    su(2), so the state lands in the total-spin-zero plane spanned by the
+    canonical states; a global phase makes a > 0, and a and b are read off
+    the amplitudes at |0011> and |1001>.  The only local unitaries that keep
+    the diagonal su(2) are (h, h, h, h) up to signs, which act on that plane
+    as a sign, so the form is unique and b is never confused with its
+    conjugate.  The witness is returned only if its infidelity, recomputed
+    against the canonical state, is below tol; otherwise a note says so and
+    unitary is None.
     """
     if psi.n != 4:
         raise CanonicalizationError(f"four-qubit form requires n = 4, got {psi.n}")
-    i1, i2, i3 = pair_invariants(psi)
-    if min(i1, i2, i3) < 1e-8:
+    k = stab if stab is not None else stabilizer_pure(psi)
+    if k.dim != 3 or k.proj_dims != (3, 3, 3, 3):
         raise CanonicalizationError(
-            f"pair invariant vanishes (I = {i1:.3g}, {i2:.3g}, {i3:.3g}); "
-            "state is outside the abc != 0 class"
+            f"need stabilizer dim 3 with all projections 3, got dim {k.dim}, "
+            f"projections {k.proj_dims}"
         )
-    a = float(np.sqrt(i1 * i2 / i3))
-    mod_b = float(np.sqrt(i1 * i3 / i2))
-    mod_c = float(np.sqrt(i2 * i3 / i1))
-    b1 = (mod_c**2 - a**2 - mod_b**2) / (2.0 * a)
-    disc = mod_b**2 - b1**2
-    if disc < -TRIANGLE_TOL:
+    b1 = k.block_columns(1)
+    factors = np.stack(
+        [np.eye(2, dtype=np.complex128)]
+        + [_su2_lift(np.linalg.solve(b1, k.block_columns(j))).conj().T for j in (2, 3, 4)]
+    )
+    vec = apply_local_unitary(LocalUnitary(factors), psi).vector
+    amp_a, amp_b = vec[0b0011], vec[0b1001]
+    phase = np.exp(-1j * np.angle(amp_a))
+    a, b = float(abs(amp_a)), complex(amp_b * phase)
+    c = -a - b
+    if min(a, abs(b), abs(c)) < COEFF_TOL:
         raise CanonicalizationError(
-            f"triangle a + b + c = 0 cannot close (discriminant {disc:.2e})"
+            f"coefficients (a, |b|, |c|) = ({a:.3g}, {abs(b):.3g}, {abs(c):.3g}) put the "
+            "state outside the abc != 0 class"
         )
-    b2 = float(np.sqrt(max(disc, 0.0)))
-    # renormalize so the canonical state built from (a, b, c) has unit norm
-    def rescaled(bb):
-        cc = -a - bb
-        s = 1.0 / np.sqrt(2.0 * (a**2 + abs(bb) ** 2 + abs(cc) ** 2))
-        return a * s, bb * s, cc * s
-
-    notes: list[str] = []
-    if b2 < 1e-8:
-        an, bn, cn = rescaled(complex(b1, 0.0))
-        ambiguous = False
-    else:
-        cand_plus = complex(b1, b2)
-        cand_minus = complex(b1, -b2)
-        an, b_plus, c_plus = rescaled(cand_plus)
-        _, b_minus, _ = rescaled(cand_minus)
-        chosen = None
-        ambiguous = False
-        # the degree-3 invariant is odd under conjugation; when it degenerates,
-        # the same invariant with qubits 3 and 4 exchanged sees c instead of b
-        for swapped, (triple, coeff) in enumerate(
-            ((REFERENCE_TRIPLE, b_plus), (SWAP34_TRIPLE, c_plus))
-        ):
-            predicted = canonical_poly3_im(an, coeff)
-            if abs(predicted) <= POLY_DECISION_TOL:
-                if not swapped:
-                    notes.append("degree-3 invariant degenerate for these parameters")
-                continue
-            measured = float(np.imag(polynomial_invariant(psi, triple)))
-            chosen = b_plus if abs(measured - predicted) <= abs(measured + predicted) else b_minus
-            if swapped:
-                notes.append("resolved by the qubit-swap invariant")
-            break
-        if chosen is None:
-            # no invariant separates the candidates; fall back to explicit
-            # equivalence tests and flag the outcome
-            ambiguous = True
-            cand_states = [
-                canonical_four_qubit_state(an, b_plus),
-                canonical_four_qubit_state(an, b_minus),
-            ]
-            verdicts = [
-                decide_equivalence(psi, cs, tol=tol, restarts=restarts, seed=seed)
-                for cs in cand_states
-            ]
-            hits = [v.status == "equivalent" for v in verdicts]
-            if hits == [True, False]:
-                chosen = b_plus
-                notes.append("resolved by direct equivalence search (not invariant-certified)")
-            elif hits == [False, True]:
-                chosen = b_minus
-                notes.append("resolved by direct equivalence search (not invariant-certified)")
-            else:
-                chosen = b_plus
-                notes.append("conjugation ambiguity unresolved; reporting the Im b >= 0 candidate")
-        bn = chosen
-        cn = -an - bn
-    unitary = None
-    residual = None
-    if confirm:
-        target = canonical_four_qubit_state(an, bn)
-        verdict = decide_equivalence(psi, target, tol=tol, restarts=restarts, seed=seed)
-        residual = verdict.best_infidelity
-        if verdict.status == "equivalent":
-            unitary = verdict.witness
-        else:
-            notes.append(
-                f"confirmation search did not certify the canonical form "
-                f"(status {verdict.status})"
-            )
-    return FourQubitCanonicalForm(an, complex(bn), complex(cn), ambiguous, unitary, residual, tuple(notes))
+    target = canonical_four_qubit_state(a, b)
+    residual = max(1.0 - float(abs(np.vdot(target.vector, vec * phase))) ** 2, 0.0)
+    if residual < tol:
+        return FourQubitCanonicalForm(a, b, c, LocalUnitary(factors, phase), residual, ())
+    note = f"canonical form not certified: witness infidelity {residual:.3g} is not below {tol:.3g}"
+    return FourQubitCanonicalForm(a, b, c, None, residual, (note,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,7 +263,11 @@ class ClassificationReport:
 
     verdict is one of 'ghz_class', 'four_qubit_su2', 'max_stab_but_unrecognized',
     'not_max_stab'.  The GHZ fields (alpha, beta) or family fields (a, b, c,
-    ambiguous) are filled when the matching branch succeeds.
+    ambiguous) are filled when the matching branch succeeds; ambiguous is
+    always False, since the construction fixes the conjugation, and stays
+    for the JSON report.  residual is the GHZ support residual or the
+    family witness infidelity; canonicalizer is None when the family form
+    was not certified.
     """
 
     n: int
@@ -354,16 +312,13 @@ class ClassificationReport:
 
 
 def classify(
-    psi: PureState,
-    tol: float = NULL_TOL,
-    restarts: int = 12,
-    seed=0,
-    confirm: bool = True,
+    psi: PureState, tol: float = NULL_TOL, tol_equiv: float = EQUIV_TOL
 ) -> ClassificationReport:
     """Run the full classification pipeline on one state.
 
-    Never raises on mathematical grounds; branch failures downgrade the
-    verdict and leave a note.
+    tol is the stabilizer's rank cut; tol_equiv the infidelity below which a
+    four-qubit canonical form is certified.  Never raises on mathematical
+    grounds; branch failures downgrade the verdict and leave a note.
     """
     n = psi.n
     fact = is_product(psi)
@@ -410,24 +365,21 @@ def classify(
         )
     if n == 4 and all(d == 3 for d in proj) and at.kind == "su2":
         try:
-            form = canonicalize_four_qubit(
-                psi, restarts=restarts, seed=seed, confirm=confirm
-            )
+            form = canonicalize_four_qubit(psi, stab=k, tol=tol_equiv)
         except CanonicalizationError as exc:
             notes.append(f"four-qubit branch failed: {exc}")
             return ClassificationReport(
                 verdict="max_stab_but_unrecognized", notes=tuple(notes), **base
             )
-        notes.extend(form.notes)
         return ClassificationReport(
             verdict="four_qubit_su2",
             a=form.a,
             b=form.b,
             c=form.c,
-            ambiguous=form.ambiguous,
+            ambiguous=False,
             canonicalizer=form.unitary,
             residual=form.residual,
-            notes=tuple(notes),
+            notes=form.notes,
             **base,
         )
     notes.append(

@@ -102,7 +102,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_classify(args) -> int:
     (spec, psi), = _states(args, 1)
-    rep = classify(psi, tol=args.tol_null, restarts=args.restarts, seed=args.seed)
+    rep = classify(psi, tol=args.tol_null, tol_equiv=args.tol_equiv)
     payload = {"state": spec, **rep.to_dict()}
     _emit(args, payload)
     return EXIT_OK

@@ -3,27 +3,36 @@
 decide_equivalence screens first: the stabilizer dimension, the per-qubit
 projection dimensions, then the invariant fingerprint, walked one component
 at a time and stopped at the first one that separates the states.  Pairs
-that pass the screens meet the one-qubit standard form (Kraus, PRL 104,
-020504, 2010): each qubit of both states is rotated into the eigenbasis of
-its one-qubit reduced state, after which, when every one-qubit spectrum is
-nondegenerate, an equivalence is a diagonal phase per qubit, read off the
-amplitudes of one single-bit-flip index pair.  That witness is accepted only
-if the infidelity recomputed from it is below tol; otherwise (degenerate
-spectra such as balanced GHZ or the four-qubit su(2) family, GHZ support,
-inequivalent pairs) multi-start fidelity maximization over SU(2)^n decides.
+that pass the screens meet up to three witness stages, each accepted only if
+the infidelity recomputed from its witness is below tol.  When the
+stabilizer is maximal (the GHZ class, or the four-qubit su(2) family), both
+states are brought to their canonical forms, which the stabilizer itself
+determines, and the canonicalisers compose into an exact witness.  Otherwise
+the one-qubit standard form (Kraus, PRL 104, 020504, 2010) rotates each
+qubit of both states into the eigenbasis of its one-qubit reduced state,
+after which, when every one-qubit spectrum is nondegenerate, an equivalence
+is a diagonal phase per qubit, read off the amplitudes of one
+single-bit-flip index pair.  What neither stage certifies (degenerate
+spectra outside the maximal classes, GHZ support, inequivalent pairs) goes
+to multi-start fidelity maximization over SU(2)^n.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .states import PureState, apply_matrix_to_qubit, reduced_state
-from .local_unitary import LocalUnitary, _exp_and_dexp, exp_su2, haar_su2
-from .stabilizer import stabilizer_pure
+from .local_unitary import LocalUnitary, _exp_and_dexp, compose, exp_su2, haar_su2, inverse
+from .stabilizer import NULL_TOL, StabilizerBasis, stabilizer_pure
 from .invariants import fingerprint_components, first_difference
+from .classify import (
+    EQUIV_TOL,
+    CanonicalizationError,
+    canonicalize_four_qubit,
+    canonicalize_ghz,
+)
 
-# infidelity below this certifies equivalence
-EQUIV_TOL = 1e-7
 # invariant components differing by more than this certify inequivalence
 FINGERPRINT_TOL = 1e-6
 # restarts stop early once the best infidelity falls below this
@@ -165,6 +174,30 @@ def _standard_form_factors(psi: PureState, phi: PureState) -> np.ndarray | None:
     return factors
 
 
+def _canonical_form_factors(
+    psi: PureState, phi: PureState, ka: StabilizerBasis, kb: StabilizerBasis,
+    null_tol: float, tol: float,
+) -> np.ndarray | None:
+    """SU(2) factors of inverse(g_phi) g_psi, where g canonicalises a state
+    whose stabilizer is maximal: dim n-1 with every projection 1 (GHZ class,
+    n >= 3), or n = 4, dim 3 with every projection 3 (su(2) family).  None
+    when neither pattern holds or a canonicaliser fails."""
+    n = psi.n
+    if n >= 3 and ka.dim == n - 1 and all(d == 1 for d in ka.proj_dims):
+        canonicalize = partial(canonicalize_ghz, tol=null_tol)
+    elif n == 4 and ka.dim == 3 and ka.proj_dims == (3, 3, 3, 3):
+        canonicalize = partial(canonicalize_four_qubit, tol=tol)
+    else:
+        return None
+    try:
+        ga, gb = canonicalize(psi, stab=ka).unitary, canonicalize(phi, stab=kb).unitary
+    except CanonicalizationError:
+        return None
+    if ga is None or gb is None:
+        return None
+    return compose(inverse(gb), ga).factors
+
+
 @dataclass(frozen=True, eq=False)
 class EquivVerdict:
     """Outcome of the equivalence decision.
@@ -173,9 +206,10 @@ class EquivVerdict:
     aligning LocalUnitary when equivalent; separator names the invariant that
     differs (name, value_a, value_b) when inequivalent.  best_infidelity and
     restarts_used report the alignment stage (None when screening decided;
-    restarts_used is 0 when the standard form decided).  decided_by names the
-    deciding stage: 'stab_dim', 'proj_dims', 'fingerprint:<component>',
-    'standard_form' or 'optimizer'.
+    restarts_used is 0 when the canonical or the standard form decided).
+    decided_by names the deciding stage: 'stab_dim', 'proj_dims',
+    'fingerprint:<component>', 'canonical_form', 'standard_form' or
+    'optimizer'.
     """
 
     status: str
@@ -218,23 +252,23 @@ def decide_equivalence(
     restarts: int = 20,
     seed=0,
     fingerprint_tol: float = FINGERPRINT_TOL,
-    null_tol: float | None = None,
+    null_tol: float = NULL_TOL,
 ) -> EquivVerdict:
     """Decide local-unitary equivalence.
 
     Pipeline: stabilizer dimension and per-qubit projection dimensions
     (cheap LU-covariant separators), then the invariant fingerprint up to
-    its first separating component, then the standard-form witness, then
-    multi-start fidelity optimization.  'equivalent' always comes with a
-    witness whose recomputed infidelity is below tol.  'unknown' is an
-    honest outcome: no separating invariant was found and no witness
-    certified equivalence either.
+    its first separating component, then the canonical-form witness for
+    maximal stabilizers, then the standard-form witness, then multi-start
+    fidelity optimization.  'equivalent' always comes with a witness whose
+    recomputed infidelity is below tol.  'unknown' is an honest outcome: no
+    separating invariant was found and no witness certified equivalence
+    either.
     """
     if psi.n != phi.n:
         raise ValueError(f"states live on {psi.n} and {phi.n} qubits")
-    kwargs = {} if null_tol is None else {"tol": null_tol}
-    ka = stabilizer_pure(psi, **kwargs)
-    kb = stabilizer_pure(phi, **kwargs)
+    ka = stabilizer_pure(psi, null_tol)
+    kb = stabilizer_pure(phi, null_tol)
     if ka.dim != kb.dim:
         return EquivVerdict(
             "inequivalent", None, ("stab_dim", ka.dim, kb.dim), None, None, "stab_dim"
@@ -249,11 +283,16 @@ def decide_equivalence(
     )
     if sep is not None:
         return EquivVerdict("inequivalent", None, sep, None, None, f"fingerprint:{sep[0]}")
-    factors = _standard_form_factors(psi, phi)
-    if factors is not None:
-        infidelity, witness = _align(psi, phi, factors)
-        if infidelity < tol:
-            return EquivVerdict("equivalent", witness, None, infidelity, 0, "standard_form")
+    # the canonical form goes first: where it applies its witness is exact
+    for stage, candidate in (
+        ("canonical_form", lambda: _canonical_form_factors(psi, phi, ka, kb, null_tol, tol)),
+        ("standard_form", lambda: _standard_form_factors(psi, phi)),
+    ):
+        factors = candidate()
+        if factors is not None:
+            infidelity, witness = _align(psi, phi, factors)
+            if infidelity < tol:
+                return EquivVerdict("equivalent", witness, None, infidelity, 0, stage)
     search = lu_infidelity(psi, phi, restarts=restarts, seed=seed)
     if search.infidelity < tol:
         return EquivVerdict(

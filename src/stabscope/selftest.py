@@ -432,7 +432,7 @@ def criterion_four_qubit_recovery(master_seed: int = 0) -> CriterionResult:
         base = canonical_four_qubit_state(a, b)
         rng = _rng(master_seed, 18, gi)
         moved = apply_local_unitary(haar_random_local_unitary(4, rng), base)
-        form = canonicalize_four_qubit(moved, confirm=False)
+        form = canonicalize_four_qubit(moved)
         err = max(
             abs(form.a - a * s), abs(form.b - b * s), abs(form.c - (-a - b) * s)
         )
@@ -440,7 +440,9 @@ def criterion_four_qubit_recovery(master_seed: int = 0) -> CriterionResult:
             err < FAMILY_RECOVERY_TOL,
             f"grid point {gi} (a={a}, b={b}): coefficient error {err:.2e}",
         )
-        rec.check(not form.ambiguous, f"grid point {gi}: unexpected ambiguity flag")
+        rec.check(
+            form.unitary is not None, f"grid point {gi}: witness not certified ({form.notes})"
+        )
     for gi in (0, len(grid) // 2, len(grid) - 1):
         a, b = grid[gi]
         s = _family_scale(a, b)

@@ -2,20 +2,24 @@ import numpy as np
 import pytest
 
 from stabscope import (
+    SWAP34_TRIPLE,
     CanonicalizationError,
     apply_local_unitary,
     basis_state,
     canonical_four_qubit_state,
+    canonical_poly3_im,
     canonicalize_four_qubit,
     canonicalize_ghz,
     classify,
     ghz_state,
     haar_random_local_unitary,
+    polynomial_invariant,
     random_state,
     singlet_state,
     tensor_product,
     w_state,
 )
+from stabscope.selftest import _family_grid, _family_scale
 
 REPORT_KEYS = {
     "n",
@@ -79,12 +83,11 @@ def test_four_qubit_recovery_with_confirmation():
     moved = apply_local_unitary(
         haar_random_local_unitary(4, rng), canonical_four_qubit_state(a, b)
     )
-    form = canonicalize_four_qubit(moved, restarts=12, seed=7)
-    assert form.a == pytest.approx(a * s, abs=1e-8)
-    assert form.b.real == pytest.approx(b.real * s, abs=1e-8)
-    assert form.b.imag == pytest.approx(b.imag * s, abs=1e-8)
+    form = canonicalize_four_qubit(moved)
+    assert form.a == pytest.approx(a * s, abs=1e-10)
+    assert form.b.real == pytest.approx(b.real * s, abs=1e-10)
+    assert form.b.imag == pytest.approx(b.imag * s, abs=1e-10)
     assert form.c == pytest.approx(-form.a - form.b)
-    assert not form.ambiguous
     assert form.unitary is not None and form.residual < 1e-7
     target = canonical_four_qubit_state(form.a, form.b)
     mapped = apply_local_unitary(form.unitary, moved)
@@ -93,30 +96,76 @@ def test_four_qubit_recovery_with_confirmation():
 
 def test_four_qubit_real_b_has_no_ambiguity():
     a, b = 0.45, -0.2
-    form = canonicalize_four_qubit(canonical_four_qubit_state(a, b), confirm=False)
+    form = canonicalize_four_qubit(canonical_four_qubit_state(a, b))
     assert abs(form.b.imag) < 1e-9
-    assert not form.ambiguous
+    assert form.unitary is not None
 
 
 def test_four_qubit_imaginary_b_resolved_by_swap_invariant():
+    # the reference cubic vanishes for purely imaginary b; the sign the
+    # construction picks must agree with the qubit-(3,4)-swapped cubic,
+    # which sees c = -a - b instead of b
     g = haar_random_local_unitary(4, np.random.default_rng(5))
     moved = apply_local_unitary(g, canonical_four_qubit_state(0.5, 0.3j))
-    form = canonicalize_four_qubit(moved, confirm=False)
-    s = 1.0 / np.sqrt(2.0 * (0.25 + 0.09 + abs(-0.5 - 0.3j) ** 2))
-    assert form.b.imag == pytest.approx(0.3 * s, abs=1e-8)
-    assert not form.ambiguous
-    assert any("swap" in note for note in form.notes)
+    form = canonicalize_four_qubit(moved)
+    s = _family_scale(0.5, 0.3j)
+    assert form.b.imag == pytest.approx(0.3 * s, abs=1e-10)
+    assert form.b.real == pytest.approx(0.0, abs=1e-10)
+    assert form.unitary is not None and form.residual < 1e-7
+    measured = polynomial_invariant(moved, SWAP34_TRIPLE).imag
+    assert abs(measured) > 1e-3
+    assert np.sign(measured) == np.sign(canonical_poly3_im(form.a, form.c))
+    assert np.sign(measured) != np.sign(canonical_poly3_im(form.a, form.c.conjugate()))
 
 
-def test_four_qubit_doubly_degenerate_point_sets_the_flag():
-    # both cubic invariants vanish at a=1/2, b=(-1+i)/4: only an explicit
-    # equivalence search can resolve the conjugation, so the flag is set
+def test_four_qubit_doubly_degenerate_point_recovers_signed_b():
+    # both cubic invariants vanish at a=1/2, b=(-1+i)/4, so no invariant
+    # tells b from its conjugate; the construction still gets the sign
     g = haar_random_local_unitary(4, np.random.default_rng(6))
     moved = apply_local_unitary(g, canonical_four_qubit_state(0.5, -0.25 + 0.25j))
-    form = canonicalize_four_qubit(moved, restarts=16, seed=9, confirm=False)
-    assert form.ambiguous
-    assert abs(abs(form.b.imag) - 0.25) < 1e-6
-    assert abs(form.b.real + 0.25) < 1e-6
+    form = canonicalize_four_qubit(moved)
+    s = _family_scale(0.5, -0.25 + 0.25j)
+    assert form.b.imag == pytest.approx(0.25 * s, abs=1e-10)
+    assert form.b.real == pytest.approx(-0.25 * s, abs=1e-10)
+    assert form.unitary is not None and form.residual < 1e-7
+    rep = classify(moved)
+    assert rep.ambiguous is False
+    assert rep.b == pytest.approx(form.b, abs=1e-10)
+    assert rep.notes == ()
+
+
+def _circle_b(a, phi):
+    # |b|^2 + a Re b = 0, where both cubic invariants vanish
+    return -a * np.cos(phi) * np.exp(1j * phi)
+
+
+FAMILY_POINTS = {
+    "grid": _family_grid(),
+    "imaginary": [(a, complex(0.0, b2)) for a, b2 in ((0.35, 0.3), (0.5, -0.25), (0.8, 0.2))],
+    "circle": [
+        (a, _circle_b(a, phi)) for a in (0.4, 0.7) for phi in (0.6 * np.pi, 0.75 * np.pi, 1.2 * np.pi)
+    ],
+    "small-b": [(0.5, 1e-3 + 2e-3j), (0.5, -3e-5j), (0.7, 2e-6 - 1e-6j)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_POINTS))
+def test_four_qubit_construction_recovers_orbits(kind):
+    rng = np.random.default_rng(sorted(FAMILY_POINTS).index(kind))
+    for a, b in FAMILY_POINTS[kind]:
+        s = _family_scale(a, b)
+        for _ in range(4):
+            moved = apply_local_unitary(
+                haar_random_local_unitary(4, rng), canonical_four_qubit_state(a, b)
+            )
+            form = canonicalize_four_qubit(moved)
+            assert form.a == pytest.approx(a * s, abs=1e-10)
+            assert form.b.real == pytest.approx(b.real * s, abs=1e-10)
+            assert form.b.imag == pytest.approx(b.imag * s, abs=1e-10)
+            assert form.unitary is not None and form.residual < 1e-7
+            target = canonical_four_qubit_state(form.a, form.b)
+            mapped = apply_local_unitary(form.unitary, moved)
+            assert 1.0 - abs(np.vdot(target.vector, mapped.vector)) ** 2 < 1e-7
 
 
 def test_four_qubit_rejects_wrong_size_and_degenerate_invariants():
@@ -144,12 +193,13 @@ def test_classify_four_qubit_branch():
     moved = apply_local_unitary(
         haar_random_local_unitary(4, rng), canonical_four_qubit_state(0.6, -0.25 + 0.4j)
     )
-    rep = classify(moved, seed=4)
+    rep = classify(moved)
     assert rep.verdict == "four_qubit_su2"
     assert rep.stab_dim == 3
     assert rep.proj_dims == (3, 3, 3, 3)
     assert rep.algebra == "su2"
     assert not rep.ambiguous
+    assert rep.canonicalizer is not None and rep.residual < 1e-7
 
 
 def test_classify_product_and_small_states():
@@ -187,7 +237,7 @@ def test_classify_dichotomy_on_max_stabilizer_states():
             base = canonical_four_qubit_state(a, b)
             expected = "four_qubit_su2"
         moved = apply_local_unitary(haar_random_local_unitary(base.n, rng), base)
-        rep = classify(moved, confirm=False)
+        rep = classify(moved)
         assert rep.verdict == expected, rep.notes
 
 
@@ -200,7 +250,7 @@ def test_report_serialization_keys_and_round_trip():
     assert payload["verdict"] == "ghz_class"
     assert payload["alpha"] == pytest.approx(0.8)
     assert payload["b_re"] is None
-    rep4 = classify(canonical_four_qubit_state(0.5, 0.2 + 0.3j), seed=1)
+    rep4 = classify(canonical_four_qubit_state(0.5, 0.2 + 0.3j))
     payload4 = json.loads(json.dumps(rep4.to_dict()))
     assert payload4["verdict"] == "four_qubit_su2"
     assert payload4["b_im"] == pytest.approx(rep4.b.imag)

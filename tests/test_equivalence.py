@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -19,7 +20,10 @@ from stabscope import (
     invariant_fingerprint,
     lu_infidelity,
     random_state,
+    reduced_state,
     separating_component,
+    stabilizer_pure,
+    state_to_dict,
     w_state,
 )
 from stabscope.equivalence import FINGERPRINT_TOL, _infidelity_and_grad
@@ -164,15 +168,60 @@ def test_conjugate_haar_state_is_left_to_the_optimizer():
         assert verdict.restarts_used > 0
 
 
-@pytest.mark.parametrize(
-    "psi",
-    [ghz_state(3), ghz_state(5), canonical_four_qubit_state(0.5, 0.3 + 0.2j)],
-    ids=["ghz3", "ghz5", "canon4"],
-)
-def test_degenerate_spectra_fall_through_to_the_optimizer(psi):
+MAXIMAL_STABILIZER_STATES = {
+    **{f"ghz{n}": ghz_state(n) for n in range(3, 13)},
+    **{f"ghz{n}-beta": ghz_state(n, np.sqrt(1.0 - 1e-6), 1e-3) for n in range(3, 13)},
+    "canon4": canonical_four_qubit_state(0.5, 0.3 + 0.2j),
+    "canon4-imaginary": canonical_four_qubit_state(0.5, 0.3j),
+    "canon4-circle": canonical_four_qubit_state(0.5, -0.25 + 0.25j),
+}
+
+
+@pytest.mark.parametrize("name", list(MAXIMAL_STABILIZER_STATES))
+def test_maximal_stabilizer_pairs_are_decided_by_the_canonical_form(name):
+    # balanced GHZ and the four-qubit family have degenerate one-qubit
+    # spectra, and the standard-form witness of these beta = 1e-3 GHZ pairs
+    # misses tol (about 4e-6); the canonicalisers give an exact witness
+    psi = MAXIMAL_STABILIZER_STATES[name]
     rng = np.random.default_rng(8)
     a = apply_local_unitary(haar_random_local_unitary(psi.n, rng), psi)
     b = apply_local_unitary(haar_random_local_unitary(psi.n, rng), psi)
+    verdict = decide_equivalence(a, b, seed=1)
+    assert verdict.status == "equivalent"
+    assert verdict.decided_by == "canonical_form"
+    assert verdict.restarts_used == 0
+    assert verdict.best_infidelity < 1e-12
+    assert _fidelity(apply_local_unitary(verdict.witness, a), b) > 1.0 - 1e-12
+
+
+@pytest.mark.parametrize(
+    "phi", [0.6 * np.pi, 0.75 * np.pi, 1.2 * np.pi], ids=["0.6pi", "0.75pi", "1.2pi"]
+)
+def test_conjugate_family_pairs_on_the_circle_are_never_equivalent(phi):
+    # on |b|^2 + a Re b = 0 no invariant in the fingerprint separates b from
+    # its conjugate, and the canonical forms differ in the sign of Im b
+    a = 0.5
+    b = -a * np.cos(phi) * np.exp(1j * phi)
+    g = haar_random_local_unitary(4, np.random.default_rng(9))
+    plus = apply_local_unitary(g, canonical_four_qubit_state(a, b))
+    verdict = decide_equivalence(plus, canonical_four_qubit_state(a, b.conjugate()))
+    assert verdict.status != "equivalent"
+    assert verdict.decided_by == "optimizer"
+    assert verdict.best_infidelity > 1e-3
+
+
+def test_nonmaximal_pair_with_maximally_mixed_qubits_goes_to_the_optimizer():
+    # the 4-qubit linear cluster state: every one-qubit marginal is I/2, so
+    # the standard form has no eigenframe, and its stabilizer is dim 2 < n - 1
+    vec = np.zeros(16, dtype=np.complex128)
+    vec[[0b0000, 0b0011, 0b1100, 0b1111]] = (0.5, 0.5, 0.5, -0.5)
+    cluster = PureState(vec)
+    k = stabilizer_pure(cluster)
+    assert k.dim == 2 and k.dim != cluster.n - 1
+    assert np.allclose(reduced_state(cluster, (1,)).matrix, np.eye(2) / 2)
+    rng = np.random.default_rng(8)
+    a = apply_local_unitary(haar_random_local_unitary(4, rng), cluster)
+    b = apply_local_unitary(haar_random_local_unitary(4, rng), cluster)
     verdict = decide_equivalence(a, b, seed=1)
     assert verdict.status == "equivalent"
     assert verdict.decided_by == "optimizer"
@@ -226,24 +275,41 @@ def test_lazy_separator_matches_on_screened_pairs(psi, phi):
     assert decide_equivalence(psi, phi).separator == full
 
 
-def test_import_does_not_load_the_optimizer():
-    # neither the import nor an analyze run needs scipy: only lu_infidelity
-    # and principal_angles load it, on first use
+def test_import_does_not_load_the_optimizer(tmp_path):
+    # neither the import nor analyze, a family classify or an equiv on a
+    # balanced GHZ orbit pair needs scipy: only lu_infidelity and
+    # principal_angles load it, on first use
+    rng = np.random.default_rng(14)
+    paths = []
+    for name, psi in (
+        ("family", canonical_four_qubit_state(0.5, 0.2 + 0.3j)),
+        ("ghz-a", ghz_state(5)),
+        ("ghz-b", ghz_state(5)),
+    ):
+        path = tmp_path / f"{name}.json"
+        moved = apply_local_unitary(haar_random_local_unitary(psi.n, rng), psi)
+        path.write_text(json.dumps(state_to_dict(moved)))
+        paths.append(str(path))
     src = str(Path(stabscope.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = (
         "import sys, stabscope\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print('scipy import', loaded())\n"
         "from stabscope import cli\n"
-        "code = cli.main(['analyze', '--state', 'ghz:4', '--format', 'json'])\n"
-        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        f"family, ghz_a, ghz_b = {paths!r}\n"
+        "for argv in (['analyze', '--state', 'ghz:4'], ['classify', family],\n"
+        "             ['equiv', ghz_a, ghz_b]):\n"
+        "    code = cli.main(argv + ['--format', 'json'])\n"
+        "    print('scipy', argv[0], code, loaded())\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    lines = out.stdout.strip().splitlines()
-    assert lines[0] == "[]"
-    assert lines[-1] == "0 []"
+    lines = [line for line in out.stdout.splitlines() if line.startswith("scipy ")]
+    assert lines == [
+        "scipy import []", "scipy analyze 0 []", "scipy classify 0 []", "scipy equiv 0 []"
+    ]
 
 
 @pytest.mark.parametrize("scale", [0.0, 3e-10, 1.0], ids=["zero", "below-cut", "generic"])

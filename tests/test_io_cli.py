@@ -132,6 +132,36 @@ def test_cli_analyze_and_classify_json(capsys):
         assert key in payload
 
 
+def test_cli_classify_certifies_against_tol_equiv(tmp_path, capsys):
+    # the four-qubit witness is accepted only below --tol-equiv; its
+    # recomputed infidelity is at rounding level, and exactly zero on some
+    # orbit points, so take the first point where it is not
+    rng = np.random.default_rng(13)
+    path = tmp_path / "moved.json"
+    for _ in range(20):
+        g = haar_random_local_unitary(4, rng)
+        path.write_text(
+            json.dumps(state_to_dict(apply_local_unitary(g, named_state("canon4:0.5:0.2:0.3"))))
+        )
+        assert main(["classify", str(path), "--format", "json"]) == 0
+        certified = json.loads(capsys.readouterr().out)
+        assert certified["verdict"] == "four_qubit_su2"
+        assert certified["residual"] < 1e-7
+        assert certified["notes"] == []
+        if certified["residual"] > 1e-30:
+            break
+    else:
+        pytest.fail("every witness infidelity was exactly zero")
+    assert main(["classify", str(path), "--tol-equiv", "1e-30", "--format", "json"]) == 0
+    strict = json.loads(capsys.readouterr().out)
+    assert strict["verdict"] == "four_qubit_su2"
+    assert strict["residual"] == certified["residual"]
+    assert any("not certified" in note for note in strict["notes"])
+    assert (strict["a"], strict["b_re"], strict["b_im"]) == (
+        certified["a"], certified["b_re"], certified["b_im"]
+    )
+
+
 def test_cli_equiv_exit_codes(tmp_path, capsys):
     # an orbit representative written to disk matches its base state
     moved = apply_local_unitary(
@@ -143,8 +173,10 @@ def test_cli_equiv_exit_codes(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "equivalent"
     assert payload["witness"] is not None
-    # balanced GHZ has degenerate one-qubit spectra, so the optimizer decides
-    assert payload["decided_by"] == "optimizer"
+    # balanced GHZ has degenerate one-qubit spectra; its canonical form decides
+    assert payload["decided_by"] == "canonical_form"
+    assert payload["restarts_used"] == 0
+    assert payload["best_infidelity"] < 1e-12
 
     assert main(["equiv", "--state", "ghz:3", "--state", "w:3"]) == 1
     capsys.readouterr()
@@ -234,7 +266,7 @@ def test_cli_analyze_density_fields_match_direct_solve(spec, tmp_path, capsys):
     direct = stabilizer_density(to_density(psi), method="direct")
     assert payload["density_stab_dim"] == direct.dim
     assert payload["algebra_type"] == algebra_type(direct).kind
-    expected = classify(psi, confirm=False).to_dict()["product_structure"]
+    expected = classify(psi).to_dict()["product_structure"]
     assert payload["product_structure"] == expected
 
 
