@@ -5,8 +5,13 @@ dimension n-1 falls into one of two classes: every qubit projection of the
 stabilizer is one-dimensional and the state is equivalent to a generalized
 GHZ state, or n = 4 with all projections three-dimensional, the stabilizer a
 copy of su(2), and the state equivalent to a canonical complement-pair state.
-This module detects the branch and builds the canonical form from the
-stabilizer itself, together with a local unitary achieving it.  No
+This module decides the branch from the stabilizer pattern in one place
+(_maximal_pattern, which decide_equivalence uses too) and builds the
+canonical form from the stabilizer it is given, together with a local
+unitary achieving it.  In the GHZ class each qubit's stabilizer direction is
+rotated onto the diagonal generator, which leaves the state on one basis
+ket and its complement; in the four-qubit family each qubit's su(2) block is
+rotated onto qubit 1's, which leaves it in the total-spin-zero plane.  No
 invariant or optimizer search is involved: in both classes the stabilizer
 fixes the canonicalising unitary up to symmetries of the canonical form.
 """
@@ -20,7 +25,6 @@ from .local_unitary import (
     SU2_BASIS,
     LocalUnitary,
     apply_local_unitary,
-    compose,
     su2_matrix,
 )
 from .stabilizer import (
@@ -35,8 +39,6 @@ from .stabilizer import (
 EQUIV_TOL = 1e-7
 # off-support amplitude mass allowed after GHZ reduction
 SUPPORT_TOL = 1e-8
-# the stabilizer's defining normal vector must be balanced to this
-BALANCE_TOL = 1e-7
 # four-qubit coefficients below this put the state outside the abc != 0 class
 COEFF_TOL = 1e-8
 
@@ -45,10 +47,17 @@ class CanonicalizationError(RuntimeError):
     """Input violates the preconditions or conditioning of a canonical form."""
 
 
-def _single_factor_unitary(n: int, j: int, mat: np.ndarray, phase: complex = 1.0) -> LocalUnitary:
-    factors = np.stack([np.eye(2, dtype=np.complex128)] * n)
-    factors[j - 1] = mat
-    return LocalUnitary(factors, phase)
+def _maximal_pattern(k: StabilizerBasis) -> str | None:
+    """'ghz' or 'family' when a pure stabilizer has one of the two patterns
+    of maximal dimension for a nonproduct state, else None: n >= 3 with
+    dim n-1 and every projection 1, or n = 4 with dim 3 and every
+    projection 3."""
+    n = k.n
+    if n >= 3 and k.dim == n - 1 and all(d == 1 for d in k.proj_dims):
+        return "ghz"
+    if n == 4 and k.dim == 3 and k.proj_dims == (3, 3, 3, 3):
+        return "family"
+    return None
 
 
 def _align_to_diagonal(direction: np.ndarray) -> np.ndarray:
@@ -67,21 +76,6 @@ def _align_to_diagonal(direction: np.ndarray) -> np.ndarray:
     return h / np.sqrt(det)
 
 
-def _fix_ghz_phases(psi: PureState) -> tuple[PureState, LocalUnitary]:
-    """Rotate both extreme amplitudes real positive (qubit-1 diagonal
-    rotation plus a global phase)."""
-    n = psi.n
-    a0 = psi.vector[0]
-    a1 = psi.vector[-1]
-    arg0 = float(np.angle(a0))
-    arg1 = float(np.angle(a1))
-    theta_g = -(arg0 + arg1) / 2.0
-    theta_1 = (arg1 - arg0) / 2.0
-    rot = np.diag([np.exp(1j * theta_1), np.exp(-1j * theta_1)])
-    g = _single_factor_unitary(n, 1, rot, np.exp(1j * theta_g))
-    return apply_local_unitary(g, psi), g
-
-
 @dataclass(frozen=True, eq=False)
 class GhzCanonicalForm:
     alpha: float
@@ -96,80 +90,52 @@ def canonicalize_ghz(
     """Reduce a state with maximal stabilizer and all qubit projections
     one-dimensional to the form alpha|0...0> + beta|1...1>.
 
+    Each qubit's stabilizer direction is rotated onto the diagonal
+    generator.  A diagonal stabilizer of dimension n-1 confines a nonproduct
+    state to one basis ket and its complement, so flipping every qubit set
+    in the largest-modulus ket sends that ket to |0...0>, which gives
+    alpha >= beta, and its complement to |1...1>.  A diagonal rotation on
+    qubit 1 and a global phase make both amplitudes real positive.  Only
+    the given stabilizer is used; tol is its rank cut when stab is None.
     Returns alpha >= beta > 0 with alpha^2 + beta^2 = 1 and the composite
     local unitary g with g|psi> equal to the canonical state up to the
     reported residual.
     """
     n = psi.n
     k = stab if stab is not None else stabilizer_pure(psi, tol)
-    if k.dim != n - 1 or any(d != 1 for d in k.proj_dims):
+    if _maximal_pattern(k) != "ghz":
         raise CanonicalizationError(
-            f"need stabilizer dim {n - 1} with all projections 1, got dim {k.dim}, "
-            f"projections {k.proj_dims}"
+            f"need n >= 3, stabilizer dim {n - 1} and all projections 1, got n = {n}, "
+            f"dim {k.dim}, projections {k.proj_dims}"
         )
-    # step 1: rotate each qubit's stabilizer direction onto the diagonal generator
     factors = np.empty((n, 2, 2), dtype=np.complex128)
     for j in range(1, n + 1):
-        block = k.block_columns(j)
-        _, _, vh = np.linalg.svd(block)
+        _, _, vh = np.linalg.svd(k.block_columns(j))
         factors[j - 1] = _align_to_diagonal(vh[0])
-    g_total = LocalUnitary(factors)
-    cur = apply_local_unitary(g_total, psi)
-    # step 2: the stabilizer is now diagonal; read off its normal vector
-    k2 = stabilizer_pure(cur, tol)
-    if k2.dim != n - 1:
-        raise CanonicalizationError("stabilizer dimension changed under alignment")
-    coords = k2.basis[:, 1:].reshape(k2.dim, n, 3)
-    off_diag = float(np.max(np.abs(coords[:, :, 1:]), initial=0.0))
-    if off_diag > 1e-6:
-        raise CanonicalizationError(
-            f"stabilizer not diagonal after alignment (residual {off_diag:.2e})"
-        )
-    diag = coords[:, :, 0]
-    _, _, vh = np.linalg.svd(diag)
-    normal = vh[-1]
-    mags = np.abs(normal)
-    if np.max(np.abs(mags - mags.mean())) > BALANCE_TOL:
-        raise CanonicalizationError(
-            f"normal vector {normal} is not balanced; state is not in the GHZ class"
-        )
-    if normal[0] < 0:
-        normal = -normal
-    # step 3: flip the qubits carrying a negative weight
-    flip = SU2_BASIS[2]  # exp(pi/2 of the third basis direction)
-    if np.any(normal < 0):
-        factors = np.stack(
-            [flip if normal[j] < 0 else np.eye(2, dtype=np.complex128) for j in range(n)]
-        )
-        g_flip = LocalUnitary(factors)
-        cur = apply_local_unitary(g_flip, cur)
-        g_total = compose(g_flip, g_total)
-    # step 4: support must now sit on the two extreme kets
-    resid = float(np.linalg.norm(cur.vector[1:-1]))
+    vec = apply_local_unitary(LocalUnitary(factors), psi).vector
+    # SU2_BASIS[2] swaps |0> and |1>; flipping every qubit set in the
+    # largest-modulus ket sends that ket to |0...0>
+    top = int(np.argmax(np.abs(vec)))
+    for j in range(n):
+        if top >> (n - 1 - j) & 1:
+            factors[j] = SU2_BASIS[2] @ factors[j]
+    vec = apply_local_unitary(LocalUnitary(factors), psi).vector
+    resid = float(np.linalg.norm(vec[1:-1]))
     if resid > SUPPORT_TOL:
         raise CanonicalizationError(
-            f"off-support residual {resid:.2e}; input is numerically ill-conditioned"
+            f"off-support residual {resid:.2e}; the state is not in the GHZ class"
         )
-    if min(abs(cur.vector[0]), abs(cur.vector[-1])) < SUPPORT_TOL:
+    if abs(vec[-1]) < SUPPORT_TOL:
         raise CanonicalizationError("an extreme amplitude vanished; state is product-like")
-    # step 5: make both amplitudes real positive
-    cur, g_phase = _fix_ghz_phases(cur)
-    g_total = compose(g_phase, g_total)
-    alpha = float(np.real(cur.vector[0]))
-    beta = float(np.real(cur.vector[-1]))
-    # step 6: order alpha >= beta with an all-qubit flip
-    if alpha < beta:
-        g_swap = LocalUnitary(np.stack([flip] * n))
-        cur = apply_local_unitary(g_swap, cur)
-        g_total = compose(g_swap, g_total)
-        cur, g_phase = _fix_ghz_phases(cur)
-        g_total = compose(g_phase, g_total)
-        alpha, beta = float(np.real(cur.vector[0])), float(np.real(cur.vector[-1]))
+    arg0, arg1 = float(np.angle(vec[0])), float(np.angle(vec[-1]))
+    theta = (arg1 - arg0) / 2.0
+    factors[0] = np.diag([np.exp(1j * theta), np.exp(-1j * theta)]) @ factors[0]
+    g = LocalUnitary(factors, np.exp(-0.5j * (arg0 + arg1)))
+    alpha, beta = float(abs(vec[0])), float(abs(vec[-1]))
     target = np.zeros(2**n, dtype=np.complex128)
-    target[0] = alpha
-    target[-1] = beta
-    residual = float(np.linalg.norm(cur.vector - target))
-    return GhzCanonicalForm(alpha, beta, g_total, residual)
+    target[0], target[-1] = alpha, beta
+    residual = float(np.linalg.norm(apply_local_unitary(g, psi).vector - target))
+    return GhzCanonicalForm(alpha, beta, g, residual)
 
 
 def _su2_lift(rot: np.ndarray) -> np.ndarray:
@@ -229,7 +195,7 @@ def canonicalize_four_qubit(
     if psi.n != 4:
         raise CanonicalizationError(f"four-qubit form requires n = 4, got {psi.n}")
     k = stab if stab is not None else stabilizer_pure(psi)
-    if k.dim != 3 or k.proj_dims != (3, 3, 3, 3):
+    if _maximal_pattern(k) != "family":
         raise CanonicalizationError(
             f"need stabilizer dim 3 with all projections 3, got dim {k.dim}, "
             f"projections {k.proj_dims}"
@@ -324,11 +290,10 @@ def classify(
     fact = is_product(psi)
     k = stabilizer_pure(psi, tol)
     at = algebra_type(k)
-    proj = k.proj_dims
     base = dict(
         n=n,
         stab_dim=k.dim,
-        proj_dims=proj,
+        proj_dims=k.proj_dims,
         algebra=at.kind,
         product_blocks=fact.blocks,
     )
@@ -346,7 +311,8 @@ def classify(
                 "input or tolerances are suspect"
             )
         return ClassificationReport(verdict="not_max_stab", notes=tuple(notes), **base)
-    if all(d == 1 for d in proj):
+    pattern = _maximal_pattern(k)
+    if pattern == "ghz":
         try:
             form = canonicalize_ghz(psi, stab=k, tol=tol)
         except CanonicalizationError as exc:
@@ -363,7 +329,7 @@ def classify(
             notes=tuple(notes),
             **base,
         )
-    if n == 4 and all(d == 3 for d in proj) and at.kind == "su2":
+    if pattern == "family" and at.kind == "su2":
         try:
             form = canonicalize_four_qubit(psi, stab=k, tol=tol_equiv)
         except CanonicalizationError as exc:

@@ -7,7 +7,9 @@ that pass the screens meet up to three witness stages, each accepted only if
 the infidelity recomputed from its witness is below tol.  When the
 stabilizer is maximal (the GHZ class, or the four-qubit su(2) family), both
 states are brought to their canonical forms, which the stabilizer itself
-determines, and the canonicalisers compose into an exact witness.  Otherwise
+determines, and the canonicalisers compose into an exact witness.  The
+canonical form is unique, so when that witness fails and a canonical
+parameter differs, the pair is certified inequivalent.  Otherwise
 the one-qubit standard form (Kraus, PRL 104, 020504, 2010) rotates each
 qubit of both states into the eigenbasis of its one-qubit reduced state,
 after which, when every one-qubit spectrum is nondegenerate, an equivalence
@@ -29,6 +31,8 @@ from .invariants import fingerprint_components, first_difference
 from .classify import (
     EQUIV_TOL,
     CanonicalizationError,
+    GhzCanonicalForm,
+    _maximal_pattern,
     canonicalize_four_qubit,
     canonicalize_ghz,
 )
@@ -174,28 +178,39 @@ def _standard_form_factors(psi: PureState, phi: PureState) -> np.ndarray | None:
     return factors
 
 
-def _canonical_form_factors(
+def _canonical_forms(
     psi: PureState, phi: PureState, ka: StabilizerBasis, kb: StabilizerBasis,
     null_tol: float, tol: float,
-) -> np.ndarray | None:
-    """SU(2) factors of inverse(g_phi) g_psi, where g canonicalises a state
-    whose stabilizer is maximal: dim n-1 with every projection 1 (GHZ class,
-    n >= 3), or n = 4, dim 3 with every projection 3 (su(2) family).  None
-    when neither pattern holds or a canonicaliser fails."""
-    n = psi.n
-    if n >= 3 and ka.dim == n - 1 and all(d == 1 for d in ka.proj_dims):
+) -> tuple | None:
+    """Certified canonical forms of both states when their stabilizers are
+    maximal (GHZ class or four-qubit su(2) family).  None when neither
+    pattern holds, a canonicaliser fails, or a family form is not
+    certified."""
+    pattern = _maximal_pattern(ka)
+    if pattern == "ghz":
         canonicalize = partial(canonicalize_ghz, tol=null_tol)
-    elif n == 4 and ka.dim == 3 and ka.proj_dims == (3, 3, 3, 3):
+    elif pattern == "family":
         canonicalize = partial(canonicalize_four_qubit, tol=tol)
     else:
         return None
     try:
-        ga, gb = canonicalize(psi, stab=ka).unitary, canonicalize(phi, stab=kb).unitary
+        fa, fb = canonicalize(psi, stab=ka), canonicalize(phi, stab=kb)
     except CanonicalizationError:
         return None
-    if ga is None or gb is None:
+    if fa.unitary is None or fb.unitary is None:
         return None
-    return compose(inverse(gb), ga).factors
+    return fa, fb
+
+
+def _parameter_difference(fa, fb, tol: float) -> tuple | None:
+    """The first canonical parameter, (alpha,) for GHZ or (a, b) for the
+    family, on which two forms differ by more than tol, as a separator."""
+    names = ("alpha",) if isinstance(fa, GhzCanonicalForm) else ("a", "b")
+    for name in names:
+        va, vb = getattr(fa, name), getattr(fb, name)
+        if abs(va - vb) > tol:
+            return f"canonical_form:{name}", va, vb
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,12 +219,14 @@ class EquivVerdict:
 
     status is 'equivalent', 'inequivalent', or 'unknown'.  witness holds the
     aligning LocalUnitary when equivalent; separator names the invariant that
-    differs (name, value_a, value_b) when inequivalent.  best_infidelity and
-    restarts_used report the alignment stage (None when screening decided;
-    restarts_used is 0 when the canonical or the standard form decided).
-    decided_by names the deciding stage: 'stab_dim', 'proj_dims',
-    'fingerprint:<component>', 'canonical_form', 'standard_form' or
-    'optimizer'.
+    differs (name, value_a, value_b) when inequivalent, a canonical parameter
+    ('canonical_form:alpha', ':a' or ':b') when the canonical forms differ.
+    best_infidelity and restarts_used report the alignment stage (None when
+    screening decided; restarts_used is 0 when the canonical or the standard
+    form decided, and best_infidelity is then the infidelity of its
+    witness).  decided_by names the deciding stage: 'stab_dim', 'proj_dims',
+    'fingerprint:<component>', 'canonical_form' (equivalent or
+    inequivalent), 'standard_form' or 'optimizer'.
     """
 
     status: str
@@ -258,12 +275,12 @@ def decide_equivalence(
 
     Pipeline: stabilizer dimension and per-qubit projection dimensions
     (cheap LU-covariant separators), then the invariant fingerprint up to
-    its first separating component, then the canonical-form witness for
-    maximal stabilizers, then the standard-form witness, then multi-start
-    fidelity optimization.  'equivalent' always comes with a witness whose
-    recomputed infidelity is below tol.  'unknown' is an honest outcome: no
-    separating invariant was found and no witness certified equivalence
-    either.
+    its first separating component, then the canonical forms for maximal
+    stabilizers (an equivalence witness, or differing parameters), then the
+    standard-form witness, then multi-start fidelity optimization.
+    'equivalent' always comes with a witness whose recomputed infidelity is
+    below tol.  'unknown' is an honest outcome: no separating invariant was
+    found and no witness certified equivalence either.
     """
     if psi.n != phi.n:
         raise ValueError(f"states live on {psi.n} and {phi.n} qubits")
@@ -283,16 +300,22 @@ def decide_equivalence(
     )
     if sep is not None:
         return EquivVerdict("inequivalent", None, sep, None, None, f"fingerprint:{sep[0]}")
-    # the canonical form goes first: where it applies its witness is exact
-    for stage, candidate in (
-        ("canonical_form", lambda: _canonical_form_factors(psi, phi, ka, kb, null_tol, tol)),
-        ("standard_form", lambda: _standard_form_factors(psi, phi)),
-    ):
-        factors = candidate()
-        if factors is not None:
-            infidelity, witness = _align(psi, phi, factors)
-            if infidelity < tol:
-                return EquivVerdict("equivalent", witness, None, infidelity, 0, stage)
+    # the canonical form goes first: where it applies its witness is exact,
+    # and the form is unique, so differing parameters prove inequivalence
+    forms = _canonical_forms(psi, phi, ka, kb, null_tol, tol)
+    if forms is not None:
+        fa, fb = forms
+        infidelity, witness = _align(psi, phi, compose(inverse(fb.unitary), fa.unitary).factors)
+        if infidelity < tol:
+            return EquivVerdict("equivalent", witness, None, infidelity, 0, "canonical_form")
+        sep = _parameter_difference(fa, fb, fingerprint_tol)
+        if sep is not None:
+            return EquivVerdict("inequivalent", None, sep, infidelity, 0, "canonical_form")
+    factors = _standard_form_factors(psi, phi)
+    if factors is not None:
+        infidelity, witness = _align(psi, phi, factors)
+        if infidelity < tol:
+            return EquivVerdict("equivalent", witness, None, infidelity, 0, "standard_form")
     search = lu_infidelity(psi, phi, restarts=restarts, seed=seed)
     if search.infidelity < tol:
         return EquivVerdict(

@@ -9,6 +9,7 @@ the spectrum and the kernel, cut with a relative singular-value tolerance.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,9 @@ class StabilizerBasis:
     orthonormal in the Euclidean coordinate inner product and are presented
     in a deterministic order.  singular_values holds the full spectrum of
     the defining map; gap is the ratio across the rank cut (inf when the
-    cut is at either end).
+    cut is at either end).  When the kernel is exact the denominator of gap
+    is a roundoff-level singular value, so gap then reads 1e9 or more and
+    carries no margin.  proj_dims is computed once per basis.
     """
 
     ambient: str
@@ -63,7 +66,7 @@ class StabilizerBasis:
     def ill_conditioned(self) -> bool:
         return self.gap < GAP_MIN
 
-    @property
+    @cached_property
     def proj_dims(self) -> tuple[int, ...]:
         return tuple(projection_dim(self, j) for j in range(1, self.n + 1))
 

@@ -227,13 +227,10 @@ class FactorizationReport:
     """Finest tensor factorization found by is_product.
 
     blocks holds disjoint qubit subsets covering 1..n; a single block means
-    the state is nonproduct.  subset_purities records the reduced purity of
-    every nonempty proper subset tested (keyed by subset, with complements
-    sharing a value).
+    the state is nonproduct.
     """
 
     blocks: tuple[tuple[int, ...], ...]
-    subset_purities: dict
 
     @property
     def is_product(self) -> bool:
@@ -258,18 +255,13 @@ def is_product(psi: PureState) -> FactorizationReport:
     if n > PRODUCT_ENUM_LIMIT:
         raise ValueError(f"is_product enumerates bipartitions; n={n} exceeds {PRODUCT_ENUM_LIMIT}")
     labels = tuple(range(1, n + 1))
-    purities: dict[tuple[int, ...], float] = {}
     pure_subsets: list[tuple[int, ...]] = []
     # a subset and its complement have identical purity for a pure global
     # state, so only the smaller side ever hits the Gram computation
     for subset in _bipartition_sides(n):
-        p = subset_purity(psi, subset)
-        comp = tuple(j for j in labels if j not in subset)
-        purities[subset] = p
-        purities[comp] = p
-        if 1.0 - p < RANK_TOL:
+        if 1.0 - subset_purity(psi, subset) < RANK_TOL:
             pure_subsets.append(subset)
-            pure_subsets.append(comp)
+            pure_subsets.append(tuple(j for j in labels if j not in subset))
     pure_subsets.sort(key=lambda s: (len(s), s))
     blocks = []
     remaining = set(labels)
@@ -284,7 +276,7 @@ def is_product(psi: PureState) -> FactorizationReport:
             block = tuple(sorted(remaining))
         blocks.append(block)
         remaining -= set(block)
-    return FactorizationReport(blocks=tuple(blocks), subset_purities=purities)
+    return FactorizationReport(blocks=tuple(blocks))
 
 
 def tensor_product(*states: PureState) -> PureState:

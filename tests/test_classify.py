@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from stabscope import (
     canonicalize_four_qubit,
     canonicalize_ghz,
     classify,
+    decide_equivalence,
     ghz_state,
     haar_random_local_unitary,
     polynomial_invariant,
@@ -74,6 +77,41 @@ def test_ghz_canonicalization_rejects_other_states():
         canonicalize_ghz(w_state(3))
     with pytest.raises(CanonicalizationError):
         canonicalize_ghz(random_state(3, np.random.default_rng(0)))
+
+
+def test_ghz_times_basis_ket_is_rejected_by_the_support_check():
+    # the stabilizer has dim n-1 with every projection 1, but the diagonal
+    # frame puts the state on |0000> and |1110>, not on a ket and its complement
+    psi = tensor_product(ghz_state(3), basis_state([0]))
+    with pytest.raises(CanonicalizationError, match="off-support residual"):
+        canonicalize_ghz(psi)
+    rep = classify(psi)
+    assert rep.verdict == "not_max_stab"
+    assert rep.product_blocks == ((1, 2, 3), (4,))
+
+
+def test_stabilizer_is_solved_once_per_request(monkeypatch):
+    calls = []
+    module = sys.modules["stabscope.classify"]
+    solve = module.stabilizer_pure
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(module, "stabilizer_pure", counted)
+    monkeypatch.setattr(sys.modules["stabscope.equivalence"], "stabilizer_pure", counted)
+    rng = np.random.default_rng(11)
+    a, b = (
+        apply_local_unitary(haar_random_local_unitary(6, rng), ghz_state(6, 0.8)) for _ in range(2)
+    )
+    k = solve(a)
+    assert canonicalize_ghz(a, stab=k).residual < 1e-8
+    assert len(calls) == 0
+    assert classify(a).verdict == "ghz_class"
+    assert len(calls) == 1
+    assert decide_equivalence(a, b).decided_by == "canonical_form"
+    assert len(calls) == 3
 
 
 def test_four_qubit_recovery_with_confirmation():

@@ -13,6 +13,7 @@ from stabscope import (
     PureState,
     apply_local_unitary,
     canonical_four_qubit_state,
+    canonicalize_ghz,
     decide_equivalence,
     ghz_state,
     haar_random_local_unitary,
@@ -107,11 +108,11 @@ def test_decide_equivalent_orbit_pair_returns_witness():
 
 
 def test_decide_unknown_when_no_invariant_or_match_exists():
-    # at this doubly degenerate parameter point every reported invariant
-    # coincides with the conjugate's, and no local unitary connects them
-    plus = canonical_four_qubit_state(0.5, -0.25 + 0.25j)
-    minus = canonical_four_qubit_state(0.5, -0.25 - 0.25j)
-    verdict = decide_equivalence(plus, minus, restarts=8, seed=2)
+    # at n = 5 the fingerprint holds purities only, which cannot tell a state
+    # from its conjugate; the stabilizer is trivial, so no canonical form
+    # applies, and no local unitary connects the two
+    psi = random_state(5, np.random.default_rng(2))
+    verdict = decide_equivalence(psi, PureState(psi.vector.conj()), restarts=8, seed=2)
     assert verdict.status == "unknown"
     assert verdict.best_infidelity > 1e-4
 
@@ -192,6 +193,13 @@ def test_maximal_stabilizer_pairs_are_decided_by_the_canonical_form(name):
     assert verdict.restarts_used == 0
     assert verdict.best_infidelity < 1e-12
     assert _fidelity(apply_local_unitary(verdict.witness, a), b) > 1.0 - 1e-12
+    if name.startswith("ghz"):
+        # both orbit points recover the construction's (alpha, beta)
+        for moved in (a, b):
+            form = canonicalize_ghz(moved)
+            assert form.alpha == pytest.approx(psi.vector[0].real, abs=1e-12)
+            assert form.beta == pytest.approx(psi.vector[-1].real, abs=1e-12)
+            assert form.residual < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -199,15 +207,24 @@ def test_maximal_stabilizer_pairs_are_decided_by_the_canonical_form(name):
 )
 def test_conjugate_family_pairs_on_the_circle_are_never_equivalent(phi):
     # on |b|^2 + a Re b = 0 no invariant in the fingerprint separates b from
-    # its conjugate, and the canonical forms differ in the sign of Im b
+    # its conjugate (at 0.75 pi every one coincides), and the canonical
+    # forms, which are unique, differ in the sign of Im b
     a = 0.5
     b = -a * np.cos(phi) * np.exp(1j * phi)
     g = haar_random_local_unitary(4, np.random.default_rng(9))
     plus = apply_local_unitary(g, canonical_four_qubit_state(a, b))
     verdict = decide_equivalence(plus, canonical_four_qubit_state(a, b.conjugate()))
-    assert verdict.status != "equivalent"
-    assert verdict.decided_by == "optimizer"
+    assert verdict.status == "inequivalent"
+    assert verdict.decided_by == "canonical_form"
+    assert verdict.restarts_used == 0
     assert verdict.best_infidelity > 1e-3
+    name, b_plus, b_minus = verdict.separator
+    assert name == "canonical_form:b"
+    s = 1.0 / np.sqrt(2.0 * (a**2 + abs(b) ** 2 + abs(a + b) ** 2))
+    assert b_plus == pytest.approx(b * s, abs=1e-10)
+    assert b_minus == pytest.approx(b.conjugate() * s, abs=1e-10)
+    payload = json.loads(json.dumps(verdict.to_dict()))
+    assert payload["separator"]["value_a"]["im"] == pytest.approx(-payload["separator"]["value_b"]["im"])
 
 
 def test_nonmaximal_pair_with_maximally_mixed_qubits_goes_to_the_optimizer():
@@ -276,15 +293,19 @@ def test_lazy_separator_matches_on_screened_pairs(psi, phi):
 
 
 def test_import_does_not_load_the_optimizer(tmp_path):
-    # neither the import nor analyze, a family classify or an equiv on a
-    # balanced GHZ orbit pair needs scipy: only lu_infidelity and
-    # principal_angles load it, on first use
+    # neither the import nor analyze, a family classify, an equiv on a
+    # balanced GHZ orbit pair or one on a conjugate family pair on the
+    # circle needs scipy: only lu_infidelity and principal_angles load it,
+    # on first use
     rng = np.random.default_rng(14)
+    b = -0.5 * np.cos(0.65 * np.pi) * np.exp(0.65j * np.pi)
     paths = []
     for name, psi in (
         ("family", canonical_four_qubit_state(0.5, 0.2 + 0.3j)),
         ("ghz-a", ghz_state(5)),
         ("ghz-b", ghz_state(5)),
+        ("circle-plus", canonical_four_qubit_state(0.5, b)),
+        ("circle-minus", canonical_four_qubit_state(0.5, b.conjugate())),
     ):
         path = tmp_path / f"{name}.json"
         moved = apply_local_unitary(haar_random_local_unitary(psi.n, rng), psi)
@@ -297,9 +318,9 @@ def test_import_does_not_load_the_optimizer(tmp_path):
         "def loaded(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "print('scipy import', loaded())\n"
         "from stabscope import cli\n"
-        f"family, ghz_a, ghz_b = {paths!r}\n"
+        f"family, ghz_a, ghz_b, plus, minus = {paths!r}\n"
         "for argv in (['analyze', '--state', 'ghz:4'], ['classify', family],\n"
-        "             ['equiv', ghz_a, ghz_b]):\n"
+        "             ['equiv', ghz_a, ghz_b], ['equiv', plus, minus]):\n"
         "    code = cli.main(argv + ['--format', 'json'])\n"
         "    print('scipy', argv[0], code, loaded())\n"
     )
@@ -308,7 +329,8 @@ def test_import_does_not_load_the_optimizer(tmp_path):
     )
     lines = [line for line in out.stdout.splitlines() if line.startswith("scipy ")]
     assert lines == [
-        "scipy import []", "scipy analyze 0 []", "scipy classify 0 []", "scipy equiv 0 []"
+        "scipy import []", "scipy analyze 0 []", "scipy classify 0 []", "scipy equiv 0 []",
+        "scipy equiv 1 []",
     ]
 
 

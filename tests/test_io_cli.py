@@ -5,6 +5,7 @@ import pytest
 
 from stabscope import (
     GuardError,
+    PureState,
     StateFormatError,
     algebra_type,
     apply_local_unitary,
@@ -199,7 +200,7 @@ def test_cli_equiv_exit_codes(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["separator"]["invariant"].startswith("poly:")
 
-    # both cubics vanish here, so a short search cannot decide either way
+    # both cubics vanish here, but the canonical forms differ in Im b
     assert (
         main(
             [
@@ -208,14 +209,24 @@ def test_cli_equiv_exit_codes(tmp_path, capsys):
                 "canon4:0.5:-0.25:0.25",
                 "--state",
                 "canon4:0.5:-0.25:-0.25",
-                "--restarts",
-                "4",
-                "--seed",
-                "2",
+                "--format",
+                "json",
             ]
         )
-        == 4
+        == 1
     )
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["decided_by"] == "canonical_form"
+    assert payload["separator"]["invariant"] == "canonical_form:b"
+
+    # purities cannot tell a five-qubit state from its conjugate, so a short
+    # search cannot decide either way
+    psi = random_state(5, np.random.default_rng(2))
+    paths = []
+    for name, vec in (("psi", psi.vector), ("conj", psi.vector.conj())):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(state_to_dict(PureState(vec))))
+    assert main(["equiv", *map(str, paths), "--restarts", "4", "--seed", "2"]) == 4
     capsys.readouterr()
 
 
