@@ -14,33 +14,26 @@ ket and its complement; in the four-qubit family each qubit's su(2) block is
 rotated onto qubit 1's, which leaves it in the total-spin-zero plane.  No
 invariant or optimizer search is involved: in both classes the stabilizer
 fixes the canonicalising unitary up to symmetries of the canonical form.
+The product test and the vanishing-amplitude checks cut where the stabilizer
+rank does, so all three agree on the GHZ class up to that cut.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState, canonical_four_qubit_state, is_product
+from .states import NULL_TOL, PureState, canonical_four_qubit_state, is_product, numerical_rank
 from .local_unitary import (
     SU2_BASIS,
     LocalUnitary,
     apply_local_unitary,
     su2_matrix,
 )
-from .stabilizer import (
-    NULL_TOL,
-    StabilizerBasis,
-    algebra_type,
-    stabilizer_pure,
-)
+from .stabilizer import StabilizerBasis, algebra_type, stabilizer_pure
 
 # infidelity below this certifies a local-unitary witness: a four-qubit
 # canonical form here, an equivalence in decide_equivalence
 EQUIV_TOL = 1e-7
-# off-support amplitude mass allowed after GHZ reduction
-SUPPORT_TOL = 1e-8
-# four-qubit coefficients below this put the state outside the abc != 0 class
-COEFF_TOL = 1e-8
 
 
 class CanonicalizationError(RuntimeError):
@@ -96,7 +89,8 @@ def canonicalize_ghz(
     in the largest-modulus ket sends that ket to |0...0>, which gives
     alpha >= beta, and its complement to |1...1>.  A diagonal rotation on
     qubit 1 and a global phase make both amplitudes real positive.  Only
-    the given stabilizer is used; tol is its rank cut when stab is None.
+    the given stabilizer is used.  tol is its rank cut when stab is None,
+    the off-support residual bound, and the vanishing cut |beta| <= tol |alpha|.
     Returns alpha >= beta > 0 with alpha^2 + beta^2 = 1 and the composite
     local unitary g with g|psi> equal to the canonical state up to the
     reported residual.
@@ -121,11 +115,11 @@ def canonicalize_ghz(
             factors[j] = SU2_BASIS[2] @ factors[j]
     vec = apply_local_unitary(LocalUnitary(factors), psi).vector
     resid = float(np.linalg.norm(vec[1:-1]))
-    if resid > SUPPORT_TOL:
+    if resid > tol:
         raise CanonicalizationError(
             f"off-support residual {resid:.2e}; the state is not in the GHZ class"
         )
-    if abs(vec[-1]) < SUPPORT_TOL:
+    if numerical_rank(np.abs(vec[[0, -1]]), tol) < 2:
         raise CanonicalizationError("an extreme amplitude vanished; state is product-like")
     arg0, arg1 = float(np.angle(vec[0])), float(np.angle(vec[-1]))
     theta = (arg1 - arg0) / 2.0
@@ -210,7 +204,7 @@ def canonicalize_four_qubit(
     phase = np.exp(-1j * np.angle(amp_a))
     a, b = float(abs(amp_a)), complex(amp_b * phase)
     c = -a - b
-    if min(a, abs(b), abs(c)) < COEFF_TOL:
+    if numerical_rank(np.array([a, abs(b), abs(c)]), NULL_TOL) < 3:
         raise CanonicalizationError(
             f"coefficients (a, |b|, |c|) = ({a:.3g}, {abs(b):.3g}, {abs(c):.3g}) put the "
             "state outside the abc != 0 class"
@@ -282,12 +276,13 @@ def classify(
 ) -> ClassificationReport:
     """Run the full classification pipeline on one state.
 
-    tol is the stabilizer's rank cut; tol_equiv the infidelity below which a
-    four-qubit canonical form is certified.  Never raises on mathematical
-    grounds; branch failures downgrade the verdict and leave a note.
+    tol is the one numerical zero: stabilizer rank, product test, GHZ support
+    and vanishing.  tol_equiv is the infidelity below which a four-qubit
+    canonical form is certified.  Never raises on mathematical grounds;
+    branch failures downgrade the verdict and leave a note.
     """
     n = psi.n
-    fact = is_product(psi)
+    fact = is_product(psi, tol)
     k = stabilizer_pure(psi, tol)
     at = algebra_type(k)
     base = dict(

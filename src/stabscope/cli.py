@@ -3,8 +3,8 @@
 Subcommands: analyze, classify, orbit, equiv, invariants, selftest.  States
 come from file paths (JSON or text) or named specs like ghz:4:0.8; every
 random draw derives from the single --seed value.  Exit codes are a stable
-contract: 0 success (or equivalent), 1 failure (or inequivalent), 2 parse or
-usage error, 3 size guard, 4 undecided equivalence.
+contract: 0 success (or equivalent), 1 failure (or inequivalent), 2 parse,
+usage or numerical error, 3 size guard, 4 undecided equivalence.
 """
 
 import argparse
@@ -13,14 +13,9 @@ import sys
 
 import numpy as np
 
-from .states import is_product
+from .states import NULL_TOL, is_product
 from .local_unitary import apply_local_unitary, haar_random_local_unitary
-from .stabilizer import (
-    NULL_TOL,
-    algebra_type,
-    _drop_phase,
-    stabilizer_pure,
-)
+from .stabilizer import algebra_type, _drop_phase, stabilizer_pure
 from .invariants import fingerprint_drift, invariant_fingerprint
 from .equivalence import EQUIV_TOL, FINGERPRINT_TOL, decide_equivalence
 from .classify import classify
@@ -85,7 +80,7 @@ def cmd_analyze(args) -> int:
     k = stabilizer_pure(psi, args.tol_null)
     # the density stabilizer of |psi><psi| is the pure one with the phase dropped
     k_rho = _drop_phase(k, args.tol_null)
-    blocks = is_product(psi).blocks
+    blocks = is_product(psi, args.tol_null).blocks
     payload = {
         "state": spec,
         "n": psi.n,
@@ -200,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="master random seed")
     common.add_argument(
         "--tol-null", type=float, default=NULL_TOL, dest="tol_null",
-        help="singular-value cutoff for stabilizer ranks",
+        help="relative zero of the stabilizer rank, product test and GHZ checks",
     )
     common.add_argument(
         "--tol-equiv", type=float, default=EQUIV_TOL, dest="tol_equiv",
@@ -246,8 +241,9 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except StateFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, so caught ahead of the generic handler below
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -81,14 +81,13 @@ def lu_infidelity(
     phi: PureState,
     restarts: int = 20,
     seed=0,
-    stop: float = STOP_TOL,
 ) -> FidelitySearch:
     """Best local-unitary infidelity between two states.
 
     Each restart optimizes 3n chart coordinates around a Haar-random base
-    point (identity first) with the analytic gradient.  Results are
-    deterministic for a fixed seed, and the best value is monotone
-    nonincreasing as restarts grow with the seed held fixed.
+    point (identity first) with the analytic gradient, until one is below
+    STOP_TOL.  Results are deterministic for a fixed seed, and the best
+    value is monotone nonincreasing as restarts grow with the seed fixed.
     """
     if psi.n != phi.n:
         raise ValueError(f"states live on {psi.n} and {phi.n} qubits")
@@ -99,7 +98,6 @@ def lu_infidelity(
     children = np.random.SeedSequence(seed).spawn(max(restarts, 1))
     best_f = np.inf
     best_factors = None
-    used = 0
     eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (n, 2, 2))
     for k in range(max(restarts, 1)):
         base = eye if k == 0 else haar_su2(n, np.random.default_rng(children[k]))
@@ -117,7 +115,7 @@ def lu_infidelity(
             best_f = f
             v = res.x.reshape(n, 3)
             best_factors = np.stack([exp_su2(v[j]) @ base[j] for j in range(n)])
-        if best_f < stop:
+        if best_f < STOP_TOL:
             break
     _, witness = _align(psi, phi, best_factors)
     return FidelitySearch(best_f, witness, used)
@@ -268,7 +266,6 @@ def decide_equivalence(
     tol: float = EQUIV_TOL,
     restarts: int = 20,
     seed=0,
-    fingerprint_tol: float = FINGERPRINT_TOL,
     null_tol: float = NULL_TOL,
 ) -> EquivVerdict:
     """Decide local-unitary equivalence.
@@ -296,7 +293,7 @@ def decide_equivalence(
             "proj_dims",
         )
     sep = first_difference(
-        fingerprint_components(psi), fingerprint_components(phi), fingerprint_tol
+        fingerprint_components(psi), fingerprint_components(phi), FINGERPRINT_TOL
     )
     if sep is not None:
         return EquivVerdict("inequivalent", None, sep, None, None, f"fingerprint:{sep[0]}")
@@ -308,7 +305,7 @@ def decide_equivalence(
         infidelity, witness = _align(psi, phi, compose(inverse(fb.unitary), fa.unitary).factors)
         if infidelity < tol:
             return EquivVerdict("equivalent", witness, None, infidelity, 0, "canonical_form")
-        sep = _parameter_difference(fa, fb, fingerprint_tol)
+        sep = _parameter_difference(fa, fb, FINGERPRINT_TOL)
         if sep is not None:
             return EquivVerdict("inequivalent", None, sep, infidelity, 0, "canonical_form")
     factors = _standard_form_factors(psi, phi)

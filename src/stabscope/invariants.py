@@ -8,9 +8,6 @@ import numpy as np
 
 from .states import PureState, subset_purity, _bipartition_sides, _check_subset
 
-# fingerprints of the same orbit agree to this relative tolerance
-INVARIANCE_TOL = 1e-8
-
 
 def purity_invariant(psi: PureState, subset) -> float:
     """Purity of the reduced state on a qubit subset (an LU invariant)."""
@@ -75,11 +72,13 @@ class PermutationTriple:
         return f"{self.m}:{s(self.sigma)}:{s(self.tau)}:{s(self.phi)}"
 
 
-# the degree-3 triple whose imaginary part resolves the conjugation phase
-# on the canonical four-qubit family
+# degree-3 triple whose imaginary part is odd under complex conjugation (on
+# the canonical family it is canonical_poly3_im), so the fingerprint screen
+# separates a four-qubit state from its conjugate with it
 REFERENCE_TRIPLE = PermutationTriple((3, 2, 1), (2, 1, 3), (2, 3, 1))
-# same invariant evaluated after swapping qubits 3 and 4 (exchanging the two
-# slot permutations realizes the swap without touching the state)
+# the same invariant after swapping qubits 3 and 4 (exchanging the two slot
+# permutations realizes the swap without touching the state); it separates
+# conjugate family states with Re b = 0, where the reference one vanishes
 SWAP34_TRIPLE = PermutationTriple((3, 2, 1), (2, 3, 1), (2, 1, 3))
 EXTRA_TRIPLE = PermutationTriple((2, 3, 1), (3, 1, 2), (2, 1, 3))
 
@@ -125,7 +124,7 @@ def canonical_poly3_im(a: float, b: complex) -> float:
     return -24.0 * a**2 * b1 * b2 * (b1**2 + b2**2 + a * b1)
 
 
-def subset_key(subset, n: int = 0) -> str:
+def subset_key(subset, n: int) -> str:
     """Key of a qubit subset: its labels run together ("12"), or joined by
     "." when a label has two digits or the state has 12 or more qubits, where
     the single qubit 12 and the pair (1, 2) would otherwise share "12"."""
@@ -172,26 +171,26 @@ class InvariantFingerprint:
         return out
 
 
-def invariant_fingerprint(psi: PureState, triples=DEFAULT_TRIPLES) -> InvariantFingerprint:
+def invariant_fingerprint(psi: PureState) -> InvariantFingerprint:
     """Collect the purity, pair, and polynomial invariants of a state."""
     purities = {key: subset_purity(psi, s) for key, s in _keyed_subsets(psi.n).items()}
     pair = pair_invariants(psi) if psi.n == 4 else None
     poly = (
-        {t.key: polynomial_invariant(psi, t) for t in triples} if psi.n == 4 else None
+        {t.key: polynomial_invariant(psi, t) for t in DEFAULT_TRIPLES} if psi.n == 4 else None
     )
     return InvariantFingerprint(psi.n, purities, pair, poly)
 
 
-def fingerprint_components(psi: PureState, triples=DEFAULT_TRIPLES):
-    """Yield invariant_fingerprint(psi, triples).components() one at a time,
+def fingerprint_components(psi: PureState):
+    """Yield invariant_fingerprint(psi).components() one at a time,
     computing each value only when the iteration reaches it."""
     for key, subset in sorted(_keyed_subsets(psi.n).items()):
         yield f"purity:{key}", subset_purity(psi, subset)
     if psi.n == 4:
         for i, v in enumerate(pair_invariants(psi)):
             yield f"pair:I{i + 1}", v
-        for key, t in sorted({t.key: t for t in triples}.items()):
-            yield f"poly:{key}", polynomial_invariant(psi, t)
+        for t in sorted(DEFAULT_TRIPLES, key=lambda t: t.key):
+            yield f"poly:{t.key}", polynomial_invariant(psi, t)
 
 
 def fingerprint_drift(fa: InvariantFingerprint, fb: InvariantFingerprint) -> float:

@@ -268,7 +268,7 @@ def criterion_projection_consistency(master_seed: int = 0) -> CriterionResult:
     )
     for psi in states:
         count += 1
-        pc = phase_projection_check(psi, method="direct")
+        pc = phase_projection_check(psi)
         rec.check(
             pc.dim_pure == pc.dim_density,
             f"n={psi.n}: dims {pc.dim_pure} vs {pc.dim_density}",

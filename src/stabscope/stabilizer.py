@@ -4,7 +4,8 @@ The stabilizer of a pure state is the set of X in u(1) + su(2)^n with
 X|psi> = 0; the stabilizer of a density matrix is the set of X in su(2)^n
 with [X, rho] = 0.  Both are kernels of real-linear maps.  Each map is
 realified, reduced to its small triangular QR factor R, and R's SVD gives
-the spectrum and the kernel, cut with a relative singular-value tolerance.
+the spectrum and the kernel, cut by numerical_rank as is_product cuts
+Schmidt coefficients.
 """
 
 import warnings
@@ -13,11 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import PureState, DensityMatrix, RANK_TOL, purity
+from .states import NULL_TOL, PureState, DensityMatrix, numerical_rank, purity, to_density
 from .local_unitary import SU2_BASIS, LieElement, lie_element_from_flat, apply_matrix_to_qubit
 
-# relative singular-value cutoff for rank decisions
-NULL_TOL = 1e-8
 # the spectrum must split by at least this factor across the rank cut
 GAP_MIN = 1e4
 # two subspaces count as equal when every principal angle is below this
@@ -51,12 +50,10 @@ class StabilizerBasis:
     cross_validated: bool = False
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=np.float64).copy()
-        b.flags.writeable = False
-        object.__setattr__(self, "basis", b)
-        s = np.asarray(self.singular_values, dtype=np.float64).copy()
-        s.flags.writeable = False
-        object.__setattr__(self, "singular_values", s)
+        for name in ("basis", "singular_values"):
+            a = np.asarray(getattr(self, name), dtype=np.float64).copy()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
@@ -107,10 +104,9 @@ def _null_space(real_map: np.ndarray, tol: float):
     if real_map.shape[0] < k:  # wide matrices would lose kernel directions here
         raise ValueError("defining map has fewer rows than columns")
     _, s, vh = np.linalg.svd(np.linalg.qr(real_map, mode="r"))
-    rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
+    rank = numerical_rank(s, tol)
     if 0 < rank < k:
-        with np.errstate(divide="ignore"):
-            gap = float(s[rank - 1] / s[rank]) if s[rank] > 0 else np.inf
+        gap = float(s[rank - 1] / s[rank]) if s[rank] > 0 else np.inf
     else:
         gap = np.inf
     return vh[rank:], s, gap
@@ -174,7 +170,7 @@ def _drop_phase(pure: StabilizerBasis, tol: float = NULL_TOL) -> StabilizerBasis
     rows = pure.basis[:, 1:]
     if rows.shape[0]:
         _, s, vh = np.linalg.svd(rows, full_matrices=False)
-        r = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
+        r = numerical_rank(s, tol)
         if r != pure.dim:
             warnings.warn("phase projection lost stabilizer directions; input may be ill-conditioned")
         rows = vh[:r]
@@ -201,7 +197,9 @@ def stabilizer_density(rho: DensityMatrix, tol: float = NULL_TOL, method: str = 
     n = rho.n
     if method not in ("auto", "direct", "projected"):
         raise ValueError(f"unknown method {method!r}")
-    rank_one = 1.0 - purity(rho) < RANK_TOL
+    # 1 - tr rho^2 = 2 sum_{i<j} l_i l_j is linear in the small eigenvalues l_i,
+    # the scale of numerical_rank's cut; a direct solve never reads it
+    rank_one = method != "direct" and 1.0 - purity(rho) < tol
     if method == "projected" or (method == "auto" and n > DENSITY_DIRECT_LIMIT):
         if not rank_one:
             raise ValueError("projected method requires a rank-one density matrix")
@@ -289,15 +287,12 @@ def algebra_type(k: StabilizerBasis, tol: float = CLOSURE_TOL) -> AlgebraType:
     dim = k.dim
     if dim <= 1:
         return AlgebraType("abelian", True, 0.0, None, None)
-    brackets = np.zeros((dim, dim, k.basis.shape[1]))
     max_norm = 0.0
     max_resid = 0.0
     const = np.zeros((dim, dim, dim))
     for i in range(dim):
         for j in range(i + 1, dim):
             br = _bracket_flat(k.basis[i], k.basis[j], k.n, k.ambient)
-            brackets[i, j] = br
-            brackets[j, i] = -br
             max_norm = max(max_norm, float(np.linalg.norm(br)))
             coeff = k.basis @ br
             const[i, j] = coeff
@@ -331,20 +326,16 @@ class ProjectionCheck:
     proj_dims_density: tuple[int, ...]
 
 
-def phase_projection_check(
-    psi: PureState, tol: float = NULL_TOL, span_tol: float = SPAN_TOL, method: str = "auto"
-) -> ProjectionCheck:
+def phase_projection_check(psi: PureState) -> ProjectionCheck:
     """Check that dropping the phase maps the pure stabilizer onto the
-    density stabilizer of the same state, with matching dimensions, spans,
-    and per-qubit projections."""
-    from .states import to_density
-
-    k_pure = stabilizer_pure(psi, tol)
-    k_dens = stabilizer_density(to_density(psi), tol, method=method)
+    density stabilizer of the same state, solved directly, with matching
+    dimensions, spans, and per-qubit projections."""
+    k_pure = stabilizer_pure(psi)
+    k_dens = stabilizer_density(to_density(psi), method="direct")
     dropped = k_pure.basis[:, 1:]
     angles = principal_angles(dropped, k_dens.basis)
     max_angle = float(np.max(angles, initial=0.0))
     pd_pure = k_pure.proj_dims
     pd_dens = k_dens.proj_dims
-    passed = k_pure.dim == k_dens.dim and max_angle < span_tol and pd_pure == pd_dens
+    passed = k_pure.dim == k_dens.dim and max_angle < SPAN_TOL and pd_pure == pd_dens
     return ProjectionCheck(passed, k_pure.dim, k_dens.dim, max_angle, pd_pure, pd_dens)

@@ -5,6 +5,10 @@ computational basis index (i1, ..., in) maps to the integer
 sum(i_k * 2**(n-k)), so qubit 1 is the most significant bit.  Amplitude
 vectors are dense complex128 arrays; the implementation targets desk scale
 (n up to about 12).
+
+The package has one numerical zero: numerical_rank's relative cut at
+NULL_TOL, which decides the stabilizer rank, the Schmidt rank in is_product
+and the vanishing of canonical amplitudes, all linear in what vanishes.
 """
 
 import warnings
@@ -15,10 +19,15 @@ import numpy as np
 
 # states are renormalized (with a warning) when the norm misses 1 by more than this
 NORM_TOL = 1e-10
-# a reduced state counts as pure when 1 - purity falls below this
-RANK_TOL = 1e-9
+# relative magnitude cutoff for every rank and vanishing decision
+NULL_TOL = 1e-8
 # is_product enumerates bipartitions, which is only sane up to here
 PRODUCT_ENUM_LIMIT = 16
+
+
+def numerical_rank(s: np.ndarray, tol: float) -> int:
+    """Number of nonnegative magnitudes in s above tol times the largest."""
+    return int(np.sum(s > tol * s.max(initial=0.0)))
 
 
 def int_to_bits(value: int, n: int) -> tuple[int, ...]:
@@ -249,17 +258,27 @@ def _bipartition_sides(n: int):
             yield subset
 
 
-def is_product(psi: PureState) -> FactorizationReport:
-    """Test every bipartition of a pure state and return the finest factorization."""
+def is_product(psi: PureState, tol: float = NULL_TOL) -> FactorizationReport:
+    """Test every bipartition of a pure state and return the finest factorization.
+
+    A side is pure when its Schmidt coefficients, the singular values of its
+    amplitude matrix, have numerical rank 1 at tol, the stabilizer's cut.
+    The Gram purity screens first: with k qubits on the side and second
+    Schmidt coefficient s1, 1 - purity <= 2^(k+1) s1^2, so a deficit above
+    max(tol, 2^(k+1) tol^2) puts s1 above tol without an SVD.
+    """
     n = psi.n
     if n > PRODUCT_ENUM_LIMIT:
         raise ValueError(f"is_product enumerates bipartitions; n={n} exceeds {PRODUCT_ENUM_LIMIT}")
     labels = tuple(range(1, n + 1))
     pure_subsets: list[tuple[int, ...]] = []
-    # a subset and its complement have identical purity for a pure global
-    # state, so only the smaller side ever hits the Gram computation
+    # a subset and its complement have identical Schmidt coefficients for a
+    # pure global state, so only the smaller side is ever tested
     for subset in _bipartition_sides(n):
-        if 1.0 - subset_purity(psi, subset) < RANK_TOL:
+        if 1.0 - subset_purity(psi, subset) > max(tol, 2.0 ** (len(subset) + 1) * tol**2):
+            continue
+        schmidt = np.linalg.svd(_amplitude_matrix(psi, subset), compute_uv=False)
+        if numerical_rank(schmidt, tol) == 1:
             pure_subsets.append(subset)
             pure_subsets.append(tuple(j for j in labels if j not in subset))
     pure_subsets.sort(key=lambda s: (len(s), s))

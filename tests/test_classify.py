@@ -16,9 +16,11 @@ from stabscope import (
     decide_equivalence,
     ghz_state,
     haar_random_local_unitary,
+    is_product,
     polynomial_invariant,
     random_state,
     singlet_state,
+    stabilizer_pure,
     tensor_product,
     w_state,
 )
@@ -277,6 +279,31 @@ def test_classify_dichotomy_on_max_stabilizer_states():
         moved = apply_local_unitary(haar_random_local_unitary(base.n, rng), base)
         rep = classify(moved)
         assert rep.verdict == expected, rep.notes
+
+
+# beta = 1e-8 = NULL_TOL sits on the cut itself: there rounding in two
+# different maps, the amplitude matrices and the stabilizer's, decides which
+# side each lands on, and some orbit points disagree; flagging that band is
+# the conditioning report's job, so the sweep leaves it out
+SWEEP_BETAS = [10.0**e for e in range(-12, 0) if e != -8]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_beta_sweep_product_test_stabilizer_and_verdict_agree(n):
+    rng = np.random.default_rng(40 + n)
+    for beta in SWEEP_BETAS:
+        alpha = np.sqrt(1.0 - beta**2)
+        for _ in range(5):
+            psi = apply_local_unitary(
+                haar_random_local_unitary(n, rng), ghz_state(n, alpha, beta)
+            )
+            product = is_product(psi).is_product
+            assert product == (stabilizer_pure(psi).dim == n), beta
+            rep = classify(psi)
+            assert (rep.verdict == "ghz_class") == (not product), (beta, rep.notes)
+            if not product:
+                assert rep.alpha == pytest.approx(alpha, abs=1e-7)
+                assert rep.beta == pytest.approx(beta, abs=1e-7)
 
 
 def test_report_serialization_keys_and_round_trip():

@@ -147,8 +147,8 @@ def test_fingerprint_structure_by_size():
 
 
 def test_subset_key_uses_separator_for_wide_labels():
-    assert subset_key((1, 2)) == "12"
-    assert subset_key((1, 10)) == "1.10"
+    assert subset_key((1, 2), 2) == "12"
+    assert subset_key((1, 10), 10) == "1.10"
     assert subset_key((1, 2), 11) == "12"
     # at n = 12 the single qubit 12 and the pair (1, 2) get distinct keys
     assert subset_key((1, 2), 12) == "1.2"

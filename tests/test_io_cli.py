@@ -250,6 +250,32 @@ def test_cli_parse_and_guard_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_reports_numerical_failures(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    assert main(["analyze", "--state", "ghz:3"]) == 2
+    assert "error: numerical failure: SVD did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", [1e-5, 1e-6, 1e-7])
+def test_cli_small_beta_ghz_is_nonproduct_ghz_class(beta, tmp_path, capsys):
+    rng = np.random.default_rng(17)
+    path = tmp_path / "moved.json"
+    for _ in range(3):
+        g = haar_random_local_unitary(4, rng)
+        path.write_text(
+            json.dumps(state_to_dict(apply_local_unitary(g, ghz_state(4, np.sqrt(1 - beta**2), beta))))
+        )
+        assert main(["classify", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "ghz_class"
+        assert payload["beta"] == pytest.approx(beta, abs=1e-7)
+        assert main(["analyze", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["product_structure"] == "nonproduct"
+
+
 def test_cli_orbit_consistency(capsys):
     assert main(["orbit", "--state", "ghz:3", "--samples", "3", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -191,7 +191,7 @@ def test_phase_projection_check_across_state_zoo():
         random_state(4, rng),
     ]
     for psi in zoo:
-        pc = phase_projection_check(psi, method="direct")
+        pc = phase_projection_check(psi)
         assert pc.passed, (psi.n, pc)
 
 

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,12 @@ from hypothesis import strategies as st
 from stabscope import (
     DensityMatrix,
     PureState,
+    apply_local_unitary,
     basis_state,
     canonical_four_qubit_state,
     complement_pair_state,
     ghz_state,
+    haar_random_local_unitary,
     is_product,
     partial_trace,
     purity,
@@ -164,6 +168,70 @@ def test_singlet_pair_is_product_across_the_pair_split():
     assert fact.blocks == ((1, 2), (3, 4))
     assert subset_purity(psi, (1, 2)) == pytest.approx(1.0, abs=1e-12)
     assert subset_purity(psi, (1,)) == pytest.approx(0.5, abs=1e-12)
+
+
+def _purity_rule_blocks(psi):
+    """Finest factorization by the purity rule 1 - subset_purity < 1e-9 on
+    every bipartition: each qubit's block is the intersection of the pure
+    subsets that contain it."""
+    labels = range(1, psi.n + 1)
+    pure = [
+        set(s)
+        for k in range(1, psi.n)
+        for s in combinations(labels, k)
+        if 1.0 - subset_purity(psi, s) < 1e-9
+    ]
+    blocks = set()
+    for q in labels:
+        block = set(labels)
+        for s in pure:
+            if q in s:
+                block &= s
+        blocks.add(tuple(sorted(block)))
+    return tuple(sorted(blocks))
+
+
+def test_is_product_matches_the_purity_rule():
+    rng = np.random.default_rng(31)
+    states = [
+        tensor_product(singlet_state(), singlet_state()),
+        tensor_product(singlet_state(), basis_state([1]), singlet_state()),
+        basis_state([0, 1, 1, 0]),
+        ghz_state(5),
+        ghz_state(4, 0.8),
+        w_state(5),
+    ]
+    for n in range(2, 11):
+        for _ in range(3):
+            count = int(rng.integers(1, min(4, n) + 1))
+            cuts = np.sort(rng.choice(np.arange(1, n), size=count - 1, replace=False))
+            sizes = np.diff(np.concatenate([[0], cuts, [n]]))
+            psi = tensor_product(*(random_state(int(m), rng) for m in sizes))
+            psi = apply_local_unitary(haar_random_local_unitary(n, rng), psi)
+            # scatter the blocks over the qubit labels
+            perm = rng.permutation(n)
+            states.append(PureState(psi.tensor().transpose(perm).reshape(-1)))
+    for psi in states:
+        assert is_product(psi).blocks == _purity_rule_blocks(psi)
+
+
+def test_is_product_takes_no_svd_off_the_cut(monkeypatch):
+    # every side of a GHZ or Haar state is far from pure, so the purity
+    # screen decides them all
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for psi in (ghz_state(12), random_state(12, np.random.default_rng(0))):
+        assert not is_product(psi).is_product
+    assert calls == []
+    # a product side is near pure and takes the SVD
+    assert is_product(tensor_product(ghz_state(3), basis_state([0]))).blocks == ((1, 2, 3), (4,))
+    assert calls
 
 
 def test_complement_pair_state_layout():
