@@ -89,6 +89,7 @@ def cmd_analyze(args) -> int:
         "density_stab_dim": k_rho.dim,
         "algebra_type": algebra_type(k_rho).kind,
         "singular_gap": None if not np.isfinite(k.gap) else float(k.gap),
+        "rank_margin": k.rank_margin(args.tol_null),
         "product_structure": [list(b) for b in blocks] if len(blocks) > 1 else "nonproduct",
     }
     _emit(args, payload)

@@ -38,7 +38,8 @@ class StabilizerBasis:
     the defining map; gap is the ratio across the rank cut (inf when the
     cut is at either end).  When the kernel is exact the denominator of gap
     is a roundoff-level singular value, so gap then reads 1e9 or more and
-    carries no margin.  proj_dims is computed once per basis.
+    carries no margin; rank_margin gives the margin on each side of the cut.
+    proj_dims is computed once per basis.
     """
 
     ambient: str
@@ -62,6 +63,20 @@ class StabilizerBasis:
     @property
     def ill_conditioned(self) -> bool:
         return self.gap < GAP_MIN
+
+    def rank_margin(self, tol: float = NULL_TOL) -> dict:
+        """Both sides of the rank cut at tol, relative to the largest
+        singular value: kernel_max is the largest singular value counted as
+        zero (None when the kernel is empty), range_min the smallest one
+        kept (None when the map vanishes), and cut is tol itself.  A
+        decision is clear when kernel_max <= cut < range_min by a margin."""
+        s = self.singular_values / (self.singular_values.max(initial=0.0) or 1.0)
+        rank = numerical_rank(s, tol)
+        return {
+            "kernel_max": None if rank == s.size else float(s[rank]),
+            "range_min": None if rank == 0 else float(s[rank - 1]),
+            "cut": tol,
+        }
 
     @cached_property
     def proj_dims(self) -> tuple[int, ...]:

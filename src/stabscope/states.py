@@ -9,10 +9,18 @@ vectors are dense complex128 arrays; the implementation targets desk scale
 The package has one numerical zero: numerical_rank's relative cut at
 NULL_TOL, which decides the stabilizer rank, the Schmidt rank in is_product
 and the vanishing of canonical amplitudes, all linear in what vanishes.
+
+is_product reads product structure off the two-qubit correlation graph,
+whose edge bound is derived from the same cut so that no edge crosses a
+pure cut.  A connected graph means nonproduct with no Schmidt decomposition
+at all; otherwise only cuts between components are tested.  States whose
+two-qubit marginals carry no correlation above the bound, such as 2-uniform
+states, fall back to testing every bipartition.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -21,7 +29,8 @@ import numpy as np
 NORM_TOL = 1e-10
 # relative magnitude cutoff for every rank and vanishing decision
 NULL_TOL = 1e-8
-# is_product enumerates bipartitions, which is only sane up to here
+# is_product's fallback enumerates bipartitions of uncorrelated components,
+# which is only sane up to this many components
 PRODUCT_ENUM_LIMIT = 16
 
 
@@ -258,27 +267,104 @@ def _bipartition_sides(n: int):
             yield subset
 
 
-def is_product(psi: PureState, tol: float = NULL_TOL) -> FactorizationReport:
-    """Test every bipartition of a pure state and return the finest factorization.
+def _pure_side(psi: PureState, subset: tuple[int, ...], tol: float) -> bool:
+    """Whether the cut between subset and the rest is pure at tol.
 
-    A side is pure when its Schmidt coefficients, the singular values of its
-    amplitude matrix, have numerical rank 1 at tol, the stabilizer's cut.
-    The Gram purity screens first: with k qubits on the side and second
-    Schmidt coefficient s1, 1 - purity <= 2^(k+1) s1^2, so a deficit above
-    max(tol, 2^(k+1) tol^2) puts s1 above tol without an SVD.
+    The cut is pure when its Schmidt coefficients, the singular values of
+    the amplitude matrix, have numerical rank 1 at tol.  Both sides share
+    them, so the smaller side is used (of two halves, the one holding qubit
+    1).  The Gram purity screens first: with k qubits on that side and
+    second Schmidt coefficient s1, 1 - purity <= 2^(k+1) s1^2, so a deficit
+    above max(tol, 2^(k+1) tol^2) puts s1 above tol without an SVD.
+    """
+    if 2 * len(subset) > psi.n or (2 * len(subset) == psi.n and 1 not in subset):
+        subset = tuple(j for j in range(1, psi.n + 1) if j not in subset)
+    if 1.0 - subset_purity(psi, subset) > max(tol, 2.0 ** (len(subset) + 1) * tol**2):
+        return False
+    schmidt = np.linalg.svd(_amplitude_matrix(psi, subset), compute_uv=False)
+    return numerical_rank(schmidt, tol) == 1
+
+
+def _correlation_components(psi: PureState, tol: float) -> list[tuple[int, ...]]:
+    """Connected components of the two-qubit correlation graph, sorted.
+
+    Qubits i and j share an edge when C = rho_ij - rho_i (x) rho_j has
+    Frobenius norm above 6 sqrt(2^floor(n/2) - 1) tol, the largest
+    correlation a cut that is pure at tol can carry.  Let the cut A|B have
+    Schmidt coefficients s0 >= s1 >= ... (sum of squares 1) with s1 <= tol s0
+    and Schmidt rank r <= 2^floor(n/2).  Then 1 - s0^2 <= (r - 1) tol^2.  The
+    trace distance from psi to its leading Schmidt product is
+    2 sqrt(1 - s0^2).  Partial traces are contractive and C vanishes on that
+    product, so for i in A and j in B, ||C||_F <= ||C||_1 <= 6 sqrt(1 - s0^2).
+    An edge therefore never crosses a pure cut, and every pure side is a
+    union of components.  Pairs already joined are skipped.
     """
     n = psi.n
-    if n > PRODUCT_ENUM_LIMIT:
-        raise ValueError(f"is_product enumerates bipartitions; n={n} exceeds {PRODUCT_ENUM_LIMIT}")
-    labels = tuple(range(1, n + 1))
-    pure_subsets: list[tuple[int, ...]] = []
-    # a subset and its complement have identical Schmidt coefficients for a
-    # pure global state, so only the smaller side is ever tested
-    for subset in _bipartition_sides(n):
-        if 1.0 - subset_purity(psi, subset) > max(tol, 2.0 ** (len(subset) + 1) * tol**2):
+    v = psi.vector
+    bound = 6.0 * np.sqrt(2.0 ** (n // 2) - 1.0) * tol
+    single = []
+    for i in range(n):
+        m = v.reshape(2**i, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+        single.append(m @ m.conj().T)
+    root = list(range(n))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    count = n
+    for i, j in combinations(range(n), 2):
+        if count == 1:
+            break
+        ri, rj = find(i), find(j)
+        if ri == rj:
             continue
-        schmidt = np.linalg.svd(_amplitude_matrix(psi, subset), compute_uv=False)
-        if numerical_rank(schmidt, tol) == 1:
+        m = v.reshape(2**i, 2, 2 ** (j - i - 1), 2, -1).transpose(1, 3, 0, 2, 4).reshape(4, -1)
+        # axes (row i, row j, column i, column j) on both terms
+        corr = (m @ m.conj().T).reshape(2, 2, 2, 2) - (
+            single[i][:, None, :, None] * single[j][None, :, None, :]
+        )
+        if np.vdot(corr, corr).real > bound**2:
+            root[ri] = rj
+            count -= 1
+    groups: dict[int, list[int]] = {}
+    for q in range(n):
+        groups.setdefault(find(q), []).append(q + 1)
+    return sorted(tuple(g) for g in groups.values())
+
+
+def is_product(psi: PureState, tol: float = NULL_TOL) -> FactorizationReport:
+    """Finest tensor factorization of a pure state, from its correlation graph.
+
+    A cut is pure when its Schmidt coefficients have numerical rank 1 at
+    tol, the stabilizer's cut.  Every pure side is a union of connected
+    components of the two-qubit correlation graph (_correlation_components
+    derives the edge bound from tol), so one component means nonproduct
+    without any purity or SVD.  When every component is a pure side, the
+    components are the blocks.  Otherwise the bipartitions of components,
+    not of qubits, are tested and the blocks assembled from the pure sides.
+    Edges missed because a correlation is quadratic in a small amplitude,
+    or absent as in 2-uniform states, only cost time: that fallback then
+    tests up to every qubit bipartition.
+    """
+    components = _correlation_components(psi, tol)
+    # the fallback meets each single component again as a side
+    pure_side = cache(lambda subset: _pure_side(psi, subset, tol))
+    if len(components) == 1 or all(pure_side(c) for c in components):
+        return FactorizationReport(blocks=tuple(components))
+    m = len(components)
+    if m > PRODUCT_ENUM_LIMIT:
+        raise ValueError(
+            f"is_product enumerates bipartitions of {m} uncorrelated components; "
+            f"the limit is {PRODUCT_ENUM_LIMIT}"
+        )
+    labels = tuple(range(1, psi.n + 1))
+    pure_subsets: list[tuple[int, ...]] = []
+    for side in _bipartition_sides(m):
+        subset = tuple(sorted(q for c in side for q in components[c - 1]))
+        if pure_side(subset):
             pure_subsets.append(subset)
             pure_subsets.append(tuple(j for j in labels if j not in subset))
     pure_subsets.sort(key=lambda s: (len(s), s))

@@ -326,3 +326,18 @@ def test_cli_runs_are_deterministic(capsys):
         assert capsys.readouterr().out == first
     rows = json.loads(first)["rows"]
     assert [row["sample"] for row in rows] == list(range(6))
+
+
+def test_cli_analyze_reports_the_rank_margin(tmp_path, capsys):
+    assert main(["analyze", "--state", "ghz:4", "--format", "json"]) == 0
+    margin = json.loads(capsys.readouterr().out)["rank_margin"]
+    assert margin["cut"] == 1e-8
+    assert margin["kernel_max"] <= margin["cut"] < margin["range_min"]
+    assert margin["range_min"] > 1e-3
+
+    path = tmp_path / "haar.json"
+    path.write_text(json.dumps(state_to_dict(random_state(4, np.random.default_rng(3)))))
+    assert main(["analyze", str(path), "--format", "json", "--tol-null", "1e-6"]) == 0
+    margin = json.loads(capsys.readouterr().out)["rank_margin"]
+    assert margin["kernel_max"] is None
+    assert margin["cut"] == 1e-6 < margin["range_min"]

@@ -251,3 +251,10 @@ def test_direct_density_solve_matches_naive_realified_map(name, rho, expected_di
 def test_null_space_rejects_wide_maps():
     with pytest.raises(ValueError, match="fewer rows than columns"):
         _null_space(np.ones((2, 3)), NULL_TOL)
+
+
+def test_rank_margin_on_a_vanishing_map():
+    # the maximally mixed state commutes with everything: the whole space is kernel
+    k = stabilizer_density(DensityMatrix(np.eye(4) / 4), method="direct")
+    assert k.dim == 6
+    assert k.rank_margin() == {"kernel_max": 0.0, "range_min": None, "cut": NULL_TOL}

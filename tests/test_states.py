@@ -25,7 +25,19 @@ from stabscope import (
     to_density,
     w_state,
 )
-from stabscope.states import _bipartition_sides, bit_complement, bit_table, bits_to_int, flip_index, int_to_bits
+from stabscope import states as states_module
+from stabscope.states import (
+    NULL_TOL,
+    _amplitude_matrix,
+    _bipartition_sides,
+    _correlation_components,
+    bit_complement,
+    bit_table,
+    bits_to_int,
+    flip_index,
+    int_to_bits,
+    numerical_rank,
+)
 
 
 @given(st.integers(min_value=1, max_value=10), st.data())
@@ -269,3 +281,129 @@ def test_bipartition_sides_cover_each_bipartition_once(n):
     splits = {frozenset((frozenset(s), labels - frozenset(s))) for s in sides}
     assert len(sides) == len(splits) == 2 ** (n - 1) - 1
     assert all(0 < len(s) <= n / 2 for s in sides)
+
+
+def _schmidt_rule_blocks(psi, tol=NULL_TOL):
+    """The enumeration is_product replaced: a bipartition is pure when the
+    Schmidt coefficients of its smaller side (of two halves, the one holding
+    qubit 1) have numerical rank 1 at tol; blocks are assembled greedily,
+    each from the smallest pure subset holding the lowest remaining qubit."""
+    labels = tuple(range(1, psi.n + 1))
+    pure = []
+    for k in range(1, psi.n // 2 + 1):
+        for side in combinations(labels, k):
+            if 2 * k == psi.n and 1 not in side:
+                continue
+            schmidt = np.linalg.svd(_amplitude_matrix(psi, side), compute_uv=False)
+            if numerical_rank(schmidt, tol) == 1:
+                pure.append(side)
+                pure.append(tuple(j for j in labels if j not in side))
+    pure.sort(key=lambda s: (len(s), s))
+    blocks = []
+    remaining = set(labels)
+    while remaining:
+        q = min(remaining)
+        block = next((s for s in pure if q in s and set(s) <= remaining), tuple(sorted(remaining)))
+        blocks.append(block)
+        remaining -= set(block)
+    return tuple(blocks)
+
+
+def _scramble(psi, rng):
+    """A random local unitary, then a random relabelling of the qubits."""
+    psi = apply_local_unitary(haar_random_local_unitary(psi.n, rng), psi)
+    return PureState(psi.tensor().transpose(rng.permutation(psi.n)).reshape(-1))
+
+
+def _five_qubit_code_state():
+    """Logical |0> of the five-qubit code, stabilized by the cyclic shifts of
+    XZZXI and by ZZZZZ; every two-qubit marginal is maximally mixed."""
+    paulis = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Z": np.diag([1, -1])}
+    vec = np.zeros(32, dtype=complex)
+    vec[0] = 1.0
+    for word in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ", "ZZZZZ"):
+        op = paulis[word[0]]
+        for letter in word[1:]:
+            op = np.kron(op, paulis[letter])
+        vec = (vec + op @ vec) / 2
+    return PureState(vec / np.linalg.norm(vec))
+
+
+def test_is_product_matches_the_schmidt_rule_enumeration():
+    rng = np.random.default_rng(47)
+    makers = (random_state, ghz_state, w_state)
+    states = [
+        tensor_product(singlet_state(), singlet_state()),
+        tensor_product(singlet_state(), basis_state([1]), singlet_state()),
+        basis_state([0, 1, 1, 0]),
+        basis_state([1]),
+    ]
+    for n in range(2, 13):
+        for _ in range(2):
+            count = int(rng.integers(1, min(4, n) + 1))
+            cuts = np.sort(rng.choice(np.arange(1, n), size=count - 1, replace=False))
+            sizes = np.diff(np.concatenate([[0], cuts, [n]]))
+            blocks = []
+            for m in sizes:
+                make = makers[int(rng.integers(3))] if m > 1 else random_state
+                blocks.append(make(int(m), rng) if make is random_state else make(int(m)))
+            states.append(_scramble(tensor_product(*blocks), rng))
+    # GHZ orbit points on both sides of the cut and on it (beta = tol)
+    for n in range(3, 9):
+        for e in range(-12, 0):
+            beta = 10.0**e
+            states.append(_scramble(ghz_state(n, np.sqrt(1 - beta**2), beta), rng))
+    code = _five_qubit_code_state()
+    states += [code, _scramble(code, rng), tensor_product(code, ghz_state(3))]
+    for psi in states:
+        assert is_product(psi).blocks == _schmidt_rule_blocks(psi)
+
+
+def test_two_uniform_state_has_no_edges_and_takes_the_fallback():
+    code = _five_qubit_code_state()
+    for i, j in combinations(range(1, 6), 2):
+        assert np.allclose(reduced_state(code, (i, j)).matrix, np.eye(4) / 4, atol=1e-12)
+    assert _correlation_components(code, NULL_TOL) == [(1,), (2,), (3,), (4,), (5,)]
+    assert is_product(code).blocks == ((1, 2, 3, 4, 5),)
+    psi = tensor_product(code, ghz_state(3))
+    assert is_product(psi).blocks == ((1, 2, 3, 4, 5), (6, 7, 8))
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_no_edge_crosses_a_cut_that_is_pure_at_tol(n):
+    # phi_A (x) chi_B + eps eta in Schmidt form: every coefficient after the
+    # first sits just below tol s0, so 1 - s0^2 is as large as a pure cut allows
+    rng = np.random.default_rng(100 + n)
+    k = n // 2
+    r = 2**k
+    s = np.full(r, 0.99 * NULL_TOL)
+    s[0] = 1.0
+    s /= np.linalg.norm(s)
+    ua = np.linalg.qr(rng.standard_normal((2**k, r)) + 1j * rng.standard_normal((2**k, r)))[0]
+    vb = np.linalg.qr(rng.standard_normal((2 ** (n - k), r)) + 1j * rng.standard_normal((2 ** (n - k), r)))[0]
+    psi = PureState((ua * s) @ vb.T)
+    perm = rng.permutation(n)
+    psi = PureState(psi.tensor().transpose(perm).reshape(-1))
+    # qubit q of the relabelled state is qubit perm[q - 1] + 1 of the original
+    side_a = tuple(q for q in range(1, n + 1) if perm[q - 1] < k)
+    side_b = tuple(q for q in range(1, n + 1) if perm[q - 1] >= k)
+    assert numerical_rank(np.linalg.svd(_amplitude_matrix(psi, side_a), compute_uv=False), NULL_TOL) == 1
+    for component in _correlation_components(psi, NULL_TOL):
+        assert set(component) <= set(side_a) or set(component) <= set(side_b)
+    assert is_product(psi).blocks == tuple(sorted((side_a, side_b)))
+
+
+def test_is_product_reads_connected_states_off_the_graph(monkeypatch):
+    purities = []
+    svds = []
+    purity_fn = states_module.subset_purity
+    svd = np.linalg.svd
+    monkeypatch.setattr(states_module, "subset_purity", lambda *a: purities.append(1) or purity_fn(*a))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(1) or svd(*a, **kw))
+    for psi in (ghz_state(12), random_state(12, np.random.default_rng(1))):
+        assert not is_product(psi).is_product
+    assert purities == [] and svds == []
+    rng = np.random.default_rng(2)
+    halves = tensor_product(random_state(6, rng), random_state(6, rng))
+    assert is_product(halves).blocks == ((1, 2, 3, 4, 5, 6), (7, 8, 9, 10, 11, 12))
+    assert len(purities) <= 2
