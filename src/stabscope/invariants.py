@@ -3,6 +3,7 @@ and the polynomial family built from per-qubit copy permutations.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,10 +133,11 @@ def subset_key(subset, n: int) -> str:
     return sep.join(str(j) for j in subset)
 
 
-def _keyed_subsets(n: int) -> dict:
-    """Fingerprint purity keys mapped to their qubit subsets, one side of each
-    bipartition, in enumeration order."""
-    return {subset_key(s, n): s for s in _bipartition_sides(n)}
+@lru_cache
+def _keyed_subsets(n: int) -> tuple:
+    """(key, subset) of the fingerprint purities, one side of each
+    bipartition, sorted by key; built once per n and shared, so immutable."""
+    return tuple(sorted((subset_key(s, n), s) for s in _bipartition_sides(n)))
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ class InvariantFingerprint:
 
 def invariant_fingerprint(psi: PureState) -> InvariantFingerprint:
     """Collect the purity, pair, and polynomial invariants of a state."""
-    purities = {key: subset_purity(psi, s) for key, s in _keyed_subsets(psi.n).items()}
+    purities = {key: subset_purity(psi, s) for key, s in _keyed_subsets(psi.n)}
     pair = pair_invariants(psi) if psi.n == 4 else None
     poly = (
         {t.key: polynomial_invariant(psi, t) for t in DEFAULT_TRIPLES} if psi.n == 4 else None
@@ -184,7 +186,7 @@ def invariant_fingerprint(psi: PureState) -> InvariantFingerprint:
 def fingerprint_components(psi: PureState):
     """Yield invariant_fingerprint(psi).components() one at a time,
     computing each value only when the iteration reaches it."""
-    for key, subset in sorted(_keyed_subsets(psi.n).items()):
+    for key, subset in _keyed_subsets(psi.n):
         yield f"purity:{key}", subset_purity(psi, subset)
     if psi.n == 4:
         for i, v in enumerate(pair_invariants(psi)):

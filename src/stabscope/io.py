@@ -11,13 +11,16 @@ and plain text, one ket per line with `#` starting a comment:
     000  0.7071  0.0
     111  0.7071  0.0
 
-Omitted indices are zero; the vector is normalized on load.  Built-in named
+Omitted indices are zero; the vector is normalized on load.  Amplitudes must
+be finite numbers and each ket may appear once.  Built-in named
 states (ghz:n[:alpha], w:n, canon4:a:b_re[:b_im], singlets, haar:n, basis:bits)
 cover the self-test without data files.
 """
 
 import json
+import math
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -62,13 +65,25 @@ def _parse_bitstring(token: str, origin: str) -> tuple[int, int]:
 
 
 def _finalize(vec: np.ndarray, origin: str) -> PureState:
-    norm = np.linalg.norm(vec)
-    if norm == 0:
+    """Normalise vec.  It is first scaled by the power of two that brings its
+    largest real or imaginary part into [0.5, 1), so huge amplitudes do not
+    overflow the norm nor tiny ones underflow it.  Scaling by a power of two
+    is exact, so the result is the same to the last bit as plain
+    normalisation wherever that neither overflows nor underflows."""
+    parts = vec.view(np.float64)
+    top = np.abs(parts).max()
+    if top == 0:
         raise StateFormatError(f"{origin}: all amplitudes are zero")
-    return PureState(vec / norm)
+    vec = np.ldexp(parts, -math.frexp(top)[1]).view(np.complex128)
+    return PureState(vec / np.linalg.norm(vec))
 
 
-def parse_state_json(text: str, origin: str = "<json>") -> PureState:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _read_json(text: str, origin: str) -> tuple[int, list]:
+    """(n, amplitude entries) of a JSON state, its header checked."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -76,12 +91,18 @@ def parse_state_json(text: str, origin: str = "<json>") -> PureState:
     if not isinstance(data, dict):
         raise StateFormatError(f"{origin}: top level must be an object")
     n = data.get("n")
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise StateFormatError(f"{origin}: field 'n' must be an integer qubit count")
     _check_qubits(n, origin)
     entries = data.get("amplitudes")
     if not isinstance(entries, list):
         raise StateFormatError(f"{origin}: field 'amplitudes' must be a list")
+    return n, entries
+
+
+def _json_vector(n: int, entries: list, origin: str) -> np.ndarray:
+    """Amplitude vector of the JSON entries, checked one entry at a time;
+    raises on the first entry that is not valid."""
     vec = np.zeros(2**n, dtype=np.complex128)
     seen = set()
     for pos, entry in enumerate(entries):
@@ -93,23 +114,37 @@ def parse_state_json(text: str, origin: str = "<json>") -> PureState:
             index, width = _parse_bitstring(token, where)
             if width != n:
                 raise StateFormatError(f"{where}: bitstring has {width} bits, expected {n}")
-        elif isinstance(token, int) and 0 <= token < 2**n:
+        elif isinstance(token, int) and not isinstance(token, bool) and 0 <= token < 2**n:
             index = token
         else:
             raise StateFormatError(f"{where}: 'index' must be an {n}-bit string")
         if index in seen:
             raise StateFormatError(f"{where}: duplicate index {token!r}")
         seen.add(index)
+        re = entry.get("re", 0.0)
+        im = entry.get("im", 0.0)
+        if not (_is_number(re) and _is_number(im)):
+            raise StateFormatError(f"{where}: 're'/'im' must be numbers")
         try:
-            re = float(entry.get("re", 0.0))
-            im = float(entry.get("im", 0.0))
-        except (TypeError, ValueError) as exc:
-            raise StateFormatError(f"{where}: 're'/'im' must be numbers") from exc
+            finite = math.isfinite(re) and math.isfinite(im)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise StateFormatError(f"{where}: 're'/'im' must be finite numbers")
         vec[index] = complex(re, im)
-    return _finalize(vec, origin)
+    return vec
+
+
+def parse_state_json(text: str, origin: str = "<json>") -> PureState:
+    """Parse a JSON state one entry at a time, reporting the first entry
+    that is not valid."""
+    n, entries = _read_json(text, origin)
+    return _finalize(_json_vector(n, entries, origin), origin)
 
 
 def parse_state_text(text: str, origin: str = "<text>") -> PureState:
+    """Parse a text state one line at a time, reporting the first line that
+    is not valid."""
     vec = None
     n = None
     seen = set()
@@ -136,23 +171,111 @@ def parse_state_text(text: str, origin: str = "<text>") -> PureState:
             im = float(parts[2]) if len(parts) == 3 else 0.0
         except ValueError as exc:
             raise StateFormatError(f"{where}: amplitudes must be numbers") from exc
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise StateFormatError(f"{where}: amplitudes must be finite numbers")
         vec[index] = complex(re, im)
     if vec is None:
         raise StateFormatError(f"{origin}: no amplitude lines found")
     return _finalize(vec, origin)
 
 
+def _bitstring_indices(tokens: list, n: int) -> np.ndarray | None:
+    """Indices of the tokens, or None unless each is an n-bit string."""
+    if set(map(len, tokens)) != {n}:
+        return None
+    joined = "".join(tokens)
+    if joined.count("0") + joined.count("1") != len(joined):
+        return None
+    bits = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(-1, n) - ord("0")
+    return bits @ (1 << np.arange(n - 1, -1, -1))
+
+
+def _bulk_vector(n: int, index: np.ndarray | None, parts) -> np.ndarray | None:
+    """Vector with the amplitudes parts (re and im interleaved, as numbers
+    or number strings) at index, or None unless the indices are distinct and
+    every part is a finite number."""
+    if index is None or np.bincount(index).max() > 1:
+        return None
+    try:
+        amps = np.fromiter(map(float, parts), np.float64, 2 * index.size).view(np.complex128)
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(amps).all():
+        return None
+    vec = np.zeros(2**n, dtype=np.complex128)
+    vec[index] = amps
+    return vec
+
+
+def _bulk_text_vector(text: str) -> np.ndarray | None:
+    """The amplitudes parse_state_text reads from text, taken in whole
+    columns, or None for any text this pass does not accept as it stands.
+
+    The tokens are collected into one list rather than a list per line, so
+    a large file leaves no thousands of containers for the garbage collector
+    to trace."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] if "#" in line else line for line in lines]
+    counts = list(map(len, map(str.split, lines)))
+    widths = set(counts) - {0}
+    if not widths or not widths <= {2, 3}:
+        return None
+    if 2 in widths:
+        lines = [line + " 0" if k == 2 else line for line, k in zip(lines, counts)]
+    flat = " ".join(lines).split()
+    bits = flat[::3]
+    del flat[::3]
+    n = len(bits[0])
+    if n > MAX_QUBITS:
+        return None
+    return _bulk_vector(n, _bitstring_indices(bits, n), flat)
+
+
+def _bulk_json_vector(n: int, entries: list) -> np.ndarray | None:
+    """The amplitudes _json_vector reads from entries, taken in whole
+    columns, or None for any entries this pass does not accept as they stand."""
+    if set(map(type, entries)) != {dict}:
+        return None
+    tokens = [entry.get("index") for entry in entries]
+    re = [entry.get("re", 0.0) for entry in entries]
+    im = [entry.get("im", 0.0) for entry in entries]
+    # exact types: bool is a subclass of int
+    if not set(map(type, re)) | set(map(type, im)) <= {int, float}:
+        return None
+    kinds = set(map(type, tokens))
+    if kinds == {str}:
+        index = _bitstring_indices(tokens, n)
+    elif kinds == {int} and min(tokens) >= 0 and max(tokens) < 2**n:
+        index = np.array(tokens)
+    else:
+        return None
+    return _bulk_vector(n, index, chain.from_iterable(zip(re, im)))
+
+
 def load_state(path: str) -> PureState:
-    """Load a state file, sniffing JSON versus text from the first character."""
+    """Load a state file, sniffing JSON versus text from the first character.
+
+    Well-formed files are read in whole columns.  Anything else goes to
+    parse_state_json or parse_state_text, which accept the same files, give
+    the same vectors to the last bit, and report the first offending entry
+    or line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise StateFormatError(f"{path}: {exc.strerror or exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return parse_state_json(text, origin=path)
-    return parse_state_text(text, origin=path)
+    if text.lstrip().startswith("{"):
+        n, entries = _read_json(text, path)
+        vec = _bulk_json_vector(n, entries)
+        if vec is None:
+            vec = _json_vector(n, entries, path)
+    else:
+        vec = _bulk_text_vector(text)
+        if vec is None:
+            return parse_state_text(text, origin=path)
+    return _finalize(vec, path)
 
 
 def _spec_fields(spec: str, name: str, minimum: int, maximum: int) -> list[str]:

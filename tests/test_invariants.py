@@ -24,7 +24,7 @@ from stabscope import (
     subset_purity,
     w_state,
 )
-from stabscope.invariants import subset_key
+from stabscope.invariants import _keyed_subsets, subset_key
 from stabscope.selftest import _poly3_reference
 from stabscope.states import _bipartition_sides
 
@@ -156,6 +156,13 @@ def test_subset_key_uses_separator_for_wide_labels():
     for n in range(1, 13):
         keys = {subset_key(s, n) for s in _bipartition_sides(n)}
         assert len(keys) == 2 ** (n - 1) - 1, n
+
+
+def test_fingerprint_key_table_is_built_once_per_n():
+    for n in (1, 3, 12):
+        table = _keyed_subsets(n)
+        assert _keyed_subsets(n) is table
+        assert table == tuple(sorted((subset_key(s, n), s) for s in _bipartition_sides(n)))
 
 
 @pytest.mark.parametrize("triple", DEFAULT_TRIPLES, ids=lambda t: t.key)

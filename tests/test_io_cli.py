@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import stabscope.io
 from stabscope import (
     GuardError,
     PureState,
@@ -52,6 +54,28 @@ def test_json_errors_name_the_offending_entry():
         parse_state_json('{"n": 3, "amplitudes": [{"index": "01", "re": 1}]}')
     with pytest.raises(StateFormatError, match="all amplitudes are zero"):
         parse_state_json('{"n": 2, "amplitudes": []}')
+    # non-finite amplitudes, including an integer beyond the float range
+    for value in ("NaN", "-Infinity", "1e999", "1" + "0" * 400):
+        with pytest.raises(StateFormatError, match=r"amplitudes\[1\]: 're'/'im' must be finite"):
+            parse_state_json(
+                '{"n": 1, "amplitudes": [{"index": "0", "re": 1}, {"index": "1", "im": %s}]}'
+                % value
+            )
+    # booleans and strings are not numbers, whatever Python makes of them
+    with pytest.raises(StateFormatError, match="'n' must be an integer"):
+        parse_state_json('{"n": true, "amplitudes": [{"index": true, "re": 1}]}')
+    with pytest.raises(StateFormatError, match=r"amplitudes\[0\]: 'index' must be an 1-bit"):
+        parse_state_json('{"n": 1, "amplitudes": [{"index": true, "re": 1}]}')
+    for field in ('"re": "0.5"', '"re": true', '"im": false', '"im": null'):
+        with pytest.raises(StateFormatError, match=r"amplitudes\[1\]: 're'/'im' must be numbers"):
+            parse_state_json(
+                '{"n": 1, "amplitudes": [{"index": 0, "re": 1}, {"index": 1, %s}]}' % field
+            )
+    # huge amplitudes are scaled down before the norm, which would overflow
+    psi = parse_state_json(
+        '{"n": 1, "amplitudes": [{"index": 0, "re": 1e308}, {"index": 1, "im": -1.5e308}]}'
+    )
+    assert np.allclose(psi.vector, np.array([1, -1.5j]) / np.sqrt(3.25), atol=1e-15)
 
 
 def test_text_errors_carry_line_numbers():
@@ -65,6 +89,139 @@ def test_text_errors_carry_line_numbers():
         parse_state_text("01 zero\n")
     with pytest.raises(StateFormatError, match="no amplitude lines"):
         parse_state_text("# only a comment\n")
+    for line in ("1 nan", "1 0.5 -inf", "1 1e999 0"):
+        with pytest.raises(StateFormatError, match="line 3: amplitudes must be finite"):
+            parse_state_text(f"0 0.5\n\n{line}\n")
+    # huge and tiny amplitudes are scaled before the norm, which would
+    # overflow or underflow
+    psi = parse_state_text("0 1e308\n1 -1e308 1e308\n")
+    assert np.allclose(psi.vector, np.array([1, -1 + 1j]) / np.sqrt(3), atol=1e-15)
+    psi = parse_state_text("0 3e-320\n1 0 4e-320\n")
+    assert np.allclose(psi.vector, [0.6, 0.8j], atol=1e-15)
+
+
+def _valid_file(rng, n: int, fmt: str) -> str:
+    """A valid state file on a random sparse, unordered support, using the
+    optional syntax: comments, blank lines and 2-token lines in text;
+    integer indices (all or some) and omitted 're'/'im' in JSON."""
+    support = rng.permutation(2**n)[: rng.integers(1, 2**n + 1)]
+    parts = rng.standard_normal((support.size, 2)) * 10.0 ** rng.integers(-3, 4)
+    parts[rng.random(parts.shape) < 0.1] = 0.0
+    if fmt == "text":
+        lines = [f"# {n}-qubit state"]
+        for index, (re, im) in zip(support, parts.tolist()):
+            bits = format(index, f"0{n}b")
+            style = rng.integers(4)
+            if style == 0:
+                lines.append(f"{bits} {re!r}")
+            elif style == 1:
+                lines.append(f"\t{bits}  {re!r}\t{im!r}  # a comment")
+            elif style == 2:
+                lines += ["", "   ", "# another comment", f"{bits} {re:.6g} {im:.3e}"]
+            else:
+                lines.append(f"{bits} {re!r} {im!r}")
+        return "\n".join(lines) + "\n"
+    int_share = rng.choice([0.0, 0.5, 1.0])
+    entries = []
+    for index, (re, im) in zip(support, parts.tolist()):
+        entry = {"index": int(index) if rng.random() < int_share else format(index, f"0{n}b")}
+        if re != 0.0 or rng.random() < 0.5:
+            entry["re"] = int(re) if rng.random() < 0.1 else re
+        if im != 0.0 or rng.random() < 0.5:
+            entry["im"] = im
+        entries.append(entry)
+    return json.dumps({"n": n, "amplitudes": entries})
+
+
+def _strict_parse(text: str, origin: str) -> PureState:
+    if text.lstrip().startswith("{"):
+        return parse_state_json(text, origin)
+    return parse_state_text(text, origin)
+
+
+def _mutations(rng, text: str):
+    """Variants of a valid file with one line or entry edited, nearly all
+    of them malformed."""
+    if text.lstrip().startswith("{"):
+        data = json.loads(text)
+        entries = data["amplitudes"]
+        n = data["n"]
+        pos = int(rng.integers(len(entries)))
+
+        def with_entry(**fields):
+            bad = dict(entries[pos], **fields)
+            return json.dumps({"n": n, "amplitudes": entries[:pos] + [bad] + entries[pos + 1:]})
+
+        yield with_entry(index="2" * n)
+        yield with_entry(index="0" * (n + 1))
+        yield with_entry(index=f" {'0' * n}")
+        yield with_entry(index=2**n)
+        yield with_entry(index=True)
+        yield with_entry(re="0.5")
+        yield with_entry(im=False)
+        yield with_entry(re=float("nan"))
+        yield with_entry(im=float("-inf"))
+        yield with_entry(re=10**400)
+        if len(entries) > 1:
+            dup = dict(entries[pos], index=entries[pos - 1]["index"])
+            yield json.dumps({"n": n, "amplitudes": entries[:pos] + [dup] + entries[pos + 1:]})
+        yield json.dumps({"n": True, "amplitudes": entries})
+        yield json.dumps({"n": 13, "amplitudes": entries})
+        return
+    lines = text.splitlines()
+    kets = [i for i, line in enumerate(lines) if line.split("#", 1)[0].strip()]
+    pos = kets[int(rng.integers(len(kets)))]
+    bits = lines[pos].split("#", 1)[0].split()[0]
+
+    def with_line(line):
+        return "\n".join(lines[:pos] + [line] + lines[pos + 1:]) + "\n"
+
+    yield with_line(bits)
+    yield with_line(f"{bits} 1 2 3")
+    yield with_line(f"{bits[:-1]}2 0.5")
+    yield with_line(f"{bits}0 0.5")
+    yield with_line(f"{bits} zero")
+    yield with_line(f"{bits} 0.5 1.0.0")
+    yield with_line(f"{bits} nan")
+    yield with_line(f"{bits} 0.5 -inf")
+    yield with_line(f"{bits} 1e999 0")
+    yield with_line(f"{'0' * 13} 1.0")
+    if len(kets) > 1:
+        other = lines[kets[0] if pos != kets[0] else kets[1]].split("#", 1)[0].split()[0]
+        yield with_line(f"{other} 0.5")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_load_state_matches_the_strict_parsers(n, fmt, tmp_path):
+    """load_state reads well-formed files in whole columns and leaves every
+    other file to parse_state_text and parse_state_json, which are the
+    reference: the same vector to the last bit, or the same exception type
+    and message, line number and entry index included."""
+    rng = np.random.default_rng(1000 * n + len(fmt))
+    path = tmp_path / f"state.{fmt}"
+    origin = str(path)
+    for _ in range(3 if n < 12 else 1):
+        text = _valid_file(rng, n, fmt)
+        path.write_text(text)
+        if fmt == "text":
+            assert stabscope.io._bulk_text_vector(text) is not None
+        elif all(isinstance(e["index"], str) for e in json.loads(text)["amplitudes"]):
+            entries = json.loads(text)["amplitudes"]
+            assert stabscope.io._bulk_json_vector(n, entries) is not None
+        assert load_state(origin).vector.tobytes() == _strict_parse(text, origin).vector.tobytes()
+        for bad in _mutations(rng, text):
+            path.write_text(bad)
+            try:
+                expected = _strict_parse(bad, origin)
+            except (StateFormatError, GuardError) as exc:
+                with pytest.raises(type(exc)) as loaded:
+                    load_state(origin)
+                assert type(loaded.value) is type(exc)
+                assert str(loaded.value) == str(exc)
+            else:
+                # padded bitstrings and some edits at the first line are valid
+                assert load_state(origin).vector.tobytes() == expected.vector.tobytes()
 
 
 def test_size_guard():
@@ -235,6 +392,12 @@ def test_cli_parse_and_guard_errors(tmp_path, capsys):
     bad.write_text("000 0.7\n00 0.7\n")
     assert main(["analyze", str(bad)]) == 2
     assert "line 2" in capsys.readouterr().err
+    # a non-finite amplitude is a parse error, not a numerical failure
+    bad.write_text("000 0.7\n111 nan\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", str(bad)]) == 2
+    assert "line 2: amplitudes must be finite numbers" in capsys.readouterr().err
 
     assert main(["analyze", "--state", "ghz:15"]) == 3
     assert "exceeds the limit" in capsys.readouterr().err
