@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import NULL_TOL, PureState, canonical_four_qubit_state, is_product, numerical_rank
+from .states import apply_factors
 from .local_unitary import (
     SU2_BASIS,
     LocalUnitary,
@@ -106,14 +107,14 @@ def canonicalize_ghz(
     for j in range(1, n + 1):
         _, _, vh = np.linalg.svd(k.block_columns(j))
         factors[j - 1] = _align_to_diagonal(vh[0])
-    vec = apply_local_unitary(LocalUnitary(factors), psi).vector
+    vec = apply_factors(factors, psi.vector)
     # SU2_BASIS[2] swaps |0> and |1>; flipping every qubit set in the
     # largest-modulus ket sends that ket to |0...0>
     top = int(np.argmax(np.abs(vec)))
     for j in range(n):
         if top >> (n - 1 - j) & 1:
             factors[j] = SU2_BASIS[2] @ factors[j]
-    vec = apply_local_unitary(LocalUnitary(factors), psi).vector
+    vec = apply_factors(factors, psi.vector)
     resid = float(np.linalg.norm(vec[1:-1]))
     if resid > tol:
         raise CanonicalizationError(
@@ -199,7 +200,7 @@ def canonicalize_four_qubit(
         [np.eye(2, dtype=np.complex128)]
         + [_su2_lift(np.linalg.solve(b1, k.block_columns(j))).conj().T for j in (2, 3, 4)]
     )
-    vec = apply_local_unitary(LocalUnitary(factors), psi).vector
+    vec = apply_factors(factors, psi.vector)
     amp_a, amp_b = vec[0b0011], vec[0b1001]
     phase = np.exp(-1j * np.angle(amp_a))
     a, b = float(abs(amp_a)), complex(amp_b * phase)

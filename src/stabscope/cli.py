@@ -10,6 +10,7 @@ usage or numerical error, 3 size guard, 4 undecided equivalence.
 import argparse
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -191,7 +192,10 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process.  It binds no command: main
+    looks cmd_<name> up per call, so a wrapper set on the module later runs."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master random seed")
     common.add_argument(
@@ -218,16 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
         "canonical forms for n-qubit pure states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text in (
-        ("analyze", cmd_analyze, "stabilizer dimensions and algebra type of one state"),
-        ("classify", cmd_classify, "run the maximal-stabilizer classification"),
-        ("orbit", cmd_orbit, "sample the local-unitary orbit and check invariance"),
-        ("equiv", cmd_equiv, "decide local-unitary equivalence of two states"),
-        ("invariants", cmd_invariants, "print the invariant fingerprint"),
-        ("selftest", cmd_selftest, "run the full acceptance suite"),
+    for name, help_text in (
+        ("analyze", "stabilizer dimensions and algebra type of one state"),
+        ("classify", "run the maximal-stabilizer classification"),
+        ("orbit", "sample the local-unitary orbit and check invariance"),
+        ("equiv", "decide local-unitary equivalence of two states"),
+        ("invariants", "print the invariant fingerprint"),
+        ("selftest", "run the full acceptance suite"),
     ):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
-        sp.set_defaults(func=func)
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -238,7 +241,7 @@ def main(argv=None) -> int:
         print("error: tolerances must be positive", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .states import PureState, apply_matrix_to_qubit, reduced_state
+from .states import PureState, apply_factors, apply_matrix_to_qubit, reduced_state
 from .local_unitary import LocalUnitary, _exp_and_dexp, compose, exp_su2, haar_su2, inverse
 from .stabilizer import NULL_TOL, StabilizerBasis, stabilizer_pure
 from .invariants import fingerprint_components, first_difference
@@ -47,22 +47,18 @@ def _infidelity_and_grad(x: np.ndarray, base: np.ndarray, psi: np.ndarray, phi: 
     """Objective 1 - |<phi| g psi>|^2 with g_j = exp(v_j) base_j, and its gradient."""
     v = x.reshape(n, 3)
     units = np.empty((n, 2, 2), dtype=np.complex128)
-    dmats = []
+    dmats = np.empty((n, 3, 2, 2), dtype=np.complex128)
     for j in range(n):
         e, d = _exp_and_dexp(v[j])
         units[j] = e @ base[j]
-        dmats.append([dd @ base[j] for dd in d])
-    cur = psi
-    for j in range(n):
-        cur = apply_matrix_to_qubit(units[j], cur, j + 1, n)
+        dmats[j] = np.stack(d) @ base[j]
+    cur = apply_factors(units, psi)
     z = np.vdot(phi, cur)
     grad = np.empty(3 * n)
     for j in range(n):
-        inv = units[j].conj().T
-        for a in range(3):
-            w = apply_matrix_to_qubit(dmats[j][a] @ inv, cur, j + 1, n)
-            dz = np.vdot(phi, w)
-            grad[3 * j + a] = -2.0 * float(np.real(np.conj(z) * dz))
+        # the three directions of qubit j, each applied to g psi after undoing g_j
+        w = apply_matrix_to_qubit(dmats[j] @ units[j].conj().T, cur, j + 1, n)
+        grad[3 * j : 3 * j + 3] = -2.0 * np.real(np.conj(z) * (phi.conj() @ w))
     f = 1.0 - float(np.abs(z)) ** 2
     return f, grad
 
@@ -124,10 +120,7 @@ def lu_infidelity(
 def _align(psi: PureState, phi: PureState, factors: np.ndarray) -> tuple[float, LocalUnitary]:
     """Infidelity 1 - |<phi| g psi>|^2 of the SU(2) factors g, and the
     LocalUnitary that adds the global phase aligning g psi with phi."""
-    cur = psi.vector
-    for j in range(psi.n):
-        cur = apply_matrix_to_qubit(factors[j], cur, j + 1, psi.n)
-    z = np.vdot(phi.vector, cur)
+    z = np.vdot(phi.vector, apply_factors(factors, psi.vector))
     phase = np.conj(z) / abs(z) if abs(z) > 1e-15 else 1.0 + 0j
     return max(1.0 - float(abs(z)) ** 2, 0.0), LocalUnitary(factors, phase)
 
@@ -136,14 +129,11 @@ def _eigenframes(psi: PureState) -> tuple[np.ndarray, np.ndarray]:
     """Per qubit, the unitary whose columns are the eigenvectors of the
     one-qubit reduced state, eigenvalues descending, and the amplitudes of
     psi with every qubit rotated into that basis."""
-    n = psi.n
-    frames = np.empty((n, 2, 2), dtype=np.complex128)
-    vec = psi.vector
-    for j in range(n):
+    frames = np.empty((psi.n, 2, 2), dtype=np.complex128)
+    for j in range(psi.n):
         _, vecs = np.linalg.eigh(reduced_state(psi, (j + 1,)).matrix)
         frames[j] = vecs[:, ::-1]
-        vec = apply_matrix_to_qubit(frames[j].conj().T, vec, j + 1, n)
-    return frames, vec
+    return frames, apply_factors(frames.conj().transpose(0, 2, 1), psi.vector)
 
 
 def _standard_form_factors(psi: PureState, phi: PureState) -> np.ndarray | None:

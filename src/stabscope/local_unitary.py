@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState, DensityMatrix, apply_matrix_to_qubit, apply_matrix_to_density
+from .states import PureState, DensityMatrix, apply_factors, apply_matrix_to_qubit
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -137,18 +137,24 @@ def apply_infinitesimal(x: LieElement, psi: PureState) -> np.ndarray:
 
 
 def commutator_action(x: LieElement, rho: DensityMatrix) -> np.ndarray:
-    """Matrix [X, rho] for X in su(2)^n (zero phase required)."""
+    """Matrix [X, rho] for X in su(2)^n (zero phase required).
+
+    rho X is formed as (X^dagger rho^dagger)^dagger, a left product, which
+    holds for any square rho, exactly Hermitian or not.
+    """
     if x.phase != 0.0:
         raise ValueError("commutator_action requires a zero u(1) component")
     if x.n != rho.n:
         raise ValueError(f"element on {x.n} qubits applied to state on {rho.n}")
-    out = np.zeros_like(rho.matrix)
+    left = np.zeros_like(rho.matrix)
+    right = np.zeros_like(rho.matrix)
+    rho_h = rho.matrix.conj().T
     for j in range(1, x.n + 1):
         if np.any(x.coords[j - 1]):
             m = x.block(j)
-            out = out + apply_matrix_to_density(m, rho.matrix, j, x.n, "left")
-            out = out - apply_matrix_to_density(m, rho.matrix, j, x.n, "right")
-    return out
+            left += apply_matrix_to_qubit(m, rho.matrix, j, x.n)
+            right += apply_matrix_to_qubit(m.conj().T, rho_h, j, x.n)
+    return left - right.conj().T
 
 
 def diagonal_commutator_weight(i_bits, j_bits, t) -> complex:
@@ -217,22 +223,15 @@ def apply_local_unitary(g: LocalUnitary, psi: PureState) -> PureState:
     """g|psi>; each factor touches one qubit, so cost is n * 2**n."""
     if g.n != psi.n:
         raise ValueError(f"unitary on {g.n} qubits applied to state on {psi.n}")
-    vec = psi.vector * g.global_phase
-    for j in range(1, g.n + 1):
-        vec = apply_matrix_to_qubit(g.factors[j - 1], vec, j, g.n)
-    return PureState(vec)
+    return PureState(apply_factors(g.factors, psi.vector * g.global_phase))
 
 
 def conjugate_density(g: LocalUnitary, rho: DensityMatrix) -> DensityMatrix:
-    """g rho g^dagger (the global phase cancels)."""
+    """g rho g^dagger = (g (g rho)^dagger)^dagger; the global phase cancels."""
     if g.n != rho.n:
         raise ValueError(f"unitary on {g.n} qubits applied to state on {rho.n}")
-    mat = rho.matrix
-    for j in range(1, g.n + 1):
-        u = g.factors[j - 1]
-        mat = apply_matrix_to_density(u, mat, j, g.n, "left")
-        mat = apply_matrix_to_density(u.conj().T, mat, j, g.n, "right")
-    return DensityMatrix(mat)
+    left = apply_factors(g.factors, rho.matrix)
+    return DensityMatrix(apply_factors(g.factors, left.conj().T).conj().T)
 
 
 def conjugate_element(g: LocalUnitary, x: LieElement) -> LieElement:

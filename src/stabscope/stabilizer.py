@@ -60,10 +60,6 @@ class StabilizerBasis:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
-    def ill_conditioned(self) -> bool:
-        return self.gap < GAP_MIN
-
     def rank_margin(self, tol: float = NULL_TOL) -> dict:
         """Both sides of the rank cut at tol, relative to the largest
         singular value: kernel_max is the largest singular value counted as
@@ -137,8 +133,7 @@ def stabilizer_pure(psi: PureState, tol: float = NULL_TOL) -> StabilizerBasis:
     cols = np.empty((2**n, 3 * n + 1), dtype=np.complex128)
     cols[:, 0] = -1j * psi.vector
     for j in range(1, n + 1):
-        for a in range(3):
-            cols[:, 1 + 3 * (j - 1) + a] = apply_matrix_to_qubit(SU2_BASIS[a], psi.vector, j, n)
+        cols[:, 3 * j - 2 : 3 * j + 1] = apply_matrix_to_qubit(SU2_BASIS, psi.vector, j, n)
     real_map = np.concatenate([cols.real, cols.imag], axis=0)
     rows, svals, gap = _null_space(real_map, tol)
     return StabilizerBasis("pure", n, _canonical_rows(rows, True), svals, gap)

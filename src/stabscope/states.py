@@ -6,6 +6,14 @@ sum(i_k * 2**(n-k)), so qubit 1 is the most significant bit.  Amplitude
 vectors are dense complex128 arrays; the implementation targets desk scale
 (n up to about 12).
 
+apply_matrix_to_qubit is the one place where a one-qubit operator meets the
+amplitude tensor: it applies a 2x2 matrix, or a stack of them, to one qubit
+leg of any array whose first axis has length 2**n.  apply_factors applies
+one factor per qubit through it.  The local-unitary action, the stabilizer
+map, the canonicalisers and the equivalence witnesses all go through these
+two; density matrices are acted on from the left only, a right product
+being the adjoint of a left one (rho X = (X^dagger rho^dagger)^dagger).
+
 The package has one numerical zero: numerical_rank's relative cut at
 NULL_TOL, which decides the stabilizer rank, the Schmidt rank in is_product
 and the vanishing of canonical amplitudes, all linear in what vanishes.
@@ -166,25 +174,27 @@ def to_density(psi: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(psi.vector, psi.vector.conj()))
 
 
-def apply_matrix_to_qubit(mat: np.ndarray, vec: np.ndarray, j: int, n: int) -> np.ndarray:
-    """Apply a 2x2 matrix to qubit j (1-based) of a 2**n amplitude vector."""
-    t = vec.reshape(2 ** (j - 1), 2, 2 ** (n - j))
-    out = np.einsum("ab,xby->xay", mat, t)
-    return out.reshape(-1)
+def apply_matrix_to_qubit(mat: np.ndarray, arr: np.ndarray, j: int, n: int) -> np.ndarray:
+    """Apply a 2x2 matrix, or a (..., 2, 2) stack of them, to qubit j (1-based).
+
+    arr is any array whose first axis has length 2**n: an amplitude vector,
+    or a density matrix, which is then multiplied from the left.  The result
+    has shape arr.shape + mat.shape[:-2], the stack along the trailing axes:
+    leading stack axes make einsum's loops slower on the last qubits at
+    n >= 10 than one call per matrix.
+    """
+    t = arr.reshape(2 ** (j - 1), 2, -1)
+    out = np.einsum("...ab,xby->xay...", mat, t)
+    return out.reshape(arr.shape + mat.shape[:-2])
 
 
-def apply_matrix_to_density(mat: np.ndarray, rho: np.ndarray, j: int, n: int, side: str) -> np.ndarray:
-    """mat @ rho or rho @ mat with mat acting on qubit j only."""
-    d = 2**n
-    if side == "left":
-        t = rho.reshape(2 ** (j - 1), 2, 2 ** (n - j) * d)
-        out = np.einsum("ab,xby->xay", mat, t)
-    elif side == "right":
-        t = rho.reshape(d * 2 ** (j - 1), 2, 2 ** (n - j))
-        out = np.einsum("xby,ab->xay", t, mat.T)
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return out.reshape(d, d)
+def apply_factors(factors: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Apply factors[j - 1] to qubit j for every qubit, as apply_matrix_to_qubit
+    does one; the qubit count is len(factors)."""
+    n = len(factors)
+    for j in range(1, n + 1):
+        arr = apply_matrix_to_qubit(factors[j - 1], arr, j, n)
+    return arr
 
 
 def partial_trace(rho: DensityMatrix, traced) -> DensityMatrix:
@@ -368,17 +378,14 @@ def is_product(psi: PureState, tol: float = NULL_TOL) -> FactorizationReport:
             pure_subsets.append(subset)
             pure_subsets.append(tuple(j for j in labels if j not in subset))
     pure_subsets.sort(key=lambda s: (len(s), s))
+    # smallest pure side first: on the cut the pure sides found need not be
+    # closed under intersection, and their atoms could split a block
     blocks = []
     remaining = set(labels)
     while remaining:
         q = min(remaining)
-        block = None
-        for s in pure_subsets:
-            if q in s and set(s) <= remaining:
-                block = s
-                break
-        if block is None:
-            block = tuple(sorted(remaining))
+        fits = (s for s in pure_subsets if q in s and set(s) <= remaining)
+        block = next(fits, tuple(sorted(remaining)))
         blocks.append(block)
         remaining -= set(block)
     return FactorizationReport(blocks=tuple(blocks))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 
@@ -26,7 +27,7 @@ from stabscope import (
     to_density,
     w_state,
 )
-from stabscope.cli import main
+from stabscope.cli import build_parser, main
 
 
 def test_json_round_trip():
@@ -504,3 +505,32 @@ def test_cli_analyze_reports_the_rank_margin(tmp_path, capsys):
     margin = json.loads(capsys.readouterr().out)["rank_margin"]
     assert margin["kernel_max"] is None
     assert margin["cut"] == 1e-6 < margin["range_min"]
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_cached_parser_help_matches_a_fresh_parser():
+    cached = build_parser()
+    assert build_parser() is cached
+    fresh = build_parser.__wrapped__()
+    assert cached.format_help() == fresh.format_help()
+    cached_sub, fresh_sub = _subparsers(cached), _subparsers(fresh)
+    assert list(cached_sub) == list(fresh_sub)
+    for name, sub in cached_sub.items():
+        assert sub.format_help() == fresh_sub[name].format_help()
+
+
+def test_main_calls_leave_no_state_in_the_shared_parser(capsys):
+    plain = ["orbit", "--state", "w:3", "--samples", "2", "--format", "json"]
+    assert main(plain) == 0
+    first = capsys.readouterr().out
+    other = ["orbit", "--state", "ghz:3", "--samples", "3", "--seed", "7", "--format", "json"]
+    assert main(other) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["stab_dim"] == 2
+    assert main(plain) == 0
+    assert capsys.readouterr().out == first
+    args = build_parser().parse_args(["analyze"])
+    assert args.state is None and args.seed == 0 and args.paths == []

@@ -28,6 +28,7 @@ from stabscope import (
     to_density,
 )
 from stabscope.local_unitary import lie_element_from_flat
+from stabscope.states import DensityMatrix, apply_matrix_to_qubit
 
 coords3 = st.tuples(
     st.floats(-3, 3, allow_nan=False), st.floats(-3, 3), st.floats(-3, 3)
@@ -172,6 +173,86 @@ def test_conjugate_density_matches_matrix_conjugation():
     full = np.kron(g.factors[0], g.factors[1])
     expected = full @ rho.matrix @ full.conj().T
     assert np.allclose(conjugate_density(g, rho).matrix, expected, atol=1e-12)
+
+
+def _kron_all(mats):
+    """Dense operator of one 2x2 factor per qubit, qubit 1 leftmost."""
+    full = np.eye(1, dtype=complex)
+    for m in mats:
+        full = np.kron(full, m)
+    return full
+
+
+def _mixed_density(n, rng, rank=2):
+    """Random density matrix of the given rank (at most 2**n)."""
+    a = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
+    rho = a @ a.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_apply_local_unitary_matches_dense_kron(n):
+    rng = np.random.default_rng(100 + n)
+    psi = random_state(n, rng)
+    g = haar_random_local_unitary(n, rng)
+    expected = g.global_phase * _kron_all(g.factors) @ psi.vector
+    assert np.allclose(apply_local_unitary(g, psi).vector, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_conjugate_density_matches_dense_kron_on_mixed_states(n):
+    rng = np.random.default_rng(200 + n)
+    rho = _mixed_density(n, rng, rank=min(2**n, 3))
+    assert np.linalg.matrix_rank(rho.matrix) > 1
+    g = haar_random_local_unitary(n, rng)
+    full = _kron_all(g.factors)
+    expected = full @ rho.matrix @ full.conj().T
+    assert np.allclose(conjugate_density(g, rho).matrix, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_commutator_action_matches_dense_kron_on_mixed_states(n):
+    rng = np.random.default_rng(300 + n)
+    rho = _mixed_density(n, rng, rank=min(2**n, 3))
+    x = LieElement(0.0, rng.standard_normal((n, 3)))
+    dense = _kron_embed(x.coords, 0.0, n)
+    expected = dense @ rho.matrix - rho.matrix @ dense
+    assert np.allclose(commutator_action(x, rho), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_commutator_action_does_not_assume_exact_hermiticity(n):
+    # rho X is formed as (X^dagger rho^dagger)^dagger, exact for any square rho
+    rng = np.random.default_rng(400 + n)
+    herm = _mixed_density(n, rng).matrix
+    b = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    skew = b - b.conj().T
+    rho = DensityMatrix(herm + 1e-9 * skew / np.max(np.abs(skew)))
+    assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) > 1e-9
+    x = LieElement(0.0, rng.standard_normal((n, 3)))
+    dense = _kron_embed(x.coords, 0.0, n)
+    expected = dense @ rho.matrix - rho.matrix @ dense
+    assert np.max(np.abs(commutator_action(x, rho) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_stacked_kernel_call_equals_single_matrix_calls(n):
+    rng = np.random.default_rng(500 + n)
+    vec = random_state(n, rng).vector
+    rho = _mixed_density(n, rng).matrix
+    stacks = [SU2_BASIS, haar_su2(6, rng).reshape(2, 3, 2, 2)]
+    for j in range(1, n + 1):
+        for arr in (vec, rho):
+            for stack in stacks:
+                out = apply_matrix_to_qubit(stack, arr, j, n)
+                assert out.shape == arr.shape + stack.shape[:-2]
+                for idx in np.ndindex(stack.shape[:-2]):
+                    single = apply_matrix_to_qubit(stack[idx], arr, j, n)
+                    assert np.array_equal(out[(...,) + idx], single)
+        # one matrix acts on rho from the left, as the dense operator does
+        u = haar_su2(1, rng)[0]
+        left = _kron_all([u if k == j - 1 else np.eye(2) for k in range(n)]) @ rho
+        assert np.allclose(apply_matrix_to_qubit(u, rho, j, n), left, atol=1e-12)
 
 
 def test_conjugate_element_transforms_action():
