@@ -14,10 +14,10 @@ from functools import cache
 
 import numpy as np
 
-from .states import NULL_TOL, is_product
+from .states import NULL_TOL, is_product, stack_length
 from .local_unitary import apply_local_unitary, haar_random_local_unitary
-from .stabilizer import algebra_type, _drop_phase, stabilizer_pure
-from .invariants import fingerprint_drift, invariant_fingerprint
+from .stabilizer import algebra_type, _drop_phase, stabilizer_pure, stabilizer_pure_stack
+from .invariants import fingerprint_drift, invariant_fingerprint, invariant_fingerprint_stack
 from .equivalence import EQUIV_TOL, FINGERPRINT_TOL, decide_equivalence
 from .classify import classify
 from .io import GuardError, StateFormatError, resolve_state
@@ -109,21 +109,32 @@ def cmd_orbit(args) -> int:
     (spec, psi), = _states(args, 1)
     if args.samples < 1:
         raise StateFormatError(f"--samples must be at least 1, got {args.samples}")
-    base_k = stabilizer_pure(psi, args.tol_null)
-    base_fp = invariant_fingerprint(psi)
 
-    rows = []
-    for i in range(args.samples):
+    def point(i: int) -> np.ndarray:
+        if i < 0:
+            return psi.vector
         rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(7, i)))
-        moved = apply_local_unitary(haar_random_local_unitary(psi.n, rng), psi)
-        k = stabilizer_pure(moved, args.tol_null)
-        drift = fingerprint_drift(base_fp, invariant_fingerprint(moved))
-        rows.append({
-            "sample": i,
-            "stab_dim": k.dim,
-            "proj_dims": list(k.proj_dims),
-            "drift": float(drift),
-        })
+        return apply_local_unitary(haar_random_local_unitary(psi.n, rng), psi).vector
+
+    # the base state (index -1) leads the first chunk; the samples of a chunk
+    # are drawn only when it is solved, so no more than one chunk is held
+    rows = []
+    step = stack_length(psi.n)
+    for lo in range(-1, args.samples, step):
+        index = range(lo, min(lo + step, args.samples))
+        vectors = np.array([point(i) for i in index])
+        solved = zip(index, stabilizer_pure_stack(vectors, args.tol_null),
+                     invariant_fingerprint_stack(vectors))
+        for i, k, fp in solved:
+            if i < 0:
+                base_k, base_fp = k, fp
+                continue
+            rows.append({
+                "sample": i,
+                "stab_dim": k.dim,
+                "proj_dims": list(k.proj_dims),
+                "drift": fingerprint_drift(base_fp, fp),
+            })
     max_drift = max(row["drift"] for row in rows)
     consistent = all(
         row["stab_dim"] == base_k.dim and tuple(row["proj_dims"]) == base_k.proj_dims
@@ -234,24 +245,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(args, kind: str, message: str, code: int) -> int:
+    """Report a failed request on stderr and, with --format json, as
+    {"error", "kind"} on stdout; return its exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    if args.format == "json":
+        print(json.dumps({"error": message, "kind": kind}, indent=2))
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.tol_null <= 0 or args.tol_equiv <= 0:
-        print("error: tolerances must be positive", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(args, "parse", "tolerances must be positive", EXIT_PARSE)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except GuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+        return _error(args, "guard", str(exc), EXIT_GUARD)
     except np.linalg.LinAlgError as exc:
         # a ValueError subclass, so caught ahead of the generic handler below
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(args, "numerical", f"numerical failure: {exc}", EXIT_PARSE)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(args, "parse", str(exc), EXIT_PARSE)
 
 
 if __name__ == "__main__":

@@ -21,13 +21,14 @@ to multi-start fidelity maximization over SU(2)^n.
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import tee
 
 import numpy as np
 
 from .states import PureState, apply_factors, apply_matrix_to_qubit, reduced_state
 from .local_unitary import LocalUnitary, _exp_and_dexp, compose, exp_su2, haar_su2, inverse
-from .stabilizer import NULL_TOL, StabilizerBasis, stabilizer_pure
-from .invariants import fingerprint_components, first_difference
+from .stabilizer import NULL_TOL, StabilizerBasis, stabilizer_pure_stack
+from .invariants import fingerprint_component_stack, first_difference
 from .classify import (
     EQUIV_TOL,
     CanonicalizationError,
@@ -271,8 +272,8 @@ def decide_equivalence(
     """
     if psi.n != phi.n:
         raise ValueError(f"states live on {psi.n} and {phi.n} qubits")
-    ka = stabilizer_pure(psi, null_tol)
-    kb = stabilizer_pure(phi, null_tol)
+    pair = np.stack([psi.vector, phi.vector])
+    ka, kb = stabilizer_pure_stack(pair, null_tol)
     if ka.dim != kb.dim:
         return EquivVerdict(
             "inequivalent", None, ("stab_dim", ka.dim, kb.dim), None, None, "stab_dim"
@@ -282,8 +283,12 @@ def decide_equivalence(
             "inequivalent", None, ("proj_dims", ka.proj_dims, kb.proj_dims), None, None,
             "proj_dims",
         )
+    # each component is computed for both states at once, and only as far
+    # as the first one that separates them
+    ca, cb = tee(fingerprint_component_stack(pair))
     sep = first_difference(
-        fingerprint_components(psi), fingerprint_components(phi), FINGERPRINT_TOL
+        ((name, v[0].item()) for name, v in ca), ((name, v[1].item()) for name, v in cb),
+        FINGERPRINT_TOL,
     )
     if sep is not None:
         return EquivVerdict("inequivalent", None, sep, None, None, f"fingerprint:{sep[0]}")

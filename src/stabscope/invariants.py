@@ -1,5 +1,10 @@
 """Local-unitary invariants: subsystem purities, four-qubit pair invariants,
 and the polynomial family built from per-qubit copy permutations.
+
+invariant_fingerprint_stack and fingerprint_component_stack compute the
+fingerprint of every state in an (S, 2**n) stack of amplitude vectors at
+once; invariant_fingerprint, fingerprint_components, pair_invariants and
+polynomial_invariant are stacks of one.
 """
 
 from dataclasses import dataclass
@@ -7,7 +12,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import PureState, subset_purity, _bipartition_sides, _check_subset
+from .states import (
+    PureState,
+    _bipartition_sides,
+    _check_subset,
+    _stack_qubits,
+    subset_purity,
+    subset_purity_stack,
+)
 
 
 def purity_invariant(psi: PureState, subset) -> float:
@@ -31,16 +43,16 @@ def pair_invariants(psi: PureState) -> tuple[float, float, float]:
     """
     if psi.n != 4:
         raise ValueError(f"pair_invariants requires n = 4, got n = {psi.n}")
-    p12 = subset_purity(psi, (1, 2))
-    p13 = subset_purity(psi, (1, 3))
-    p14 = subset_purity(psi, (1, 4))
+    pairs = [subset_purity_stack(psi.vector[None], (1, j)) for j in (2, 3, 4)]
+    return tuple(float(v[0]) for v in _pair_stack(*pairs))
+
+
+def _pair_stack(p12: np.ndarray, p13: np.ndarray, p14: np.ndarray) -> tuple:
+    """(I1, I2, I3) over a stack, from its pair purities on (1,2), (1,3), (1,4)."""
     pq = (1.0 - p12 + p13 - p14) / 24.0
     pr = (1.0 - p12 - p13 + p14) / 24.0
     qr = (1.0 + p12 - p13 - p14) / 24.0
-    i1 = float(np.sqrt(max(pq, 0.0)))
-    i2 = float(np.sqrt(max(pr, 0.0)))
-    i3 = float(np.sqrt(max(qr, 0.0)))
-    return (i1, i2, i3)
+    return tuple(np.sqrt(np.maximum(v, 0.0)) for v in (pq, pr, qr))
 
 
 @dataclass(frozen=True)
@@ -85,7 +97,7 @@ EXTRA_TRIPLE = PermutationTriple((2, 3, 1), (3, 1, 2), (2, 1, 3))
 
 DEFAULT_TRIPLES = (REFERENCE_TRIPLE, SWAP34_TRIPLE, EXTRA_TRIPLE)
 
-# 16^m terms; m = 4 is already 65536
+# 8^m terms per state; m = 4 is already 4096
 MAX_COPIES = 4
 
 
@@ -96,21 +108,40 @@ def polynomial_invariant(psi: PureState, triple: PermutationTriple) -> complex:
     carries index letters (k1, k2, k3, k4), and its conjugated partner shares
     slot 1 with it but takes slots 2, 3, 4 from copies sigma[k], tau[k],
     phi[k].  Every letter appears in exactly one plain and one conjugated
-    factor, so one einsum sums the product over all m-tuples of indices.
+    factor.  Summing slot 1 of each plain copy against its partner leaves
+    the reduced state on qubits 2, 3, 4, so the invariant is a contraction
+    of m copies of that 8 x 8 matrix (_polynomial_stack); this is a stack
+    of one.
     """
     if psi.n != 4:
         raise ValueError(f"polynomial_invariant requires n = 4, got n = {psi.n}")
+    return complex(_polynomial_stack(_reduced_234(psi.vector[None]), triple)[0])
+
+
+def _reduced_234(vectors: np.ndarray) -> np.ndarray:
+    """Reduced states on qubits 2, 3, 4 of an (S, 16) stack, each with axes
+    (row slots 2, 3, 4, column slots 2, 3, 4)."""
+    x = vectors.reshape(-1, 2, 2, 2, 2)
+    return np.einsum("sabcd,saefg->sbcdefg", x, x.conj())
+
+
+def _polynomial_stack(rho: np.ndarray, triple: PermutationTriple) -> np.ndarray:
+    """polynomial_invariant of each state of a stack from its _reduced_234.
+
+    Copy k contributes rho[(u_k, v_k, w_k), (u_sigma[k], v_tau[k], w_phi[k])],
+    where u, v, w are the slot 2, 3, 4 letters of each copy; one einsum sums
+    the product of the m factors over every letter.
+    """
     m = triple.m
     if m > MAX_COPIES:
         raise ValueError(f"copy count {m} exceeds {MAX_COPIES}")
-    # the four slot indices of copy k are the letters 4k, ..., 4k + 3
-    ket = ["abcdefghijklmnop"[4 * k : 4 * k + 4] for k in range(m)]
-    bra = [
-        ket[k][0] + ket[s - 1][1] + ket[t - 1][2] + ket[p - 1][3]
+    # the three slot letters of copy k are 3k, 3k + 1, 3k + 2; z is the stack
+    slots = ["abcdefghijkl"[3 * k : 3 * k + 3] for k in range(m)]
+    factors = [
+        "z" + slots[k] + slots[s - 1][0] + slots[t - 1][1] + slots[p - 1][2]
         for k, (s, t, p) in enumerate(zip(triple.sigma, triple.tau, triple.phi))
     ]
-    x = psi.tensor()
-    return complex(np.einsum(",".join(ket + bra) + "->", *[x] * m, *[x.conj()] * m))
+    return np.einsum(",".join(factors) + "->z", *[rho] * m)
 
 
 def canonical_poly3_im(a: float, b: complex) -> float:
@@ -174,25 +205,54 @@ class InvariantFingerprint:
 
 
 def invariant_fingerprint(psi: PureState) -> InvariantFingerprint:
-    """Collect the purity, pair, and polynomial invariants of a state."""
-    purities = {key: subset_purity(psi, s) for key, s in _keyed_subsets(psi.n)}
-    pair = pair_invariants(psi) if psi.n == 4 else None
-    poly = (
-        {t.key: polynomial_invariant(psi, t) for t in DEFAULT_TRIPLES} if psi.n == 4 else None
-    )
-    return InvariantFingerprint(psi.n, purities, pair, poly)
+    """Collect the purity, pair, and polynomial invariants of a state: a
+    stack of one for invariant_fingerprint_stack."""
+    return invariant_fingerprint_stack(psi.vector[None])[0]
+
+
+def invariant_fingerprint_stack(vectors: np.ndarray) -> list[InvariantFingerprint]:
+    """invariant_fingerprint of each state in an (S, 2**n) stack of unit
+    vectors, each bit for bit what the state gets in a stack of its own."""
+    n = _stack_qubits(vectors)
+    groups = {"purity": {}, "pair": {}, "poly": {}}
+    for name, values in fingerprint_component_stack(vectors):
+        kind, _, key = name.partition(":")
+        groups[kind][key] = values.tolist()
+    return [
+        InvariantFingerprint(
+            n,
+            {key: v[i] for key, v in groups["purity"].items()},
+            tuple(v[i] for v in groups["pair"].values()) or None,
+            {key: v[i] for key, v in groups["poly"].items()} or None,
+        )
+        for i in range(vectors.shape[0])
+    ]
 
 
 def fingerprint_components(psi: PureState):
     """Yield invariant_fingerprint(psi).components() one at a time,
-    computing each value only when the iteration reaches it."""
-    for key, subset in _keyed_subsets(psi.n):
-        yield f"purity:{key}", subset_purity(psi, subset)
-    if psi.n == 4:
-        for i, v in enumerate(pair_invariants(psi)):
-            yield f"pair:I{i + 1}", v
+    computing each value only when the iteration reaches it: a stack of
+    one for fingerprint_component_stack."""
+    for name, values in fingerprint_component_stack(psi.vector[None]):
+        yield name, values[0].item()
+
+
+def fingerprint_component_stack(vectors: np.ndarray):
+    """Yield (name, values) in InvariantFingerprint.components() order for
+    an (S, 2**n) stack, values holding the component of every state,
+    computing each component only when the iteration reaches it."""
+    n = _stack_qubits(vectors)
+    purities = {}
+    for key, subset in _keyed_subsets(n):
+        purities[key] = subset_purity_stack(vectors, subset)
+        yield f"purity:{key}", purities[key]
+    if n == 4:
+        pairs = _pair_stack(purities["12"], purities["13"], purities["14"])
+        for i, values in enumerate(pairs):
+            yield f"pair:I{i + 1}", values
+        rho = _reduced_234(vectors)
         for t in sorted(DEFAULT_TRIPLES, key=lambda t: t.key):
-            yield f"poly:{t.key}", polynomial_invariant(psi, t)
+            yield f"poly:{t.key}", _polynomial_stack(rho, t)
 
 
 def fingerprint_drift(fa: InvariantFingerprint, fb: InvariantFingerprint) -> float:
@@ -201,10 +261,9 @@ def fingerprint_drift(fa: InvariantFingerprint, fb: InvariantFingerprint) -> flo
     cb = fb.components()
     if [k for k, _ in ca] != [k for k, _ in cb]:
         raise ValueError("fingerprints have different components")
-    drift = 0.0
-    for (_, x), (_, y) in zip(ca, cb):
-        drift = max(drift, abs(x - y) / (1.0 + abs(x)))
-    return drift
+    x = np.array([v for _, v in ca])
+    y = np.array([v for _, v in cb])
+    return float(np.max(np.abs(x - y) / (1.0 + np.abs(x)), initial=0.0))
 
 
 def first_difference(ca, cb, tol: float) -> tuple | None:

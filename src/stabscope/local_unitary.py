@@ -187,11 +187,16 @@ class LocalUnitary:
         factors = np.asarray(self.factors, dtype=np.complex128).copy()
         if factors.ndim != 3 or factors.shape[1:] != (2, 2):
             raise ValueError(f"factors must have shape (n, 2, 2), got {factors.shape}")
-        for k, u in enumerate(factors):
-            if np.max(np.abs(u @ u.conj().T - np.eye(2))) > 1e-10:
-                raise ValueError(f"factor {k + 1} is not unitary")
-            if abs(np.linalg.det(u) - 1.0) > 1e-10:
-                raise ValueError(f"factor {k + 1} has determinant != 1")
+        # every factor at once; the first failing factor is named, and a
+        # factor failing both checks is reported as not unitary
+        gram = factors @ factors.conj().swapaxes(1, 2)
+        not_unitary = np.max(np.abs(gram - np.eye(2)), axis=(1, 2)) > 1e-10
+        det = factors[:, 0, 0] * factors[:, 1, 1] - factors[:, 0, 1] * factors[:, 1, 0]
+        failed = not_unitary | (np.abs(det - 1.0) > 1e-10)
+        if failed.any():
+            k = int(np.argmax(failed))
+            what = "is not unitary" if not_unitary[k] else "has determinant != 1"
+            raise ValueError(f"factor {k + 1} {what}")
         phase = complex(self.global_phase)
         if abs(abs(phase) - 1.0) > 1e-10:
             raise ValueError("global phase must have unit modulus")

@@ -5,7 +5,9 @@ X|psi> = 0; the stabilizer of a density matrix is the set of X in su(2)^n
 with [X, rho] = 0.  Both are kernels of real-linear maps.  Each map is
 realified, reduced to its small triangular QR factor R, and R's SVD gives
 the spectrum and the kernel, cut by numerical_rank as is_product cuts
-Schmidt coefficients.
+Schmidt coefficients.  stabilizer_pure_stack solves a stack of states with
+one batched QR and one batched SVD per chunk; stabilizer_pure is a stack of
+one.
 """
 
 import warnings
@@ -14,7 +16,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import NULL_TOL, PureState, DensityMatrix, numerical_rank, purity, to_density
+from .states import (
+    NULL_TOL,
+    DensityMatrix,
+    PureState,
+    _stack_qubits,
+    numerical_rank,
+    purity,
+    stack_length,
+    to_density,
+)
 from .local_unitary import SU2_BASIS, LieElement, lie_element_from_flat, apply_matrix_to_qubit
 
 # the spectrum must split by at least this factor across the rank cut
@@ -76,7 +87,9 @@ class StabilizerBasis:
 
     @cached_property
     def proj_dims(self) -> tuple[int, ...]:
-        return tuple(projection_dim(self, j) for j in range(1, self.n + 1))
+        off = 1 if self.ambient == "pure" else 0
+        blocks = self.basis[:, off:].reshape(self.dim, self.n, 3).swapaxes(0, 1)
+        return tuple(_projection_ranks(blocks, NULL_TOL))
 
     def elements(self) -> list[LieElement]:
         return [lie_element_from_flat(row, self.n, self.ambient) for row in self.basis]
@@ -102,41 +115,68 @@ def _canonical_rows(rows: np.ndarray, phase_col: bool) -> np.ndarray:
     return rows
 
 
-def _null_space(real_map: np.ndarray, tol: float):
-    """Kernel rows, full spectrum, and the spectral gap across the cut.
+def _null_spaces(real_maps: np.ndarray, tol: float) -> list[tuple]:
+    """Kernel rows, full spectrum, and the spectral gap across the cut, for
+    each map of an (S, M, K) stack.
 
-    The map is tall, so real_map = Q R with a square R that has the same
+    The maps are tall, so each is Q R with a square R that has the same
     singular values and right singular vectors.  Only R is formed, never the
-    tall orthonormal factor, and the SVD runs on R.  Forming the Gram matrix
-    real_map.T @ real_map and calling eigh would be cheaper still but squares
-    the condition number, which would put the NULL_TOL cut at machine epsilon.
+    tall orthonormal factor, and the SVD runs on R; both are one batched
+    LAPACK call, which factorises every map exactly as it would alone.
+    Forming the Gram matrix real_map.T @ real_map and calling eigh would be
+    cheaper still but squares the condition number, which would put the
+    NULL_TOL cut at machine epsilon.
     """
-    k = real_map.shape[1]
-    if real_map.shape[0] < k:  # wide matrices would lose kernel directions here
+    k = real_maps.shape[2]
+    if real_maps.shape[1] < k:  # wide matrices would lose kernel directions here
         raise ValueError("defining map has fewer rows than columns")
-    _, s, vh = np.linalg.svd(np.linalg.qr(real_map, mode="r"))
-    rank = numerical_rank(s, tol)
-    if 0 < rank < k:
-        gap = float(s[rank - 1] / s[rank]) if s[rank] > 0 else np.inf
-    else:
-        gap = np.inf
-    return vh[rank:], s, gap
+    _, svals, vhs = np.linalg.svd(np.linalg.qr(real_maps, mode="r"))
+    out = []
+    for s, vh in zip(svals, vhs):
+        rank = numerical_rank(s, tol)
+        if 0 < rank < k:
+            gap = float(s[rank - 1] / s[rank]) if s[rank] > 0 else np.inf
+        else:
+            gap = np.inf
+        out.append((vh[rank:], s, gap))
+    return out
+
+
+def _null_space(real_map: np.ndarray, tol: float) -> tuple:
+    """_null_spaces of one (M, K) map."""
+    return _null_spaces(real_map[None], tol)[0]
 
 
 def stabilizer_pure(psi: PureState, tol: float = NULL_TOL) -> StabilizerBasis:
-    """Stabilizer of a pure state inside u(1) + su(2)^n.
+    """Stabilizer of a pure state inside u(1) + su(2)^n: a stack of one for
+    stabilizer_pure_stack."""
+    return stabilizer_pure_stack(psi.vector[None], tol)[0]
 
-    The defining map sends real coordinates (t, x1, y1, z1, ...) to the
-    vector X|psi>, realified to a (2 * 2**n, 3n+1) matrix.
+
+def stabilizer_pure_stack(vectors: np.ndarray, tol: float = NULL_TOL) -> list[StabilizerBasis]:
+    """Pure stabilizer of each state in an (S, 2**n) stack of unit vectors.
+
+    The defining map of a state sends real coordinates (t, x1, y1, z1, ...)
+    to the vector X|psi>, realified to a (2 * 2**n, 3n+1) matrix.  The maps
+    are built and factorised stack_length(n) states at a time.  Each basis
+    is bit for bit the one the state gets in a stack of its own.
     """
-    n = psi.n
-    cols = np.empty((2**n, 3 * n + 1), dtype=np.complex128)
-    cols[:, 0] = -1j * psi.vector
-    for j in range(1, n + 1):
-        cols[:, 3 * j - 2 : 3 * j + 1] = apply_matrix_to_qubit(SU2_BASIS, psi.vector, j, n)
-    real_map = np.concatenate([cols.real, cols.imag], axis=0)
-    rows, svals, gap = _null_space(real_map, tol)
-    return StabilizerBasis("pure", n, _canonical_rows(rows, True), svals, gap)
+    n = _stack_qubits(vectors)
+    step = stack_length(n)
+    out = []
+    for lo in range(0, vectors.shape[0], step):
+        # amplitude index first, state second: the layout apply_matrix_to_qubit takes
+        flat = np.ascontiguousarray(vectors[lo : lo + step].T)
+        cols = np.empty((2**n, flat.shape[1], 3 * n + 1), dtype=np.complex128)
+        cols[:, :, 0] = -1j * flat
+        for j in range(1, n + 1):
+            cols[:, :, 3 * j - 2 : 3 * j + 1] = apply_matrix_to_qubit(SU2_BASIS, flat, j, n)
+        real_maps = np.concatenate([cols.real, cols.imag]).swapaxes(0, 1)
+        out += [
+            StabilizerBasis("pure", n, _canonical_rows(rows, True), svals, gap)
+            for rows, svals, gap in _null_spaces(real_maps, tol)
+        ]
+    return out
 
 
 def _dominant_eigenvector(rho: DensityMatrix) -> PureState:
@@ -233,13 +273,19 @@ def projection_dim(k: StabilizerBasis, j: int, tol: float = NULL_TOL) -> int:
     """Dimension of the qubit-j projection of the stabilizer."""
     if not 1 <= j <= k.n:
         raise ValueError(f"qubit label {j} out of range for n={k.n}")
-    block = k.block_columns(j)
-    if block.shape[0] == 0:
-        return 0
-    s = np.linalg.svd(block, compute_uv=False)
-    # basis rows are unit norm, so block singular values are at most 1 and
-    # an absolute cut at tol is meaningful
-    return int(np.sum(s > tol))
+    return _projection_ranks(k.block_columns(j)[None], tol)[0]
+
+
+def _projection_ranks(blocks: np.ndarray, tol: float) -> list[int]:
+    """Rank of each (dim, 3) coordinate block of a stack, from one batched SVD.
+
+    Basis rows are unit norm, so block singular values are at most 1 and
+    an absolute cut at tol is meaningful.
+    """
+    if blocks.shape[1] == 0:
+        return [0] * blocks.shape[0]
+    s = np.linalg.svd(blocks, compute_uv=False)
+    return np.sum(s > tol, axis=1).tolist()
 
 
 def principal_angles(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:

@@ -14,6 +14,12 @@ map, the canonicalisers and the equivalence witnesses all go through these
 two; density matrices are acted on from the left only, a right product
 being the adjoint of a left one (rho X = (X^dagger rho^dagger)^dagger).
 
+subset_purity_stack is the stacked form of subset_purity: it takes an
+(S, 2**n) array of amplitude vectors, and subset_purity is a stack of one.
+The other per-state kernels (the pure stabilizer solve, the invariant
+fingerprint) have stacked forms of the same shape.  STACK_AMPLITUDES bounds
+how many amplitudes one chunk of a stack holds.
+
 The package has one numerical zero: numerical_rank's relative cut at
 NULL_TOL, which decides the stabilizer rank, the Schmidt rank in is_product
 and the vanishing of canonical amplitudes, all linear in what vanishes.
@@ -37,6 +43,9 @@ import numpy as np
 NORM_TOL = 1e-10
 # relative magnitude cutoff for every rank and vanishing decision
 NULL_TOL = 1e-8
+# stacked kernels take at most this many amplitudes per chunk, one n = 12
+# state, so their working arrays stay bounded and n = 12 states run alone
+STACK_AMPLITUDES = 2**12
 # is_product's fallback enumerates bipartitions of uncorrelated components,
 # which is only sane up to this many components
 PRODUCT_ENUM_LIMIT = 16
@@ -81,6 +90,20 @@ def bit_table(n: int) -> np.ndarray:
     """(2**n, n) array whose row k holds int_to_bits(k, n)."""
     k = np.arange(2**n)
     return (k[:, None] >> (n - 1 - np.arange(n))) & 1
+
+
+def stack_length(n: int) -> int:
+    """States of n qubits in one chunk of a stacked kernel, at least one."""
+    return max(1, STACK_AMPLITUDES >> n)
+
+
+def _stack_qubits(vectors: np.ndarray) -> int:
+    """Qubit count n of an (S, 2**n) stack of amplitude vectors."""
+    size = vectors.shape[-1] if vectors.ndim else 0
+    n = size.bit_length() - 1
+    if vectors.ndim != 2 or size != 1 << n or n < 1:
+        raise ValueError(f"stack of 2**n amplitude vectors required, got shape {vectors.shape}")
+    return n
 
 
 def _check_subset(n: int, subset) -> tuple[int, ...]:
@@ -223,10 +246,17 @@ def reduced_state(psi: PureState, keep) -> DensityMatrix:
 
 def _amplitude_matrix(psi: PureState, keep: tuple[int, ...]) -> np.ndarray:
     """Reshape amplitudes into a (2**|keep|, 2**|rest|) matrix."""
-    rest = [j for j in range(1, psi.n + 1) if j not in keep]
-    axes = [j - 1 for j in keep] + [j - 1 for j in rest]
-    t = psi.tensor().transpose(axes)
-    return t.reshape(2 ** len(keep), 2 ** len(rest))
+    return _amplitude_matrices(psi.vector[None], keep)[0]
+
+
+def _amplitude_matrices(vectors: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Reshape each row of an (S, 2**n) stack into a (2**|keep|, 2**|rest|)
+    matrix, giving an (S, 2**|keep|, 2**|rest|) array."""
+    s, n = vectors.shape[0], vectors.shape[1].bit_length() - 1
+    rest = [j for j in range(1, n + 1) if j not in keep]
+    # qubit j is axis j of the (S, 2, ..., 2) tensor
+    t = vectors.reshape((s,) + (2,) * n).transpose([0, *keep, *rest])
+    return t.reshape(s, 2 ** len(keep), 2 ** len(rest))
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -235,19 +265,27 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def subset_purity(psi: PureState, subset) -> float:
-    """Purity of the reduced state of a pure state on a qubit subset.
+    """Purity of the reduced state of a pure state on a qubit subset: a
+    stack of one for subset_purity_stack."""
+    return float(subset_purity_stack(psi.vector[None], subset)[0])
 
-    Computed from the Gram matrix of the reshaped amplitude matrix, using
-    whichever side of the bipartition is smaller.
+
+def subset_purity_stack(vectors: np.ndarray, subset) -> np.ndarray:
+    """Purity on a qubit subset of each state in an (S, 2**n) stack.
+
+    Computed from the Gram matrices of the reshaped amplitude matrices,
+    using whichever side of the bipartition is smaller.  Each entry is
+    bit for bit what the state gets in a stack of its own.
     """
-    subset = _check_subset(psi.n, subset)
-    if len(subset) == psi.n:
-        return 1.0
-    if 2 * len(subset) > psi.n:
-        subset = tuple(j for j in range(1, psi.n + 1) if j not in subset)
-    m = _amplitude_matrix(psi, subset)
-    g = m @ m.conj().T
-    return float(np.sum(np.abs(g) ** 2))
+    n = _stack_qubits(vectors)
+    subset = _check_subset(n, subset)
+    if len(subset) == n:
+        return np.ones(vectors.shape[0])
+    if 2 * len(subset) > n:
+        subset = tuple(j for j in range(1, n + 1) if j not in subset)
+    m = _amplitude_matrices(vectors, subset)
+    g = m @ m.conj().swapaxes(1, 2)
+    return np.square(np.abs(g)).sum(axis=(1, 2))
 
 
 @dataclass(frozen=True)

@@ -93,27 +93,28 @@ def test_ghz_times_basis_ket_is_rejected_by_the_support_check():
 
 
 def test_stabilizer_is_solved_once_per_request(monkeypatch):
-    calls = []
-    module = sys.modules["stabscope.classify"]
-    solve = module.stabilizer_pure
+    # counts the states solved: classify solves its state once, and
+    # decide_equivalence solves both states of the pair in one stacked call
+    solved = []
+    solve = sys.modules["stabscope.stabilizer"].stabilizer_pure_stack
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counted(vectors, *args, **kwargs):
+        solved.append(len(vectors))
+        return solve(vectors, *args, **kwargs)
 
-    monkeypatch.setattr(module, "stabilizer_pure", counted)
-    monkeypatch.setattr(sys.modules["stabscope.equivalence"], "stabilizer_pure", counted)
     rng = np.random.default_rng(11)
     a, b = (
         apply_local_unitary(haar_random_local_unitary(6, rng), ghz_state(6, 0.8)) for _ in range(2)
     )
-    k = solve(a)
+    k = stabilizer_pure(a)
+    for name in ("stabscope.stabilizer", "stabscope.equivalence"):
+        monkeypatch.setattr(sys.modules[name], "stabilizer_pure_stack", counted)
     assert canonicalize_ghz(a, stab=k).residual < 1e-8
-    assert len(calls) == 0
+    assert solved == []
     assert classify(a).verdict == "ghz_class"
-    assert len(calls) == 1
+    assert solved == [1]
     assert decide_equivalence(a, b).decided_by == "canonical_form"
-    assert len(calls) == 3
+    assert solved == [1, 2]
 
 
 def test_four_qubit_recovery_with_confirmation():

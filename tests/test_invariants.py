@@ -187,6 +187,53 @@ def test_fingerprint_drift_and_separation():
     assert name.startswith("poly:")
 
 
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_fingerprint_drift_matches_the_componentwise_loop(n):
+    rng = np.random.default_rng(30 + n)
+    psi = random_state(n, rng)
+    fa = invariant_fingerprint(psi)
+    for phi in (random_state(n, rng), apply_local_unitary(haar_random_local_unitary(n, rng), psi)):
+        fb = invariant_fingerprint(phi)
+        loop = 0.0
+        for (_, x), (_, y) in zip(fa.components(), fb.components()):
+            loop = max(loop, abs(x - y) / (1.0 + abs(x)))
+        assert fingerprint_drift(fa, fb) == loop
+
+
 def test_fingerprint_drift_requires_matching_shape():
     with pytest.raises(ValueError):
         fingerprint_drift(invariant_fingerprint(ghz_state(3)), invariant_fingerprint(w_state(4)))
+
+
+def _two_m_copy_reference(psi, triple):
+    """The invariant as one einsum over m plain and m conjugated copies of
+    the state, each copy with its own four slot letters."""
+    m = triple.m
+    ket = ["abcdefghijklmnop"[4 * k : 4 * k + 4] for k in range(m)]
+    bra = [
+        ket[k][0] + ket[s - 1][1] + ket[t - 1][2] + ket[p - 1][3]
+        for k, (s, t, p) in enumerate(zip(triple.sigma, triple.tau, triple.phi))
+    ]
+    x = psi.tensor()
+    return complex(np.einsum(",".join(ket + bra) + "->", *[x] * m, *[x.conj()] * m))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_polynomial_invariant_matches_the_two_m_copy_contraction(m):
+    rng = np.random.default_rng(40 + m)
+    triples = [
+        PermutationTriple(*(tuple(int(v) + 1 for v in rng.permutation(m)) for _ in range(3)))
+        for _ in range(4)
+    ]
+    if m == 3:
+        triples += list(DEFAULT_TRIPLES)
+    states = [
+        random_state(4, rng),
+        apply_local_unitary(haar_random_local_unitary(4, rng), canonical_four_qubit_state(0.5, 0.2 + 0.3j)),
+        ghz_state(4, 0.8, 0.6),
+        w_state(4),
+    ]
+    for psi in states:
+        for triple in triples:
+            ref = _two_m_copy_reference(psi, triple)
+            assert abs(polynomial_invariant(psi, triple) - ref) <= 1e-13, triple.key

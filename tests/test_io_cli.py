@@ -13,8 +13,10 @@ from stabscope import (
     algebra_type,
     apply_local_unitary,
     classify,
+    fingerprint_drift,
     ghz_state,
     haar_random_local_unitary,
+    invariant_fingerprint,
     load_state,
     named_state,
     parse_state_json,
@@ -24,6 +26,7 @@ from stabscope import (
     state_to_dict,
     state_to_text,
     stabilizer_density,
+    stabilizer_pure,
     to_density,
     w_state,
 )
@@ -438,6 +441,57 @@ def test_cli_small_beta_ghz_is_nonproduct_ghz_class(beta, tmp_path, capsys):
         assert payload["beta"] == pytest.approx(beta, abs=1e-7)
         assert main(["analyze", str(path), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["product_structure"] == "nonproduct"
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind, text",
+    [
+        (["analyze", "--state", "nosuch:3"], 2, "parse", "neither a named state"),
+        (["analyze", "--state", "ghz:3", "--tol-null", "-1"], 2, "parse", "tolerances must be positive"),
+        (["analyze", "--state", "ghz:15"], 3, "guard", "exceeds the limit"),
+    ],
+    ids=["parse-state", "parse-tolerance", "guard"],
+)
+def test_cli_json_errors_carry_a_payload(argv, code, kind, text, capsys):
+    assert main([*argv, "--format", "json"]) == code
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["kind"] == kind and text in payload["error"]
+    assert err == f"error: {payload['error']}\n"
+    # the text format keeps stdout empty
+    assert main(argv) == code
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_json_numerical_failure_carries_a_payload(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    assert main(["analyze", "--state", "ghz:3", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": "numerical failure: SVD did not converge", "kind": "numerical"}
+    assert err == "error: numerical failure: SVD did not converge\n"
+
+
+def test_cli_orbit_rows_do_not_depend_on_the_chunks(tmp_path, capsys):
+    # at n = 10 a chunk holds four states: the base and samples 0-2, then 3-5
+    path = tmp_path / "haar10.json"
+    path.write_text(json.dumps(state_to_dict(random_state(10, np.random.default_rng(8)))))
+    psi = load_state(str(path))
+    assert main(["orbit", str(path), "--samples", "6", "--seed", "3", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    base = invariant_fingerprint(psi)
+    for i, row in enumerate(rows):
+        rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(7, i)))
+        moved = apply_local_unitary(haar_random_local_unitary(10, rng), psi)
+        k = stabilizer_pure(moved)
+        assert row == {
+            "sample": i,
+            "stab_dim": k.dim,
+            "proj_dims": list(k.proj_dims),
+            "drift": fingerprint_drift(base, invariant_fingerprint(moved)),
+        }
 
 
 def test_cli_orbit_consistency(capsys):

@@ -303,3 +303,18 @@ def test_haar_local_unitary_has_unit_global_phase():
     g = haar_random_local_unitary(3, np.random.default_rng(2))
     assert abs(abs(g.global_phase) - 1.0) < 1e-12
     assert g.factors.shape == (3, 2, 2)
+
+
+def test_local_unitary_names_the_first_failing_factor():
+    u = haar_su2(4, np.random.default_rng(3))
+    flip = np.diag([1.0, -1.0]).astype(complex)  # unitary, determinant -1
+    with pytest.raises(ValueError, match=r"^factor 2 is not unitary$"):
+        LocalUnitary(np.stack([u[0], 2 * u[1], u[2]]))
+    with pytest.raises(ValueError, match=r"^factor 3 has determinant != 1$"):
+        LocalUnitary(np.stack([u[0], u[1], flip, 2 * u[3]]))
+    # a factor failing both checks is reported as not unitary
+    with pytest.raises(ValueError, match=r"^factor 1 is not unitary$"):
+        LocalUnitary(np.stack([2 * flip, u[1]]))
+    with pytest.raises(ValueError, match=r"^global phase must have unit modulus$"):
+        LocalUnitary(u, global_phase=1.5)
+    assert LocalUnitary(u, global_phase=1j).n == 4

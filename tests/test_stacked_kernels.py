@@ -1,0 +1,93 @@
+"""Stacked kernels: each state of an (S, 2**n) stack gets bit for bit what
+it gets in a stack of its own, whatever the chunking."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from stabscope import (
+    apply_local_unitary,
+    canonical_four_qubit_state,
+    decide_equivalence,
+    ghz_state,
+    haar_random_local_unitary,
+    invariant_fingerprint,
+    random_state,
+    singlet_state,
+    stabilizer_pure,
+    subset_purity,
+    tensor_product,
+    w_state,
+)
+from stabscope.invariants import _keyed_subsets, invariant_fingerprint_stack
+from stabscope.stabilizer import stabilizer_pure_stack
+from stabscope.states import STACK_AMPLITUDES, stack_length, subset_purity_stack
+
+
+def _states(n: int) -> list:
+    """Two Haar states, a GHZ orbit point and W; at n = 4 also a moved
+    family member and two singlets."""
+    rng = np.random.default_rng(100 + n)
+    out = [random_state(n, rng), random_state(n, rng)]
+    if n >= 2:
+        out += [
+            apply_local_unitary(haar_random_local_unitary(n, rng), ghz_state(n, 0.8, 0.6)),
+            w_state(n),
+        ]
+    if n == 4:
+        out += [
+            apply_local_unitary(
+                haar_random_local_unitary(4, rng), canonical_four_qubit_state(0.5, 0.2 + 0.3j)
+            ),
+            tensor_product(singlet_state(), singlet_state()),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_stacked_slices_equal_stacks_of_one(n):
+    states = _states(n)
+    vectors = np.stack([psi.vector for psi in states])
+    for _, subset in _keyed_subsets(n):
+        stacked = subset_purity_stack(vectors, subset)
+        assert stacked.tolist() == [subset_purity(psi, subset) for psi in states], subset
+    for psi, k in zip(states, stabilizer_pure_stack(vectors), strict=True):
+        one = stabilizer_pure(psi)
+        assert np.array_equal(k.basis, one.basis)
+        assert np.array_equal(k.singular_values, one.singular_values)
+        assert (k.dim, k.proj_dims, k.gap) == (one.dim, one.proj_dims, one.gap)
+    for psi, fp in zip(states, invariant_fingerprint_stack(vectors), strict=True):
+        assert fp == invariant_fingerprint(psi)
+
+
+def test_stabilizer_stacks_are_solved_in_bounded_chunks(monkeypatch):
+    assert stack_length(12) == 1 and stack_length(4) == STACK_AMPLITUDES // 16
+    sizes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: sizes.append(len(a)) or qr(a, *args, **kw))
+    for n, count in ((4, 300), (10, 6), (12, 2)):
+        sizes.clear()
+        rng = np.random.default_rng(n)
+        vectors = np.stack([random_state(n, rng).vector for _ in range(count)])
+        assert len(stabilizer_pure_stack(vectors)) == count
+        assert sum(sizes) == count and max(sizes) * 2**n <= max(STACK_AMPLITUDES, 2**n)
+
+
+def test_equivalence_walks_both_fingerprints_in_one_stack(monkeypatch):
+    module = sys.modules["stabscope.invariants"]
+    purity = module.subset_purity_stack
+    stacks = []
+    monkeypatch.setattr(
+        module, "subset_purity_stack", lambda v, s: stacks.append(len(v)) or purity(v, s)
+    )
+    verdict = decide_equivalence(ghz_state(6, 0.9), ghz_state(6, 0.7))
+    # the first component separates, so only it is computed, for both states
+    assert verdict.decided_by == "fingerprint:purity:1"
+    assert stacks == [2]
+
+
+def test_stacks_reject_malformed_input():
+    for bad in (np.ones(4), np.ones((2, 3)), np.ones((2, 1))):
+        with pytest.raises(ValueError, match="stack of 2\\*\\*n amplitude vectors"):
+            subset_purity_stack(bad, (1,))
