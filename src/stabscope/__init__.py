@@ -47,7 +47,6 @@ from .stabilizer import (
     algebra_type,
     phase_projection_check,
     principal_angles,
-    projection_dim,
     span_contains,
     stabilizer_density,
     stabilizer_pure,

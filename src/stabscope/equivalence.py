@@ -25,7 +25,7 @@ from itertools import tee
 
 import numpy as np
 
-from .states import PureState, apply_factors, apply_matrix_to_qubit, reduced_state
+from .states import PureState, apply_factors, apply_matrix_to_qubit, reduced_states
 from .local_unitary import LocalUnitary, _exp_and_dexp, compose, exp_su2, haar_su2, inverse
 from .stabilizer import NULL_TOL, StabilizerBasis, stabilizer_pure_stack
 from .invariants import fingerprint_component_stack, first_difference
@@ -130,10 +130,9 @@ def _eigenframes(psi: PureState) -> tuple[np.ndarray, np.ndarray]:
     """Per qubit, the unitary whose columns are the eigenvectors of the
     one-qubit reduced state, eigenvalues descending, and the amplitudes of
     psi with every qubit rotated into that basis."""
-    frames = np.empty((psi.n, 2, 2), dtype=np.complex128)
-    for j in range(psi.n):
-        _, vecs = np.linalg.eigh(reduced_state(psi, (j + 1,)).matrix)
-        frames[j] = vecs[:, ::-1]
+    v = psi.vector[None]
+    rho = np.concatenate([reduced_states(v, (j,)) for j in range(1, psi.n + 1)])
+    frames = np.linalg.eigh(rho)[1][:, :, ::-1]
     return frames, apply_factors(frames.conj().transpose(0, 2, 1), psi.vector)
 
 

@@ -17,6 +17,7 @@ from .states import (
     _bipartition_sides,
     _check_subset,
     _stack_qubits,
+    reduced_states,
     subset_purity,
     subset_purity_stack,
 )
@@ -115,18 +116,12 @@ def polynomial_invariant(psi: PureState, triple: PermutationTriple) -> complex:
     """
     if psi.n != 4:
         raise ValueError(f"polynomial_invariant requires n = 4, got n = {psi.n}")
-    return complex(_polynomial_stack(_reduced_234(psi.vector[None]), triple)[0])
-
-
-def _reduced_234(vectors: np.ndarray) -> np.ndarray:
-    """Reduced states on qubits 2, 3, 4 of an (S, 16) stack, each with axes
-    (row slots 2, 3, 4, column slots 2, 3, 4)."""
-    x = vectors.reshape(-1, 2, 2, 2, 2)
-    return np.einsum("sabcd,saefg->sbcdefg", x, x.conj())
+    return complex(_polynomial_stack(reduced_states(psi.vector[None], (2, 3, 4)), triple)[0])
 
 
 def _polynomial_stack(rho: np.ndarray, triple: PermutationTriple) -> np.ndarray:
-    """polynomial_invariant of each state of a stack from its _reduced_234.
+    """polynomial_invariant of each state of a stack from its (S, 8, 8)
+    reduced states on qubits 2, 3, 4.
 
     Copy k contributes rho[(u_k, v_k, w_k), (u_sigma[k], v_tau[k], w_phi[k])],
     where u, v, w are the slot 2, 3, 4 letters of each copy; one einsum sums
@@ -141,6 +136,8 @@ def _polynomial_stack(rho: np.ndarray, triple: PermutationTriple) -> np.ndarray:
         "z" + slots[k] + slots[s - 1][0] + slots[t - 1][1] + slots[p - 1][2]
         for k, (s, t, p) in enumerate(zip(triple.sigma, triple.tau, triple.phi))
     ]
+    # axes (row slots 2, 3, 4, column slots 2, 3, 4)
+    rho = rho.reshape(-1, 2, 2, 2, 2, 2, 2)
     return np.einsum(",".join(factors) + "->z", *[rho] * m)
 
 
@@ -250,7 +247,7 @@ def fingerprint_component_stack(vectors: np.ndarray):
         pairs = _pair_stack(purities["12"], purities["13"], purities["14"])
         for i, values in enumerate(pairs):
             yield f"pair:I{i + 1}", values
-        rho = _reduced_234(vectors)
+        rho = reduced_states(vectors, (2, 3, 4))
         for t in sorted(DEFAULT_TRIPLES, key=lambda t: t.key):
             yield f"poly:{t.key}", _polynomial_stack(rho, t)
 

@@ -44,8 +44,10 @@ class StabilizerBasis:
 
     ambient is 'pure' (coordinates (t, x1, y1, z1, ...), length 3n+1) or
     'density' (no phase coordinate, length 3n).  Rows of `basis` are
-    orthonormal in the Euclidean coordinate inner product and are presented
-    in a deterministic order.  singular_values holds the full spectrum of
+    orthonormal in the Euclidean coordinate inner product: they are the
+    kernel's right singular vectors in the order and with the signs the SVD
+    gives them, which is deterministic for a given input; no reader depends
+    on a rotation of the rows.  singular_values holds the full spectrum of
     the defining map; gap is the ratio across the rank cut (inf when the
     cut is at either end).  When the kernel is exact the denominator of gap
     is a roundoff-level singular value, so gap then reads 1e9 or more and
@@ -87,9 +89,16 @@ class StabilizerBasis:
 
     @cached_property
     def proj_dims(self) -> tuple[int, ...]:
+        """Dimension of each qubit's projection of the stabilizer: the rank
+        of its (dim, 3) coordinate block, all from one batched SVD.  Basis
+        rows are unit norm, so block singular values are at most 1 and an
+        absolute cut at NULL_TOL is meaningful."""
+        if self.dim == 0:
+            return (0,) * self.n
         off = 1 if self.ambient == "pure" else 0
         blocks = self.basis[:, off:].reshape(self.dim, self.n, 3).swapaxes(0, 1)
-        return tuple(_projection_ranks(blocks, NULL_TOL))
+        s = np.linalg.svd(blocks, compute_uv=False)
+        return tuple(np.sum(s > NULL_TOL, axis=1).tolist())
 
     def elements(self) -> list[LieElement]:
         return [lie_element_from_flat(row, self.n, self.ambient) for row in self.basis]
@@ -98,21 +107,6 @@ class StabilizerBasis:
         """The three coordinate columns of qubit j."""
         off = 1 if self.ambient == "pure" else 0
         return self.basis[:, off + 3 * (j - 1) : off + 3 * j]
-
-
-def _canonical_rows(rows: np.ndarray, phase_col: bool) -> np.ndarray:
-    """Fix signs and sort rows for a reproducible presentation."""
-    rows = rows.copy()
-    for row in rows:
-        nz = np.flatnonzero(np.abs(row) > 1e-8)
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
-    if rows.shape[0] > 1:
-        keys = [tuple(np.round(r, 9)) for r in rows]
-        t_mag = np.abs(rows[:, 0]) if phase_col else np.zeros(rows.shape[0])
-        order = sorted(range(rows.shape[0]), key=lambda i: (-t_mag[i], keys[i]))
-        rows = rows[order]
-    return rows
 
 
 def _null_spaces(real_maps: np.ndarray, tol: float) -> list[tuple]:
@@ -142,11 +136,6 @@ def _null_spaces(real_maps: np.ndarray, tol: float) -> list[tuple]:
     return out
 
 
-def _null_space(real_map: np.ndarray, tol: float) -> tuple:
-    """_null_spaces of one (M, K) map."""
-    return _null_spaces(real_map[None], tol)[0]
-
-
 def stabilizer_pure(psi: PureState, tol: float = NULL_TOL) -> StabilizerBasis:
     """Stabilizer of a pure state inside u(1) + su(2)^n: a stack of one for
     stabilizer_pure_stack."""
@@ -173,7 +162,7 @@ def stabilizer_pure_stack(vectors: np.ndarray, tol: float = NULL_TOL) -> list[St
             cols[:, :, 3 * j - 2 : 3 * j + 1] = apply_matrix_to_qubit(SU2_BASIS, flat, j, n)
         real_maps = np.concatenate([cols.real, cols.imag]).swapaxes(0, 1)
         out += [
-            StabilizerBasis("pure", n, _canonical_rows(rows, True), svals, gap)
+            StabilizerBasis("pure", n, rows, svals, gap)
             for rows, svals, gap in _null_spaces(real_maps, tol)
         ]
     return out
@@ -207,7 +196,7 @@ def _density_direct(rho: DensityMatrix, tol: float):
         block = real_map[3 * (j - 1) : 3 * j]
         np.add(left.real, left.imag, out=block)
         block += np.swapaxes(left.real - left.imag, 1, 2)
-    return _null_space(real_map.reshape(3 * n, d * d).T, tol)
+    return _null_spaces(real_map.reshape(3 * n, d * d).T[None], tol)[0]
 
 
 def _drop_phase(pure: StabilizerBasis, tol: float = NULL_TOL) -> StabilizerBasis:
@@ -224,10 +213,7 @@ def _drop_phase(pure: StabilizerBasis, tol: float = NULL_TOL) -> StabilizerBasis
         if r != pure.dim:
             warnings.warn("phase projection lost stabilizer directions; input may be ill-conditioned")
         rows = vh[:r]
-    return StabilizerBasis(
-        "density", pure.n, _canonical_rows(rows, False), pure.singular_values, pure.gap,
-        method="projected",
-    )
+    return StabilizerBasis("density", pure.n, rows, pure.singular_values, pure.gap, method="projected")
 
 
 def _density_projected(rho: DensityMatrix, tol: float) -> StabilizerBasis:
@@ -242,7 +228,8 @@ def stabilizer_density(rho: DensityMatrix, tol: float = NULL_TOL, method: str = 
     O(4^n); 'projected' recovers the pure state of a rank-one input and
     projects its stabilizer.  'auto' runs the direct solve up to
     DENSITY_DIRECT_LIMIT qubits, cross-validating against the projected
-    route on rank-one inputs, and falls back to 'projected' above the limit.
+    route on rank-one inputs, and falls back to 'projected' above the limit,
+    where a mixed input raises and 'direct' is the method that solves it.
     """
     n = rho.n
     if method not in ("auto", "direct", "projected"):
@@ -251,11 +238,16 @@ def stabilizer_density(rho: DensityMatrix, tol: float = NULL_TOL, method: str = 
     # the scale of numerical_rank's cut; a direct solve never reads it
     rank_one = method != "direct" and 1.0 - purity(rho) < tol
     if method == "projected" or (method == "auto" and n > DENSITY_DIRECT_LIMIT):
+        if not rank_one and method == "auto":
+            raise ValueError(
+                f"method 'auto' needs a rank-one density matrix above {DENSITY_DIRECT_LIMIT} "
+                f"qubits, got a mixed one on {n}; method='direct' solves mixed states"
+            )
         if not rank_one:
             raise ValueError("projected method requires a rank-one density matrix")
         return _density_projected(rho, tol)
     rows, svals, gap = _density_direct(rho, tol)
-    out = StabilizerBasis("density", n, _canonical_rows(rows, False), svals, gap, method="direct")
+    out = StabilizerBasis("density", n, rows, svals, gap, method="direct")
     if method == "auto" and rank_one:
         proj_rows = _density_projected(rho, tol).basis
         ok = proj_rows.shape[0] == out.dim
@@ -267,25 +259,6 @@ def stabilizer_density(rho: DensityMatrix, tol: float = NULL_TOL, method: str = 
             "density", n, out.basis, svals, gap, method="direct", cross_validated=bool(ok)
         )
     return out
-
-
-def projection_dim(k: StabilizerBasis, j: int, tol: float = NULL_TOL) -> int:
-    """Dimension of the qubit-j projection of the stabilizer."""
-    if not 1 <= j <= k.n:
-        raise ValueError(f"qubit label {j} out of range for n={k.n}")
-    return _projection_ranks(k.block_columns(j)[None], tol)[0]
-
-
-def _projection_ranks(blocks: np.ndarray, tol: float) -> list[int]:
-    """Rank of each (dim, 3) coordinate block of a stack, from one batched SVD.
-
-    Basis rows are unit norm, so block singular values are at most 1 and
-    an absolute cut at tol is meaningful.
-    """
-    if blocks.shape[1] == 0:
-        return [0] * blocks.shape[0]
-    s = np.linalg.svd(blocks, compute_uv=False)
-    return np.sum(s > tol, axis=1).tolist()
 
 
 def principal_angles(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
@@ -301,14 +274,15 @@ def principal_angles(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     return subspace_angles(rows_a.T, rows_b.T)
 
 
-def span_contains(k: StabilizerBasis, flat: np.ndarray, tol: float = SPAN_TOL) -> bool:
-    """Whether a coordinate vector lies in the stabilizer span."""
+def span_contains(k: StabilizerBasis, flat: np.ndarray) -> bool:
+    """Whether a coordinate vector lies in the stabilizer span, to SPAN_TOL
+    relative to its norm."""
     v = np.asarray(flat, dtype=np.float64)
     nrm = np.linalg.norm(v)
     if nrm == 0:
         return True
     resid = v - k.basis.T @ (k.basis @ v)
-    return float(np.linalg.norm(resid)) < tol * nrm
+    return float(np.linalg.norm(resid)) < SPAN_TOL * nrm
 
 
 def _bracket_flat(row_i: np.ndarray, row_j: np.ndarray, n: int, ambient: str) -> np.ndarray:
@@ -338,8 +312,9 @@ class AlgebraType:
     killing_eigenvalues: np.ndarray | None
 
 
-def algebra_type(k: StabilizerBasis, tol: float = CLOSURE_TOL) -> AlgebraType:
-    """Classify the Lie algebra spanned by a stabilizer basis."""
+def algebra_type(k: StabilizerBasis) -> AlgebraType:
+    """Classify the Lie algebra spanned by a stabilizer basis; brackets
+    below CLOSURE_TOL count as zero and so do residuals off the span."""
     dim = k.dim
     if dim <= 1:
         return AlgebraType("abelian", True, 0.0, None, None)
@@ -355,9 +330,9 @@ def algebra_type(k: StabilizerBasis, tol: float = CLOSURE_TOL) -> AlgebraType:
             const[j, i] = -coeff
             resid = br - k.basis.T @ coeff
             max_resid = max(max_resid, float(np.linalg.norm(resid)))
-    if max_norm < tol:
+    if max_norm < CLOSURE_TOL:
         return AlgebraType("abelian", True, max_resid, const, None)
-    closed = max_resid < tol
+    closed = max_resid < CLOSURE_TOL
     if not closed:
         return AlgebraType("other", False, max_resid, None, None)
     # killing[a, b] = tr(ad_a ad_b) with (ad_a)_{kj} = const[a, j, k]

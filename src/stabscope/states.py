@@ -14,11 +14,15 @@ map, the canonicalisers and the equivalence witnesses all go through these
 two; density matrices are acted on from the left only, a right product
 being the adjoint of a left one (rho X = (X^dagger rho^dagger)^dagger).
 
-subset_purity_stack is the stacked form of subset_purity: it takes an
-(S, 2**n) array of amplitude vectors, and subset_purity is a stack of one.
-The other per-state kernels (the pure stabilizer solve, the invariant
-fingerprint) have stacked forms of the same shape.  STACK_AMPLITUDES bounds
-how many amplitudes one chunk of a stack holds.
+reduced_states is the one place a reduced state is formed from amplitudes:
+the Gram matrices of the amplitude matrices of an (S, 2**n) stack of state
+vectors.  reduced_state, subset_purity_stack, the correlation graph of
+is_product, the one-qubit eigenframes of the standard form and the
+polynomial invariants all take their marginals from it.
+subset_purity_stack is the stacked form of subset_purity, which is a stack
+of one.  The other per-state kernels (the pure stabilizer solve, the
+invariant fingerprint) have stacked forms of the same shape.
+STACK_AMPLITUDES bounds how many amplitudes one chunk of a stack holds.
 
 The package has one numerical zero: numerical_rank's relative cut at
 NULL_TOL, which decides the stabilizer rank, the Schmidt rank in is_product
@@ -101,7 +105,7 @@ def _stack_qubits(vectors: np.ndarray) -> int:
     """Qubit count n of an (S, 2**n) stack of amplitude vectors."""
     size = vectors.shape[-1] if vectors.ndim else 0
     n = size.bit_length() - 1
-    if vectors.ndim != 2 or size != 1 << n or n < 1:
+    if vectors.ndim != 2 or n < 1 or size != 1 << n:
         raise ValueError(f"stack of 2**n amplitude vectors required, got shape {vectors.shape}")
     return n
 
@@ -134,8 +138,8 @@ class PureState:
 
     def __post_init__(self):
         vec = np.asarray(self.vector, dtype=np.complex128).reshape(-1).copy()
-        n = int(np.log2(vec.size))
-        if 2**n != vec.size or vec.size < 2:
+        n = vec.size.bit_length() - 1
+        if n < 1 or vec.size != 1 << n:
             raise ValueError(f"amplitude count {vec.size} is not 2**n with n >= 1")
         nrm = np.linalg.norm(vec)
         if nrm == 0.0:
@@ -172,8 +176,8 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=np.complex128).copy()
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"square matrix required, got shape {mat.shape}")
-        n = int(np.log2(mat.shape[0]))
-        if 2**n != mat.shape[0] or n < 1:
+        n = mat.shape[0].bit_length() - 1
+        if n < 1 or mat.shape[0] != 1 << n:
             raise ValueError(f"dimension {mat.shape[0]} is not 2**n with n >= 1")
         if np.max(np.abs(mat - mat.conj().T)) > 100 * NORM_TOL:
             raise ValueError("matrix is not Hermitian")
@@ -238,15 +242,19 @@ def partial_trace(rho: DensityMatrix, traced) -> DensityMatrix:
 
 
 def reduced_state(psi: PureState, keep) -> DensityMatrix:
-    """Reduced density matrix of a pure state on the kept qubits."""
+    """Reduced density matrix of a pure state on the kept qubits: a stack of
+    one for reduced_states."""
     keep = _check_subset(psi.n, keep)
-    m = _amplitude_matrix(psi, keep)
-    return DensityMatrix(m @ m.conj().T)
+    return DensityMatrix(reduced_states(psi.vector[None], keep)[0])
 
 
-def _amplitude_matrix(psi: PureState, keep: tuple[int, ...]) -> np.ndarray:
-    """Reshape amplitudes into a (2**|keep|, 2**|rest|) matrix."""
-    return _amplitude_matrices(psi.vector[None], keep)[0]
+def reduced_states(vectors: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Reduced density matrices on the kept qubits of each state of an
+    (S, 2**n) stack: the (S, 2**k, 2**k) Gram matrices of its amplitude
+    matrices, k = len(keep).  keep holds strictly increasing labels in 1..n,
+    as _check_subset returns them; the caller checks it."""
+    m = _amplitude_matrices(vectors, keep)
+    return m @ m.conj().swapaxes(1, 2)
 
 
 def _amplitude_matrices(vectors: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
@@ -273,9 +281,9 @@ def subset_purity(psi: PureState, subset) -> float:
 def subset_purity_stack(vectors: np.ndarray, subset) -> np.ndarray:
     """Purity on a qubit subset of each state in an (S, 2**n) stack.
 
-    Computed from the Gram matrices of the reshaped amplitude matrices,
-    using whichever side of the bipartition is smaller.  Each entry is
-    bit for bit what the state gets in a stack of its own.
+    Computed from the reduced states on whichever side of the bipartition
+    is smaller.  Each entry is bit for bit what the state gets in a stack of
+    its own.
     """
     n = _stack_qubits(vectors)
     subset = _check_subset(n, subset)
@@ -283,9 +291,7 @@ def subset_purity_stack(vectors: np.ndarray, subset) -> np.ndarray:
         return np.ones(vectors.shape[0])
     if 2 * len(subset) > n:
         subset = tuple(j for j in range(1, n + 1) if j not in subset)
-    m = _amplitude_matrices(vectors, subset)
-    g = m @ m.conj().swapaxes(1, 2)
-    return np.square(np.abs(g)).sum(axis=(1, 2))
+    return np.square(np.abs(reduced_states(vectors, subset))).sum(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -329,7 +335,7 @@ def _pure_side(psi: PureState, subset: tuple[int, ...], tol: float) -> bool:
         subset = tuple(j for j in range(1, psi.n + 1) if j not in subset)
     if 1.0 - subset_purity(psi, subset) > max(tol, 2.0 ** (len(subset) + 1) * tol**2):
         return False
-    schmidt = np.linalg.svd(_amplitude_matrix(psi, subset), compute_uv=False)
+    schmidt = np.linalg.svd(_amplitude_matrices(psi.vector[None], subset)[0], compute_uv=False)
     return numerical_rank(schmidt, tol) == 1
 
 
@@ -348,12 +354,9 @@ def _correlation_components(psi: PureState, tol: float) -> list[tuple[int, ...]]
     union of components.  Pairs already joined are skipped.
     """
     n = psi.n
-    v = psi.vector
+    v = psi.vector[None]
     bound = 6.0 * np.sqrt(2.0 ** (n // 2) - 1.0) * tol
-    single = []
-    for i in range(n):
-        m = v.reshape(2**i, 2, -1).transpose(1, 0, 2).reshape(2, -1)
-        single.append(m @ m.conj().T)
+    single = [reduced_states(v, (i,))[0] for i in range(1, n + 1)]
     root = list(range(n))
 
     def find(i: int) -> int:
@@ -369,9 +372,8 @@ def _correlation_components(psi: PureState, tol: float) -> list[tuple[int, ...]]
         ri, rj = find(i), find(j)
         if ri == rj:
             continue
-        m = v.reshape(2**i, 2, 2 ** (j - i - 1), 2, -1).transpose(1, 3, 0, 2, 4).reshape(4, -1)
         # axes (row i, row j, column i, column j) on both terms
-        corr = (m @ m.conj().T).reshape(2, 2, 2, 2) - (
+        corr = reduced_states(v, (i + 1, j + 1))[0].reshape(2, 2, 2, 2) - (
             single[i][:, None, :, None] * single[j][None, :, None, :]
         )
         if np.vdot(corr, corr).real > bound**2:

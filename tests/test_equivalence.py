@@ -12,6 +12,7 @@ from stabscope import (
     LocalUnitary,
     PureState,
     apply_local_unitary,
+    basis_state,
     canonical_four_qubit_state,
     canonicalize_ghz,
     decide_equivalence,
@@ -25,6 +26,7 @@ from stabscope import (
     separating_component,
     stabilizer_pure,
     state_to_dict,
+    tensor_product,
     w_state,
 )
 from stabscope.equivalence import FINGERPRINT_TOL, _infidelity_and_grad
@@ -78,6 +80,17 @@ def test_decide_stabilizer_dimension_separator():
     assert verdict.separator == ("stab_dim", 2, 1)
     assert verdict.best_infidelity is None  # optimizer never ran
     assert verdict.decided_by == "stab_dim"
+
+
+def test_decide_projection_dimension_separator():
+    # both stabilizers are one-dimensional, but W4's moves every qubit and
+    # the product's only the qubit in |0>
+    product = tensor_product(random_state(3, np.random.default_rng(4)), basis_state((0,)))
+    verdict = decide_equivalence(w_state(4), product)
+    assert verdict.status == "inequivalent"
+    assert verdict.separator == ("proj_dims", (1, 1, 1, 1), (0, 0, 0, 1))
+    assert verdict.best_infidelity is None
+    assert verdict.decided_by == "proj_dims"
 
 
 def test_decide_fingerprint_separator_between_ghz_weights():

@@ -7,6 +7,7 @@ import pytest
 
 import stabscope.io
 from stabscope import (
+    CriterionResult,
     GuardError,
     PureState,
     StateFormatError,
@@ -30,6 +31,7 @@ from stabscope import (
     to_density,
     w_state,
 )
+from stabscope import selftest
 from stabscope.cli import build_parser, main
 
 
@@ -503,6 +505,14 @@ def test_cli_orbit_consistency(capsys):
     assert payload["max_drift"] < 1e-8
 
 
+def test_cli_orbit_text_output_lists_each_row(capsys):
+    assert main(["orbit", "--state", "ghz:3", "--samples", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "rows[0].stab_dim = 2" in lines
+    assert "rows[1].proj_dims = [1, 1, 1]" in lines
+    assert "consistent = true" in lines
+
+
 @pytest.mark.parametrize(
     "spec",
     [f"ghz:{n}:0.8" for n in range(3, 9)]
@@ -588,3 +598,44 @@ def test_main_calls_leave_no_state_in_the_shared_parser(capsys):
     assert capsys.readouterr().out == first
     args = build_parser().parse_args(["analyze"])
     assert args.state is None and args.seed == 0 and args.paths == []
+
+
+def _instant_criterion(index: int, passed: bool):
+    def run(master_seed):
+        failures = () if passed else ("instant failure",)
+        return CriterionResult(index, f"instant_{index}", passed, 1, 0.0, failures, f"seed {master_seed}")
+
+    return index, f"instant_{index}", run
+
+
+@pytest.fixture
+def instant_criteria(monkeypatch):
+    """Two criteria that finish at once, one passing and one failing, in
+    place of the real battery."""
+    monkeypatch.setattr(
+        selftest, "CRITERIA", (_instant_criterion(1, True), _instant_criterion(2, False))
+    )
+
+
+def test_cli_selftest_json_reports_each_criterion(instant_criteria, capsys):
+    assert main(["selftest", "--format", "json", "--seed", "5"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    criteria = payload["criteria"]
+    assert [c["passed"] for c in criteria] == [True, False]
+    assert all(
+        set(c) == {"index", "name", "passed", "checks", "elapsed", "failures"} for c in criteria
+    )
+    assert [c["index"] for c in criteria] == [1, 2]
+    assert criteria[1]["failures"] == ["instant failure"]
+
+
+def test_cli_selftest_text_prints_each_criterion_and_a_summary(instant_criteria, capsys):
+    assert main(["selftest", "--seed", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith(("PASS ", "FAIL "))] == [
+        "PASS  1 instant_1: seed 5 (0.0s)",
+        "FAIL  2 instant_2: seed 5 (0.0s)",
+    ]
+    assert "        instant failure" in lines
+    assert lines[-1].startswith("FAIL: 1/2 criteria in ")

@@ -13,6 +13,7 @@ from stabscope import (
     phase_projection_check,
     principal_angles,
     random_state,
+    reduced_state,
     singlet_state,
     span_contains,
     stabilizer_density,
@@ -22,7 +23,7 @@ from stabscope import (
     to_density,
     w_state,
 )
-from stabscope.stabilizer import GAP_MIN, NULL_TOL, _null_space
+from stabscope.stabilizer import DENSITY_DIRECT_LIMIT, GAP_MIN, NULL_TOL, _null_spaces
 
 
 def _dense_pure_map(psi):
@@ -107,6 +108,17 @@ def test_density_methods_agree_on_rank_one():
 def test_projected_method_requires_pure_input():
     rho = DensityMatrix(np.eye(4) / 4)
     with pytest.raises(ValueError):
+        stabilizer_density(rho, method="projected")
+
+
+def test_auto_method_on_a_large_mixed_state_points_to_direct():
+    # a mixed state above the direct limit: auto names its own rule and the
+    # method that does solve it, not the projected method it never chose
+    n = DENSITY_DIRECT_LIMIT + 1
+    rho = reduced_state(random_state(n + 2, np.random.default_rng(3)), tuple(range(1, n + 1)))
+    with pytest.raises(ValueError, match="method 'auto' needs a rank-one.*method='direct' solves mixed"):
+        stabilizer_density(rho)
+    with pytest.raises(ValueError, match="projected method requires"):
         stabilizer_density(rho, method="projected")
 
 
@@ -250,7 +262,7 @@ def test_direct_density_solve_matches_naive_realified_map(name, rho, expected_di
 
 def test_null_space_rejects_wide_maps():
     with pytest.raises(ValueError, match="fewer rows than columns"):
-        _null_space(np.ones((2, 3)), NULL_TOL)
+        _null_spaces(np.ones((1, 2, 3)), NULL_TOL)
 
 
 def test_rank_margin_on_a_vanishing_map():

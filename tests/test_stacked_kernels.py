@@ -2,6 +2,7 @@
 it gets in a stack of its own, whatever the chunking."""
 
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,16 +14,19 @@ from stabscope import (
     ghz_state,
     haar_random_local_unitary,
     invariant_fingerprint,
+    partial_trace,
     random_state,
+    reduced_state,
     singlet_state,
     stabilizer_pure,
     subset_purity,
     tensor_product,
+    to_density,
     w_state,
 )
 from stabscope.invariants import _keyed_subsets, invariant_fingerprint_stack
 from stabscope.stabilizer import stabilizer_pure_stack
-from stabscope.states import STACK_AMPLITUDES, stack_length, subset_purity_stack
+from stabscope.states import STACK_AMPLITUDES, reduced_states, stack_length, subset_purity_stack
 
 
 def _states(n: int) -> list:
@@ -59,6 +63,22 @@ def test_stacked_slices_equal_stacks_of_one(n):
         assert (k.dim, k.proj_dims, k.gap) == (one.dim, one.proj_dims, one.gap)
     for psi, fp in zip(states, invariant_fingerprint_stack(vectors), strict=True):
         assert fp == invariant_fingerprint(psi)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_reduced_states_match_partial_traces_and_stacks_of_one(n):
+    states = _states(n)
+    vectors = np.stack([psi.vector for psi in states])
+    labels = range(1, n + 1)
+    for k in range(1, n + 1):
+        for keep in combinations(labels, k):
+            for psi, rho in zip(states, reduced_states(vectors, keep), strict=True):
+                assert np.array_equal(rho, reduced_state(psi, keep).matrix), keep
+                if k < n:
+                    # independent reference: trace the rest out of |psi><psi|
+                    rest = tuple(j for j in labels if j not in keep)
+                    reference = partial_trace(to_density(psi), rest).matrix
+                    assert np.allclose(rho, reference, rtol=0.0, atol=1e-14), keep
 
 
 def test_stabilizer_stacks_are_solved_in_bounded_chunks(monkeypatch):

@@ -28,7 +28,7 @@ from stabscope import (
 from stabscope import states as states_module
 from stabscope.states import (
     NULL_TOL,
-    _amplitude_matrix,
+    _amplitude_matrices,
     _bipartition_sides,
     _correlation_components,
     bit_complement,
@@ -75,6 +75,20 @@ def test_pure_state_rejects_zero_and_bad_shape():
         PureState(np.zeros(4, dtype=complex))
     with pytest.raises(ValueError):
         PureState(np.ones(3, dtype=complex))
+    # no amplitudes at all: n comes from integer arithmetic, not log2(0)
+    with pytest.raises(ValueError, match=r"not 2\*\*n"):
+        PureState(np.zeros(0))
+    with pytest.raises(ValueError, match=r"not 2\*\*n"):
+        PureState(np.ones(1, dtype=complex))
+
+
+def test_density_matrix_rejects_empty_and_bad_dimension():
+    with pytest.raises(ValueError, match=r"not 2\*\*n"):
+        DensityMatrix(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"not 2\*\*n"):
+        DensityMatrix(np.ones((1, 1)))
+    with pytest.raises(ValueError, match=r"not 2\*\*n"):
+        DensityMatrix(np.eye(3) / 3)
 
 
 def test_pure_state_vector_is_read_only():
@@ -294,7 +308,7 @@ def _schmidt_rule_blocks(psi, tol=NULL_TOL):
         for side in combinations(labels, k):
             if 2 * k == psi.n and 1 not in side:
                 continue
-            schmidt = np.linalg.svd(_amplitude_matrix(psi, side), compute_uv=False)
+            schmidt = np.linalg.svd(_amplitude_matrices(psi.vector[None], side)[0], compute_uv=False)
             if numerical_rank(schmidt, tol) == 1:
                 pure.append(side)
                 pure.append(tuple(j for j in labels if j not in side))
@@ -387,7 +401,7 @@ def test_no_edge_crosses_a_cut_that_is_pure_at_tol(n):
     # qubit q of the relabelled state is qubit perm[q - 1] + 1 of the original
     side_a = tuple(q for q in range(1, n + 1) if perm[q - 1] < k)
     side_b = tuple(q for q in range(1, n + 1) if perm[q - 1] >= k)
-    assert numerical_rank(np.linalg.svd(_amplitude_matrix(psi, side_a), compute_uv=False), NULL_TOL) == 1
+    assert numerical_rank(np.linalg.svd(_amplitude_matrices(psi.vector[None], side_a)[0], compute_uv=False), NULL_TOL) == 1
     for component in _correlation_components(psi, NULL_TOL):
         assert set(component) <= set(side_a) or set(component) <= set(side_b)
     assert is_product(psi).blocks == tuple(sorted((side_a, side_b)))
