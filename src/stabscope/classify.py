@@ -6,14 +6,15 @@ stabilizer is one-dimensional and the state is equivalent to a generalized
 GHZ state, or n = 4 with all projections three-dimensional, the stabilizer a
 copy of su(2), and the state equivalent to a canonical complement-pair state.
 This module decides the branch from the stabilizer pattern in one place
-(_maximal_pattern, which decide_equivalence uses too) and builds the
-canonical form from the stabilizer it is given, together with a local
-unitary achieving it.  In the GHZ class each qubit's stabilizer direction is
-rotated onto the diagonal generator, which leaves the state on one basis
-ket and its complement; in the four-qubit family each qubit's su(2) block is
-rotated onto qubit 1's, which leaves it in the total-spin-zero plane.  No
-invariant or optimizer search is involved: in both classes the stabilizer
-fixes the canonicalising unitary up to symmetries of the canonical form.
+(canonical_form, which classify and decide_equivalence both call) and
+builds the canonical form from the stabilizer it is given, together with a
+local unitary achieving it.  In the GHZ class each qubit's stabilizer
+direction is rotated onto the diagonal generator, which leaves the state on
+one basis ket and its complement; in the four-qubit family each qubit's
+su(2) block is rotated onto qubit 1's, which leaves it in the
+total-spin-zero plane.  No invariant or optimizer search is involved: in
+both classes the stabilizer fixes the canonicalising unitary up to
+symmetries of the canonical form.
 The product test and the vanishing-amplitude checks cut where the stabilizer
 rank does, so all three agree on the GHZ class up to that cut.
 """
@@ -218,6 +219,22 @@ def canonicalize_four_qubit(
     return FourQubitCanonicalForm(a, b, c, None, residual, (note,))
 
 
+def canonical_form(
+    psi: PureState, k: StabilizerBasis, tol: float = NULL_TOL, tol_equiv: float = EQUIV_TOL
+) -> GhzCanonicalForm | FourQubitCanonicalForm | None:
+    """Canonical form of psi from its stabilizer k when k has one of the two
+    maximal patterns: the GHZ form with tol as its numerical zero, or the
+    four-qubit form certified below the infidelity tol_equiv.  None when
+    neither pattern holds; CanonicalizationError when the canonicaliser
+    rejects the state."""
+    pattern = _maximal_pattern(k)
+    if pattern == "ghz":
+        return canonicalize_ghz(psi, stab=k, tol=tol)
+    if pattern == "family":
+        return canonicalize_four_qubit(psi, stab=k, tol=tol_equiv)
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class ClassificationReport:
     """Everything classify learned about one state.
@@ -308,30 +325,24 @@ def classify(
             )
         return ClassificationReport(verdict="not_max_stab", notes=tuple(notes), **base)
     pattern = _maximal_pattern(k)
-    if pattern == "ghz":
+    if pattern == "ghz" or (pattern == "family" and at.kind == "su2"):
         try:
-            form = canonicalize_ghz(psi, stab=k, tol=tol)
+            form = canonical_form(psi, k, tol, tol_equiv)
         except CanonicalizationError as exc:
-            notes.append(f"GHZ branch failed: {exc}")
+            branch = "GHZ" if pattern == "ghz" else "four-qubit"
+            notes.append(f"{branch} branch failed: {exc}")
             return ClassificationReport(
                 verdict="max_stab_but_unrecognized", notes=tuple(notes), **base
             )
-        return ClassificationReport(
-            verdict="ghz_class",
-            alpha=form.alpha,
-            beta=form.beta,
-            canonicalizer=form.unitary,
-            residual=form.residual,
-            notes=tuple(notes),
-            **base,
-        )
-    if pattern == "family" and at.kind == "su2":
-        try:
-            form = canonicalize_four_qubit(psi, stab=k, tol=tol_equiv)
-        except CanonicalizationError as exc:
-            notes.append(f"four-qubit branch failed: {exc}")
+        if pattern == "ghz":
             return ClassificationReport(
-                verdict="max_stab_but_unrecognized", notes=tuple(notes), **base
+                verdict="ghz_class",
+                alpha=form.alpha,
+                beta=form.beta,
+                canonicalizer=form.unitary,
+                residual=form.residual,
+                notes=tuple(notes),
+                **base,
             )
         return ClassificationReport(
             verdict="four_qubit_su2",

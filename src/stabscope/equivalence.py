@@ -20,23 +20,14 @@ to multi-start fidelity maximization over SU(2)^n.
 """
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import tee
 
 import numpy as np
 
 from .states import PureState, apply_factors, apply_matrix_to_qubit, reduced_states
 from .local_unitary import LocalUnitary, _exp_and_dexp, compose, exp_su2, haar_su2, inverse
-from .stabilizer import NULL_TOL, StabilizerBasis, stabilizer_pure_stack
-from .invariants import fingerprint_component_stack, first_difference
-from .classify import (
-    EQUIV_TOL,
-    CanonicalizationError,
-    GhzCanonicalForm,
-    _maximal_pattern,
-    canonicalize_four_qubit,
-    canonicalize_ghz,
-)
+from .stabilizer import NULL_TOL, stabilizer_pure_stack
+from .invariants import fingerprint_component_stack
+from .classify import EQUIV_TOL, CanonicalizationError, GhzCanonicalForm, canonical_form
 
 # invariant components differing by more than this certify inequivalence
 FINGERPRINT_TOL = 1e-6
@@ -166,30 +157,6 @@ def _standard_form_factors(psi: PureState, phi: PureState) -> np.ndarray | None:
     return factors
 
 
-def _canonical_forms(
-    psi: PureState, phi: PureState, ka: StabilizerBasis, kb: StabilizerBasis,
-    null_tol: float, tol: float,
-) -> tuple | None:
-    """Certified canonical forms of both states when their stabilizers are
-    maximal (GHZ class or four-qubit su(2) family).  None when neither
-    pattern holds, a canonicaliser fails, or a family form is not
-    certified."""
-    pattern = _maximal_pattern(ka)
-    if pattern == "ghz":
-        canonicalize = partial(canonicalize_ghz, tol=null_tol)
-    elif pattern == "family":
-        canonicalize = partial(canonicalize_four_qubit, tol=tol)
-    else:
-        return None
-    try:
-        fa, fb = canonicalize(psi, stab=ka), canonicalize(phi, stab=kb)
-    except CanonicalizationError:
-        return None
-    if fa.unitary is None or fb.unitary is None:
-        return None
-    return fa, fb
-
-
 def _parameter_difference(fa, fb, tol: float) -> tuple | None:
     """The first canonical parameter, (alpha,) for GHZ or (a, b) for the
     family, on which two forms differ by more than tol, as a separator."""
@@ -284,18 +251,20 @@ def decide_equivalence(
         )
     # each component is computed for both states at once, and only as far
     # as the first one that separates them
-    ca, cb = tee(fingerprint_component_stack(pair))
-    sep = first_difference(
-        ((name, v[0].item()) for name, v in ca), ((name, v[1].item()) for name, v in cb),
-        FINGERPRINT_TOL,
-    )
-    if sep is not None:
-        return EquivVerdict("inequivalent", None, sep, None, None, f"fingerprint:{sep[0]}")
+    for name, values in fingerprint_component_stack(pair):
+        va, vb = values[0].item(), values[1].item()
+        if abs(va - vb) > FINGERPRINT_TOL:
+            return EquivVerdict(
+                "inequivalent", None, (name, va, vb), None, None, f"fingerprint:{name}"
+            )
     # the canonical form goes first: where it applies its witness is exact,
-    # and the form is unique, so differing parameters prove inequivalence
-    forms = _canonical_forms(psi, phi, ka, kb, null_tol, tol)
-    if forms is not None:
-        fa, fb = forms
+    # and the form is unique, so differing parameters prove inequivalence;
+    # equal stab_dim and proj_dims give both states the same pattern
+    try:
+        fa, fb = canonical_form(psi, ka, null_tol, tol), canonical_form(phi, kb, null_tol, tol)
+    except CanonicalizationError:
+        fa = fb = None
+    if fa is not None and fa.unitary is not None and fb.unitary is not None:
         infidelity, witness = _align(psi, phi, compose(inverse(fb.unitary), fa.unitary).factors)
         if infidelity < tol:
             return EquivVerdict("equivalent", witness, None, infidelity, 0, "canonical_form")

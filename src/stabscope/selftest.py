@@ -1,9 +1,11 @@
 """Self-test suite: desk-scale checks of every documented guarantee.
 
-Each criterion is a standalone function taking a master seed and returning a
-CriterionResult.  All randomness derives from that seed through fixed spawn
-keys, so repeated runs produce identical pass/fail outcomes.  The suite runs
-the criteria one after another in index order.
+Each criterion is a function that records its checks on the recorder it is
+given and returns its one-line summary; CRITERIA names and numbers it, and
+the runner times it and builds its CriterionResult.  All randomness derives
+from the master seed through fixed spawn keys, so repeated runs produce
+identical pass/fail outcomes.  The suite runs the criteria one after another
+in index order.
 """
 
 import itertools
@@ -130,18 +132,6 @@ class _Recorder:
             self.failures.append(message)
         return ok
 
-    def result(self, index: int, name: str, t0: float, summary: str) -> CriterionResult:
-        elapsed = perf_counter() - t0
-        return CriterionResult(
-            index,
-            name,
-            not self.failures,
-            self.checks,
-            elapsed,
-            tuple(self.failures),
-            summary,
-        )
-
 
 def _ghz_corpus(master_seed: int):
     """The GHZ test corpus: per size, random (alpha, beta) bases and random
@@ -195,12 +185,11 @@ def _haar_corpus(master_seed: int):
         yield random_state(n, _rng(master_seed, 3, i))
 
 
-def criterion_ghz_stabilizer_dimension(master_seed: int = 0) -> CriterionResult:
+def criterion_ghz_stabilizer_dimension(rec: _Recorder, master_seed: int) -> str:
     """Generalized GHZ states at several sizes keep stabilizer dimension
     n - 1, all qubit projections one-dimensional, and a clean spectral gap,
     at every point of their local-unitary orbits."""
     t0 = perf_counter()
-    rec = _Recorder()
     count = 0
     for n, alpha, beta, psi in _ghz_corpus(master_seed):
         count += 1
@@ -219,15 +208,14 @@ def criterion_ghz_stabilizer_dimension(master_seed: int = 0) -> CriterionResult:
         )
     elapsed = perf_counter() - t0
     rec.check(elapsed < CORPUS_TIME_LIMIT, f"runtime {elapsed:.1f}s exceeds {CORPUS_TIME_LIMIT}s")
-    return rec.result(1, "ghz_stabilizer_dimension", t0, f"{count} states across n={GHZ_SIZES}")
+    return f"{count} states across n={GHZ_SIZES}"
 
 
-def criterion_four_qubit_family_stabilizer(master_seed: int = 0) -> CriterionResult:
+def criterion_four_qubit_family_stabilizer(rec: _Recorder, master_seed: int) -> str:
     """Canonical four-qubit family states have a three-dimensional su(2)
     stabilizer equal to the repeated-coordinate reference span, with all
     qubit projections three-dimensional across their orbits."""
     t0 = perf_counter()
-    rec = _Recorder()
     reference = _family_reference_span()
     count = 0
     for gi, is_base, psi in _family_corpus(master_seed):
@@ -249,17 +237,13 @@ def criterion_four_qubit_family_stabilizer(master_seed: int = 0) -> CriterionRes
             )
     elapsed = perf_counter() - t0
     rec.check(elapsed < CORPUS_TIME_LIMIT, f"runtime {elapsed:.1f}s exceeds {CORPUS_TIME_LIMIT}s")
-    return rec.result(
-        2, "four_qubit_family_stabilizer", t0, f"{count} states on a {len(_family_grid())}-point grid"
-    )
+    return f"{count} states on a {len(_family_grid())}-point grid"
 
 
-def criterion_projection_consistency(master_seed: int = 0) -> CriterionResult:
+def criterion_projection_consistency(rec: _Recorder, master_seed: int) -> str:
     """Dropping the phase component maps the pure-state stabilizer onto the
     density stabilizer with equal dimension and span, on the full GHZ and
     family corpora plus Haar-random states."""
-    t0 = perf_counter()
-    rec = _Recorder()
     count = 0
     states = itertools.chain(
         (psi for _, _, _, psi in _ghz_corpus(master_seed)),
@@ -277,14 +261,12 @@ def criterion_projection_consistency(master_seed: int = 0) -> CriterionResult:
             pc.max_angle < ANGLE_TOL,
             f"n={psi.n}: span angle {pc.max_angle:.2e}",
         )
-    return rec.result(3, "projection_consistency", t0, f"{count} states compared")
+    return f"{count} states compared"
 
 
-def criterion_diagonal_commutator_weights(master_seed: int = 0) -> CriterionResult:
+def criterion_diagonal_commutator_weights(rec: _Recorder, master_seed: int) -> str:
     """The commutator of a diagonal element with any density matrix scales
     each entry by the closed-form weight, entrywise to 1e-12."""
-    t0 = perf_counter()
-    rec = _Recorder()
     for i in range(100):
         n = 1 + i % 4
         rng = _rng(master_seed, 14, i)
@@ -303,7 +285,7 @@ def criterion_diagonal_commutator_weights(master_seed: int = 0) -> CriterionResu
                 weights[a, b] = diagonal_commutator_weight(bits[a], bits[b], t)
         err = float(np.max(np.abs(lhs - weights * rho.matrix)))
         rec.check(err <= ZETA_TOL, f"case {i} (n={n}): entrywise error {err:.2e}")
-    return rec.result(4, "diagonal_commutator_weights", t0, "100 random (t, rho) pairs")
+    return "100 random (t, rho) pairs"
 
 
 def _insert_qubit(phi_vec: np.ndarray, rest: PureState, ell: int, n: int) -> PureState:
@@ -315,12 +297,10 @@ def _insert_qubit(phi_vec: np.ndarray, rest: PureState, ell: int, n: int) -> Pur
     return PureState(phi_vec[bit] * rest.vector[rest_idx])
 
 
-def criterion_unentangled_qubit_detection(master_seed: int = 0) -> CriterionResult:
+def criterion_unentangled_qubit_detection(rec: _Recorder, master_seed: int) -> str:
     """A qubit in a pure single-qubit state contributes its aligned su(2)
     generator to the density stabilizer, and shows purity one; entangled
     qubits admit no stabilizer element supported on that qubit alone."""
-    t0 = perf_counter()
-    rec = _Recorder()
     for i in range(50):
         n = 3 + i % 3
         rng = _rng(master_seed, 15, i)
@@ -365,14 +345,12 @@ def criterion_unentangled_qubit_detection(master_seed: int = 0) -> CriterionResu
                 smin > 1e-7,
                 f"converse {i}: stabilizer element supported only on qubit {ell}",
             )
-    return rec.result(5, "unentangled_qubit_detection", t0, "50 aligned + 10 converse cases")
+    return "50 aligned + 10 converse cases"
 
 
-def criterion_ghz_roundtrip(master_seed: int = 0) -> CriterionResult:
+def criterion_ghz_roundtrip(rec: _Recorder, master_seed: int) -> str:
     """GHZ canonicalization recovers the construction coefficients, constant
     across the orbit, to 1e-7."""
-    t0 = perf_counter()
-    rec = _Recorder()
     sizes = (3, 4, 5, 3, 4)
     for case, n in enumerate(sizes):
         rng = _rng(master_seed, 17, case)
@@ -393,7 +371,7 @@ def criterion_ghz_roundtrip(master_seed: int = 0) -> CriterionResult:
                 form.residual < 1e-8,
                 f"case {case} orbit {j}: canonical residual {form.residual:.2e}",
             )
-    return rec.result(6, "ghz_roundtrip", t0, f"{10 * len(sizes)} orbit points recovered")
+    return f"{10 * len(sizes)} orbit points recovered"
 
 
 def _poly3_reference(psi: PureState, triple: PermutationTriple) -> complex:
@@ -420,12 +398,10 @@ def _poly3_reference(psi: PureState, triple: PermutationTriple) -> complex:
     return complex(total)
 
 
-def criterion_four_qubit_recovery(master_seed: int = 0) -> CriterionResult:
+def criterion_four_qubit_recovery(rec: _Recorder, master_seed: int) -> str:
     """Canonical coefficient extraction inverts random local unitaries on the
     whole non-degenerate grid to 1e-6, and the degree-3 invariant's literal
     sum matches its closed form."""
-    t0 = perf_counter()
-    rec = _Recorder()
     grid = _family_grid()
     for gi, (a, b) in enumerate(grid):
         s = _family_scale(a, b)
@@ -453,14 +429,12 @@ def criterion_four_qubit_recovery(master_seed: int = 0) -> CriterionResult:
             abs(literal - closed) <= BRUTE_POLY_RELTOL * abs(closed),
             f"grid point {gi}: literal {literal:.3e} vs closed form {closed:.3e}",
         )
-    return rec.result(7, "four_qubit_recovery", t0, f"{len(grid)} grid points inverted")
+    return f"{len(grid)} grid points inverted"
 
 
-def criterion_invariant_drift(master_seed: int = 0) -> CriterionResult:
+def criterion_invariant_drift(rec: _Recorder, master_seed: int) -> str:
     """Every reported invariant is constant along local-unitary orbits to
     1e-8, over 200 random (state, unitary) pairs."""
-    t0 = perf_counter()
-    rec = _Recorder()
     worst = 0.0
     for i in range(200):
         rng = _rng(master_seed, 19, i)
@@ -479,27 +453,23 @@ def criterion_invariant_drift(master_seed: int = 0) -> CriterionResult:
         )
         worst = max(worst, drift)
         rec.check(drift < DRIFT_TOL, f"pair {i}: fingerprint drift {drift:.2e}")
-    return rec.result(8, "invariant_drift", t0, f"200 orbit pairs, worst drift {worst:.1e}")
+    return f"200 orbit pairs, worst drift {worst:.1e}"
 
 
-def criterion_singlet_pair_dimension(master_seed: int = 0) -> CriterionResult:
+def criterion_singlet_pair_dimension(rec: _Recorder, master_seed: int) -> str:
     """A product of two singlets has a six-dimensional density stabilizer."""
-    t0 = perf_counter()
-    rec = _Recorder()
     psi = tensor_product(singlet_state(), singlet_state())
     k = stabilizer_density(to_density(psi), method="direct")
     rec.check(k.dim == 6, f"direct solve: dim {k.dim} != 6")
     k_auto = stabilizer_density(to_density(psi))
     rec.check(k_auto.dim == 6, f"auto solve: dim {k_auto.dim} != 6")
-    return rec.result(9, "singlet_pair_dimension", t0, f"dim {k.dim}")
+    return f"dim {k.dim}"
 
 
-def criterion_negative_controls(master_seed: int = 0) -> CriterionResult:
+def criterion_negative_controls(rec: _Recorder, master_seed: int) -> str:
     """Non-members stay out: the W state has a one-dimensional stabilizer and
     is not maximal, Haar-random states are generically trivial, and the
     W/GHZ pair is decided inequivalent."""
-    t0 = perf_counter()
-    rec = _Recorder()
     w3 = w_state(3)
     k = stabilizer_pure(w3)
     rec.check(k.dim == 1, f"W state: dim {k.dim} != 1")
@@ -519,17 +489,13 @@ def criterion_negative_controls(master_seed: int = 0) -> CriterionResult:
         verdict.status == "inequivalent",
         f"GHZ/W decision returned {verdict.status}",
     )
-    return rec.result(
-        10, "negative_controls", t0, f"{trivial}/100 Haar states trivial"
-    )
+    return f"{trivial}/100 Haar states trivial"
 
 
-def criterion_conjugate_pair_separation(master_seed: int = 0) -> CriterionResult:
+def criterion_conjugate_pair_separation(rec: _Recorder, master_seed: int) -> str:
     """For purely imaginary b the family state and its conjugate are never
     declared equivalent, and the best infidelity over many restarts stays
     bounded away from zero."""
-    t0 = perf_counter()
-    rec = _Recorder()
     for idx, (a, b2) in enumerate(CONJUGATE_PAIRS):
         rng = _rng(master_seed, 21, idx)
         plus = canonical_four_qubit_state(a, complex(0.0, b2))
@@ -548,9 +514,7 @@ def criterion_conjugate_pair_separation(master_seed: int = 0) -> CriterionResult
             f"pair {idx}: best infidelity {search.infidelity:.2e} over "
             f"{CONJUGATE_RESTARTS} restarts",
         )
-    return rec.result(
-        11, "conjugate_pair_separation", t0, f"{len(CONJUGATE_PAIRS)} conjugate pairs"
-    )
+    return f"{len(CONJUGATE_PAIRS)} conjugate pairs"
 
 
 CRITERIA = (
@@ -568,10 +532,22 @@ CRITERIA = (
 )
 
 
+def _run(entry, master_seed: int) -> CriterionResult:
+    """Run one CRITERIA entry on a fresh recorder and time it."""
+    index, name, fn = entry
+    t0 = perf_counter()
+    rec = _Recorder()
+    summary = fn(rec, master_seed)
+    elapsed = perf_counter() - t0
+    return CriterionResult(
+        index, name, not rec.failures, rec.checks, elapsed, tuple(rec.failures), summary
+    )
+
+
 def run_criterion(index: int, master_seed: int = 0) -> CriterionResult:
-    for idx, _, fn in CRITERIA:
-        if idx == index:
-            return fn(master_seed)
+    for entry in CRITERIA:
+        if entry[0] == index:
+            return _run(entry, master_seed)
     raise ValueError(f"no criterion {index}; valid indices are 1..{len(CRITERIA)}")
 
 
@@ -597,8 +573,8 @@ def run_selftest(master_seed: int = 0, stream=None) -> SelftestReport:
     """Run all criteria serially in index order."""
     t0 = perf_counter()
     results = []
-    for _, _, fn in CRITERIA:
-        res = fn(master_seed)
+    for entry in CRITERIA:
+        res = _run(entry, master_seed)
         results.append(res)
         if stream is not None:
             print(res.line(), file=stream, flush=True)

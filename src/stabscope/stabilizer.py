@@ -184,7 +184,10 @@ def _density_direct(rho: DensityMatrix, tol: float):
     the two are Frobenius-orthogonal and C.real + C.imag has the same norm as
     C.  Realifying every linear combination that way keeps the Gram matrix of
     the naive [Re vec C; Im vec C] map, hence its singular values and kernel,
-    with half the rows.
+    with half the rows.  The left products are one batched matmul on a view
+    of rho, not apply_matrix_to_qubit: the kernel gives the same bits but
+    puts the generator axis last, and moving it back measured slower, 48.0
+    against 61.6 ms at n = 8 (best of 7, one BLAS thread, 2 vCPUs).
     """
     n = rho.n
     d = 2**n

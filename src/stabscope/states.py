@@ -9,10 +9,12 @@ vectors are dense complex128 arrays; the implementation targets desk scale
 apply_matrix_to_qubit is the one place where a one-qubit operator meets the
 amplitude tensor: it applies a 2x2 matrix, or a stack of them, to one qubit
 leg of any array whose first axis has length 2**n.  apply_factors applies
-one factor per qubit through it.  The local-unitary action, the stabilizer
-map, the canonicalisers and the equivalence witnesses all go through these
-two; density matrices are acted on from the left only, a right product
-being the adjoint of a left one (rho X = (X^dagger rho^dagger)^dagger).
+one factor per qubit through it.  The local-unitary action, the pure
+stabilizer map, the canonicalisers and the equivalence witnesses all go
+through these two; density matrices are acted on from the left only, a
+right product being the adjoint of a left one (rho X = (X^dagger
+rho^dagger)^dagger).  The direct density stabilizer map forms its left
+products with its own batched matmul, for the reason its docstring gives.
 
 reduced_states is the one place a reduced state is formed from amplitudes:
 the Gram matrices of the amplitude matrices of an (S, 2**n) stack of state
@@ -75,19 +77,6 @@ def bits_to_int(bits) -> int:
             raise ValueError(f"binary digits required, got {bits!r}")
         out = (out << 1) | b
     return out
-
-
-def bit_complement(bits) -> tuple[int, ...]:
-    """Flip every digit."""
-    return tuple(1 - b for b in bits)
-
-
-def flip_index(bits, j: int) -> tuple[int, ...]:
-    """Flip the digit of qubit j (1-based)."""
-    bits = tuple(bits)
-    if not 1 <= j <= len(bits):
-        raise ValueError(f"qubit label {j} out of range for n={len(bits)}")
-    return bits[: j - 1] + (1 - bits[j - 1],) + bits[j:]
 
 
 def bit_table(n: int) -> np.ndarray:

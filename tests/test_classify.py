@@ -243,6 +243,37 @@ def test_classify_four_qubit_branch():
     assert rep.canonicalizer is not None and rep.residual < 1e-7
 
 
+@pytest.mark.parametrize(
+    "psi, canonicaliser, prefix",
+    [
+        (ghz_state(3, 0.8), "canonicalize_ghz", "GHZ branch failed: "),
+        (
+            canonical_four_qubit_state(0.6, -0.25 + 0.4j),
+            "canonicalize_four_qubit",
+            "four-qubit branch failed: ",
+        ),
+    ],
+    ids=["ghz", "family"],
+)
+def test_canonicaliser_failure_downgrades_classify_and_falls_through_in_equiv(
+    psi, canonicaliser, prefix, monkeypatch
+):
+    # classify and decide_equivalence reach the canonicalisers only through
+    # canonical_form, so one patch in stabscope.classify covers both
+    def fail(*args, **kwargs):
+        raise CanonicalizationError("forced failure")
+
+    monkeypatch.setattr(sys.modules["stabscope.classify"], canonicaliser, fail)
+    rng = np.random.default_rng(12)
+    a, b = (apply_local_unitary(haar_random_local_unitary(psi.n, rng), psi) for _ in range(2))
+    rep = classify(a)
+    assert rep.verdict == "max_stab_but_unrecognized"
+    assert rep.notes == (prefix + "forced failure",)
+    verdict = decide_equivalence(a, b, seed=1)
+    assert verdict.status != "inequivalent"
+    assert verdict.decided_by != "canonical_form"
+
+
 def test_classify_product_and_small_states():
     rep = classify(tensor_product(basis_state([0]), ghz_state(3)))
     assert rep.verdict == "not_max_stab"

@@ -7,7 +7,6 @@ import pytest
 
 import stabscope.io
 from stabscope import (
-    CriterionResult,
     GuardError,
     PureState,
     StateFormatError,
@@ -601,9 +600,9 @@ def test_main_calls_leave_no_state_in_the_shared_parser(capsys):
 
 
 def _instant_criterion(index: int, passed: bool):
-    def run(master_seed):
-        failures = () if passed else ("instant failure",)
-        return CriterionResult(index, f"instant_{index}", passed, 1, 0.0, failures, f"seed {master_seed}")
+    def run(rec, master_seed):
+        rec.check(passed, "instant failure")
+        return f"seed {master_seed}"
 
     return index, f"instant_{index}", run
 

@@ -31,10 +31,8 @@ from stabscope.states import (
     _amplitude_matrices,
     _bipartition_sides,
     _correlation_components,
-    bit_complement,
     bit_table,
     bits_to_int,
-    flip_index,
     int_to_bits,
     numerical_rank,
 )
@@ -52,16 +50,6 @@ def test_bit_table_matches_scalar():
     table = bit_table(3)
     for k in range(8):
         assert tuple(table[k]) == int_to_bits(k, 3)
-
-
-@given(st.integers(min_value=1, max_value=8), st.data())
-def test_complement_and_flip_are_involutions(n, data):
-    value = data.draw(st.integers(min_value=0, max_value=2**n - 1))
-    j = data.draw(st.integers(min_value=1, max_value=n))
-    bits = int_to_bits(value, n)
-    assert bit_complement(bit_complement(bits)) == bits
-    assert flip_index(flip_index(bits, j), j) == bits
-    assert flip_index(bits, j) != bits
 
 
 def test_pure_state_normalizes_with_warning():
