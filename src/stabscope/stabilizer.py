@@ -3,11 +3,11 @@
 The stabilizer of a pure state is the set of X in u(1) + su(2)^n with
 X|psi> = 0; the stabilizer of a density matrix is the set of X in su(2)^n
 with [X, rho] = 0.  Both are kernels of real-linear maps.  Each map is
-realified, reduced to its small triangular QR factor R, and R's SVD gives
-the spectrum and the kernel, cut by numerical_rank as is_product cuts
-Schmidt coefficients.  stabilizer_pure_stack solves a stack of states with
-one batched QR and one batched SVD per chunk; stabilizer_pure is a stack of
-one.
+realified, reduced to its small triangular QR factor R (in cache-sized row
+blocks when the map is large), and R's SVD gives the spectrum and the
+kernel, cut by numerical_rank as is_product cuts Schmidt coefficients.
+stabilizer_pure_stack solves a stack of states with batched QR and SVD
+calls per chunk; stabilizer_pure is a stack of one.
 """
 
 import warnings
@@ -36,6 +36,18 @@ SPAN_TOL = 1e-7
 CLOSURE_TOL = 1e-7
 # direct commutator solves cost O(4^n); above this the rank-one path is used
 DENSITY_DIRECT_LIMIT = 6
+# the most bytes of a defining map one QR call takes: a larger map is
+# factorised in row blocks, this many bytes of blocks per call
+QR_CALL_BYTES = 2**20
+# bytes of one row block, small enough that its Householder sweeps stay in cache
+QR_BLOCK_BYTES = 2**18
+
+# the real one-qubit matrices Z, X and J = -i sigma_y act on the rows of a
+# real matrix W by a sign z(bit) = +-1, a flip of the bit, or both:
+# (J W)[r] = -z(r) W[flip r]
+_ROW_SIGN = np.array([1.0, -1.0])[:, None]
+# signs of the flipped rows of (J U, -J V), the J products of _density_direct
+_J_SIGNS = np.stack([-_ROW_SIGN, _ROW_SIGN])[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,22 +121,53 @@ class StabilizerBasis:
         return self.basis[:, off + 3 * (j - 1) : off + 3 * j]
 
 
+def _r_factors(real_maps: np.ndarray) -> np.ndarray:
+    """Square R factor of each map of an (S, M, K) stack.
+
+    A map of at most QR_CALL_BYTES goes to one QR.  A larger one is split
+    into row blocks of about QR_BLOCK_BYTES, factorised by batched QR calls
+    of QR_CALL_BYTES each, and the final QR runs on their stacked R factors
+    and the remainder rows.  That R has the same Gram matrix R^T R as the
+    map's, so the same singular values and right singular vectors.  With
+    fewer columns than LAPACK's block size, dgeqrf runs the unblocked
+    Householder loop, which on the whole map reads it from memory once per
+    column; on a block it reads from cache (n = 8 density map, 65536 x 24:
+    31 -> 15 ms, one BLAS thread, 2 vCPUs).  np.linalg.qr copies its whole
+    input, so one call over all blocks would hold a second copy of the map;
+    calls of QR_CALL_BYTES keep that copy small.
+    """
+    s, m, k = real_maps.shape
+    if m * k * real_maps.itemsize <= QR_CALL_BYTES:
+        return np.linalg.qr(real_maps, mode="r")
+    rows = QR_BLOCK_BYTES // (k * real_maps.itemsize)
+    end = m // rows * rows
+    step = QR_CALL_BYTES // QR_BLOCK_BYTES * rows
+    stacked = [
+        np.linalg.qr(real_maps[:, lo : min(lo + step, end)].reshape(s, -1, rows, k), mode="r")
+        .reshape(s, -1, k)
+        for lo in range(0, end, step)
+    ]
+    stacked.append(real_maps[:, end:])
+    return np.linalg.qr(np.concatenate(stacked, axis=1), mode="r")
+
+
 def _null_spaces(real_maps: np.ndarray, tol: float) -> list[tuple]:
     """Kernel rows, full spectrum, and the spectral gap across the cut, for
     each map of an (S, M, K) stack.
 
     The maps are tall, so each is Q R with a square R that has the same
     singular values and right singular vectors.  Only R is formed, never the
-    tall orthonormal factor, and the SVD runs on R; both are one batched
-    LAPACK call, which factorises every map exactly as it would alone.
-    Forming the Gram matrix real_map.T @ real_map and calling eigh would be
-    cheaper still but squares the condition number, which would put the
-    NULL_TOL cut at machine epsilon.
+    tall orthonormal factor, by _r_factors, directly or in row blocks; the
+    SVD runs on R.  Every step is a batched LAPACK call, which factorises
+    every map exactly as it would alone.  Forming the Gram matrix
+    real_map.T @ real_map and calling eigh, or CholeskyQR, would be cheaper
+    still but squares the condition number, which would put the NULL_TOL cut
+    at machine epsilon.
     """
     k = real_maps.shape[2]
     if real_maps.shape[1] < k:  # wide matrices would lose kernel directions here
         raise ValueError("defining map has fewer rows than columns")
-    _, svals, vhs = np.linalg.svd(np.linalg.qr(real_maps, mode="r"))
+    _, svals, vhs = np.linalg.svd(_r_factors(real_maps))
     out = []
     for s, vh in zip(svals, vhs):
         rank = numerical_rank(s, tol)
@@ -178,27 +221,37 @@ def _dominant_eigenvector(rho: DensityMatrix) -> PureState:
 def _density_direct(rho: DensityMatrix, tol: float):
     """Solve [X, rho] = 0 on all of su(2)^n; the map has 4^n rows.
 
-    X is skew-Hermitian and rho Hermitian, so [X, rho] = X rho + (X rho)^H:
-    one one-sided product per qubit serves all three generators.  The
-    commutator C is Hermitian, so Re C is symmetric and Im C antisymmetric;
-    the two are Frobenius-orthogonal and C.real + C.imag has the same norm as
-    C.  Realifying every linear combination that way keeps the Gram matrix of
-    the naive [Re vec C; Im vec C] map, hence its singular values and kernel,
-    with half the rows.  The left products are one batched matmul on a view
-    of rho, not apply_matrix_to_qubit: the kernel gives the same bits but
-    puts the generator axis last, and moving it back measured slower, 48.0
-    against 61.6 ms at n = 8 (best of 7, one BLAS thread, 2 vCPUs).
+    The commutator C = [X, rho] is Hermitian, so Re C is symmetric and Im C
+    antisymmetric; the two are Frobenius-orthogonal and C.real + C.imag has
+    the same norm as C.  Realifying every linear combination that way keeps
+    the Gram matrix of the naive [Re vec C; Im vec C] map, hence its
+    singular values and kernel, with half the rows.
+
+    With U = Re rho + Im rho and V = U^T = Re rho - Im rho, the realified
+    planes of the generators iZ, J = -iY and iX of qubit j are the real
+    commutators [Z_j, V], [J_j, U] and [X_j, V].  Each is a left product
+    minus the transpose of a left product, G W - (G^T W^T)^T, and a left
+    product by a real one-qubit matrix is a sign and a flip on row blocks:
+    three calls per qubit form the six, and one transposed subtraction the
+    three planes.  There is no complex product and no complex temporary.
     """
     n = rho.n
     d = 2**n
+    w = np.empty((2, d, d))  # (V, U)
+    np.subtract(rho.matrix.real, rho.matrix.imag, out=w[0])
+    np.add(rho.matrix.real, rho.matrix.imag, out=w[1])
+    # left products (Z V, J U, X V) and (Z U, -J V, X U), whose transposes
+    # are the right products V Z, U J and V X
+    prods = np.empty((2, 3, d, d))
     real_map = np.empty((3 * n, d, d))
     for j in range(1, n + 1):
-        t = rho.matrix.reshape(2 ** (j - 1), 2, 2 ** (n - j) * d)
-        left = np.matmul(SU2_BASIS[:, None], t[None]).reshape(3, d, d)
-        # C.real + C.imag = (L.real + L.imag) + (L.real - L.imag)^T for C = L + L^H
-        block = real_map[3 * (j - 1) : 3 * j]
-        np.add(left.real, left.imag, out=block)
-        block += np.swapaxes(left.real - left.imag, 1, 2)
+        rows = (2 ** (j - 1), 2, 2 ** (n - j) * d)
+        wq = w.reshape((2,) + rows)
+        pq = prods.reshape((2, 3) + rows)
+        np.multiply(wq, _ROW_SIGN, out=pq[:, 0])
+        np.multiply(wq[::-1, :, ::-1], _J_SIGNS, out=pq[:, 1])
+        np.copyto(pq[:, 2], wq[:, :, ::-1])
+        np.subtract(prods[0], prods[1].swapaxes(1, 2), out=real_map[3 * (j - 1) : 3 * j])
     return _null_spaces(real_map.reshape(3 * n, d * d).T[None], tol)[0]
 
 

@@ -13,8 +13,10 @@ one factor per qubit through it.  The local-unitary action, the pure
 stabilizer map, the canonicalisers and the equivalence witnesses all go
 through these two; density matrices are acted on from the left only, a
 right product being the adjoint of a left one (rho X = (X^dagger
-rho^dagger)^dagger).  The direct density stabilizer map forms its left
-products with its own batched matmul, for the reason its docstring gives.
+rho^dagger)^dagger).  The direct density stabilizer map is the exception:
+it is built from real commutators, whose one-qubit products are signs and
+bit flips on the rows of real matrices, formed in place without a complex
+product.
 
 reduced_states is the one place a reduced state is formed from amplitudes:
 the Gram matrices of the amplitude matrices of an (S, 2**n) stack of state

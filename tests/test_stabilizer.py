@@ -23,7 +23,15 @@ from stabscope import (
     to_density,
     w_state,
 )
-from stabscope.stabilizer import DENSITY_DIRECT_LIMIT, GAP_MIN, NULL_TOL, _null_spaces
+from stabscope.stabilizer import (
+    DENSITY_DIRECT_LIMIT,
+    GAP_MIN,
+    NULL_TOL,
+    QR_BLOCK_BYTES,
+    QR_CALL_BYTES,
+    _null_spaces,
+)
+from stabscope.states import numerical_rank
 
 
 def _dense_pure_map(psi):
@@ -245,6 +253,16 @@ def _oracle_cases():
         yield f"ghz_orbit:{n}", to_density(apply_local_unitary(g, ghz_state(n, 0.8, 0.6))), n - 1
         wide = to_density(random_state(n + 2, rng))
         yield f"rank4:{n}", partial_trace(wide, (n + 1, n + 2)), 0
+    # n = 7 maps are factorised in row blocks
+    for n in (6, 7):
+        g = haar_random_local_unitary(n, rng)
+        yield f"ghz_orbit:{n}", to_density(apply_local_unitary(g, ghz_state(n, 0.8, 0.6))), n - 1
+        wide = to_density(random_state(n + 2, rng))
+        yield f"rank4:{n}", partial_trace(wide, (n + 1, n + 2)), 0
+    # full rank, complex entries everywhere
+    g = rng.standard_normal((2**7, 2**7)) + 1j * rng.standard_normal((2**7, 2**7))
+    wishart = g @ g.conj().T
+    yield "wishart:7", DensityMatrix(wishart / np.trace(wishart).real), 0
 
 
 @pytest.mark.parametrize("name, rho, expected_dim", list(_oracle_cases()))
@@ -258,6 +276,40 @@ def test_direct_density_solve_matches_naive_realified_map(name, rho, expected_di
     assert k.proj_dims == oracle.proj_dims, name
     assert np.allclose(k.singular_values, s, rtol=0.0, atol=1e-12 * max(s[0], 1e-300)), name
     assert np.allclose(k.basis.T @ k.basis, oracle.basis.T @ oracle.basis, atol=1e-10), name
+
+
+def _planted_maps(rows, k, kernel_dims, rng):
+    """An (S, rows, k) stack of maps with kernels of the given dimensions
+    and a nonzero spectrum spread over six decades."""
+    maps = []
+    for dim in kernel_dims:
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        scales = np.concatenate([np.zeros(dim), np.logspace(-6, 0, k - dim)])
+        maps.append(rng.standard_normal((rows, k)) @ (q * scales) @ q.T)
+    return np.stack(maps)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 3 * QR_BLOCK_BYTES // 128 + 5])
+def test_blocked_r_matches_a_single_qr_around_the_cut(offset, monkeypatch):
+    # 16 columns of float64: the cut falls on a whole row count and a block
+    # holds QR_BLOCK_BYTES // 128 rows; the last offset gives seven blocks,
+    # two batched calls and five remainder rows
+    k = 16
+    rows = QR_CALL_BYTES // (8 * k) + offset
+    blocks = rows // (QR_BLOCK_BYTES // (8 * k))
+    batched = -(-blocks // (QR_CALL_BYTES // QR_BLOCK_BYTES))
+    maps = _planted_maps(rows, k, (3, 0), np.random.default_rng(rows))
+    _, ref_s, ref_vh = np.linalg.svd(np.linalg.qr(maps, mode="r"))
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.ndim) or qr(a, *args, **kw))
+    got = _null_spaces(maps, NULL_TOL)
+    assert calls == ([3] if offset <= 0 else [4] * batched + [3])
+    for (rows_k, s, _), s_ref, vh_ref, dim in zip(got, ref_s, ref_vh, (3, 0), strict=True):
+        kernel = vh_ref[numerical_rank(s_ref, NULL_TOL) :]
+        assert rows_k.shape[0] == kernel.shape[0] == dim
+        assert np.max(np.abs(s - s_ref)) <= 1e-13 * s_ref[0]
+        assert np.allclose(rows_k.T @ rows_k, kernel.T @ kernel, rtol=0.0, atol=1e-10)
 
 
 def test_null_space_rejects_wide_maps():
