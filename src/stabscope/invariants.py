@@ -3,8 +3,8 @@ and the polynomial family built from per-qubit copy permutations.
 
 invariant_fingerprint_stack and fingerprint_component_stack compute the
 fingerprint of every state in an (S, 2**n) stack of amplitude vectors at
-once; invariant_fingerprint, fingerprint_components, pair_invariants and
-polynomial_invariant are stacks of one.
+once; invariant_fingerprint, pair_invariants and polynomial_invariant
+are stacks of one.
 """
 
 from dataclasses import dataclass
@@ -224,14 +224,6 @@ def invariant_fingerprint_stack(vectors: np.ndarray) -> list[InvariantFingerprin
         )
         for i in range(vectors.shape[0])
     ]
-
-
-def fingerprint_components(psi: PureState):
-    """Yield invariant_fingerprint(psi).components() one at a time,
-    computing each value only when the iteration reaches it: a stack of
-    one for fingerprint_component_stack."""
-    for name, values in fingerprint_component_stack(psi.vector[None]):
-        yield name, values[0].item()
 
 
 def fingerprint_component_stack(vectors: np.ndarray):

@@ -13,6 +13,7 @@ calls per chunk; stabilizer_pure is a stack of one.
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -64,7 +65,9 @@ class StabilizerBasis:
     cut is at either end).  When the kernel is exact the denominator of gap
     is a roundoff-level singular value, so gap then reads 1e9 or more and
     carries no margin; rank_margin gives the margin on each side of the cut.
-    proj_dims is computed once per basis.
+    proj_dims is computed once per basis.  method is 'svd' for a pure basis
+    and names the one route, 'direct' or 'projected', that solved a density
+    basis.
     """
 
     ambient: str
@@ -73,7 +76,10 @@ class StabilizerBasis:
     singular_values: np.ndarray
     gap: float
     method: str = "svd"
-    cross_validated: bool = False
+    # always False, since no route cross-checks another; the only reader is
+    # the stabilizer_density annotator in perfbench/tracer.py, which would
+    # fail on every traced density request without it
+    cross_validated: ClassVar[bool] = False
 
     def __post_init__(self):
         for name in ("basis", "singular_values"):
@@ -278,56 +284,57 @@ def _density_projected(rho: DensityMatrix, tol: float) -> StabilizerBasis:
 
 
 def stabilizer_density(rho: DensityMatrix, tol: float = NULL_TOL, method: str = "auto") -> StabilizerBasis:
-    """Stabilizer of a density matrix inside su(2)^n.
+    """Stabilizer of a density matrix inside su(2)^n, from one solve.
 
     method 'direct' builds the commutator map on all of su(2)^n and costs
     O(4^n); 'projected' recovers the pure state of a rank-one input and
-    projects its stabilizer.  'auto' runs the direct solve up to
-    DENSITY_DIRECT_LIMIT qubits, cross-validating against the projected
-    route on rank-one inputs, and falls back to 'projected' above the limit,
-    where a mixed input raises and 'direct' is the method that solves it.
+    drops the phase from its pure stabilizer.  'auto' is 'direct' up to
+    DENSITY_DIRECT_LIMIT qubits and 'projected' above it, where a mixed
+    input raises and 'direct' is the method that solves it.  That the two
+    routes agree on rank-one inputs is phase_projection_check's to show.
     """
     n = rho.n
     if method not in ("auto", "direct", "projected"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "direct" or (method == "auto" and n <= DENSITY_DIRECT_LIMIT):
+        rows, svals, gap = _density_direct(rho, tol)
+        return StabilizerBasis("density", n, rows, svals, gap, method="direct")
     # 1 - tr rho^2 = 2 sum_{i<j} l_i l_j is linear in the small eigenvalues l_i,
-    # the scale of numerical_rank's cut; a direct solve never reads it
-    rank_one = method != "direct" and 1.0 - purity(rho) < tol
-    if method == "projected" or (method == "auto" and n > DENSITY_DIRECT_LIMIT):
-        if not rank_one and method == "auto":
+    # the scale of numerical_rank's cut
+    if not 1.0 - purity(rho) < tol:
+        if method == "auto":
             raise ValueError(
                 f"method 'auto' needs a rank-one density matrix above {DENSITY_DIRECT_LIMIT} "
                 f"qubits, got a mixed one on {n}; method='direct' solves mixed states"
             )
-        if not rank_one:
-            raise ValueError("projected method requires a rank-one density matrix")
-        return _density_projected(rho, tol)
-    rows, svals, gap = _density_direct(rho, tol)
-    out = StabilizerBasis("density", n, rows, svals, gap, method="direct")
-    if method == "auto" and rank_one:
-        proj_rows = _density_projected(rho, tol).basis
-        ok = proj_rows.shape[0] == out.dim
-        if ok and out.dim > 0:
-            ok = float(np.max(principal_angles(out.basis, proj_rows), initial=0.0)) < SPAN_TOL
-        if not ok:
-            warnings.warn("direct and projected stabilizer solves disagree")
-        out = StabilizerBasis(
-            "density", n, out.basis, svals, gap, method="direct", cross_validated=bool(ok)
-        )
-    return out
+        raise ValueError("projected method requires a rank-one density matrix")
+    return _density_projected(rho, tol)
+
+
+def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rows of a matrix: right singular
+    vectors cut at max(shape) * eps relative to the largest singular value."""
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[: numerical_rank(s, max(rows.shape) * np.finfo(np.float64).eps)]
 
 
 def principal_angles(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    """Principal angles between two row-spans (descending; empty if both trivial)."""
-    da, db = rows_a.shape[0], rows_b.shape[0]
-    if da == 0 and db == 0:
-        return np.zeros(0)
-    if da == 0 or db == 0:
-        return np.array([np.pi / 2])
-    # loaded on first use so that `import stabscope` stays numpy-only
-    from scipy.linalg import subspace_angles
+    """Principal angles between two row-spans, in descending order.
 
-    return subspace_angles(rows_a.T, rows_b.T)
+    The rows need not be orthonormal: each span is orthonormalised by SVD
+    first.  With A the larger span and B the smaller, the cosines are the
+    singular values of B A^T and the sines those of B - B A^T A; each angle
+    comes from arccos where its cosine^2 < 1/2 and from arcsin elsewhere,
+    so it is accurate near 0 and near pi/2 alike.  Empty if both spans are
+    trivial, [pi/2] if one is.
+    """
+    big, small = sorted((_orthonormal_rows(rows_a), _orthonormal_rows(rows_b)), key=len, reverse=True)
+    if len(small) == 0:
+        return np.zeros(0) if len(big) == 0 else np.array([np.pi / 2])
+    overlap = small @ big.T
+    cos = np.linalg.svd(overlap, compute_uv=False)[::-1]  # ascending, so angles descend
+    sin = np.linalg.svd(small - overlap @ big, compute_uv=False)
+    return np.where(cos**2 < 0.5, np.arccos(np.minimum(cos, 1.0)), np.arcsin(np.minimum(sin, 1.0)))
 
 
 def span_contains(k: StabilizerBasis, flat: np.ndarray) -> bool:

@@ -30,7 +30,7 @@ from stabscope import (
     w_state,
 )
 from stabscope.equivalence import FINGERPRINT_TOL, _infidelity_and_grad
-from stabscope.invariants import fingerprint_components, first_difference
+from stabscope.invariants import fingerprint_component_stack, first_difference
 
 
 def _fidelity(psi, phi):
@@ -258,14 +258,19 @@ def test_nonmaximal_pair_with_maximally_mixed_qubits_goes_to_the_optimizer():
     assert verdict.restarts_used >= 1
 
 
+def _components(psi):
+    for name, values in fingerprint_component_stack(psi.vector[None]):
+        yield name, values.item()
+
+
 def _lazy_separator(psi, phi, tol):
-    return first_difference(fingerprint_components(psi), fingerprint_components(phi), tol)
+    return first_difference(_components(psi), _components(phi), tol)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_fingerprint_components_match_the_full_fingerprint(n):
     psi = random_state(n, np.random.default_rng(60 + n))
-    assert list(fingerprint_components(psi)) == invariant_fingerprint(psi).components()
+    assert list(_components(psi)) == invariant_fingerprint(psi).components()
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -307,9 +312,9 @@ def test_lazy_separator_matches_on_screened_pairs(psi, phi):
 
 def test_import_does_not_load_the_optimizer(tmp_path):
     # neither the import nor analyze, a family classify, an equiv on a
-    # balanced GHZ orbit pair or one on a conjugate family pair on the
-    # circle needs scipy: only lu_infidelity and principal_angles load it,
-    # on first use
+    # balanced GHZ orbit pair, one on a conjugate family pair on the
+    # circle, a default density solve or a phase projection check needs
+    # scipy: only lu_infidelity loads it, on first use
     rng = np.random.default_rng(14)
     b = -0.5 * np.cos(0.65 * np.pi) * np.exp(0.65j * np.pi)
     paths = []
@@ -336,6 +341,11 @@ def test_import_does_not_load_the_optimizer(tmp_path):
         "             ['equiv', ghz_a, ghz_b], ['equiv', plus, minus]):\n"
         "    code = cli.main(argv + ['--format', 'json'])\n"
         "    print('scipy', argv[0], code, loaded())\n"
+        "from stabscope import ghz_state, phase_projection_check, stabilizer_density, to_density\n"
+        "stabilizer_density(to_density(ghz_state(5)))\n"
+        "print('scipy density', loaded())\n"
+        "phase_projection_check(ghz_state(4))\n"
+        "print('scipy projection', loaded())\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -343,7 +353,7 @@ def test_import_does_not_load_the_optimizer(tmp_path):
     lines = [line for line in out.stdout.splitlines() if line.startswith("scipy ")]
     assert lines == [
         "scipy import []", "scipy analyze 0 []", "scipy classify 0 []", "scipy equiv 0 []",
-        "scipy equiv 1 []",
+        "scipy equiv 1 []", "scipy density []", "scipy projection []",
     ]
 
 
