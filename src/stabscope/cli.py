@@ -257,8 +257,9 @@ def _error(args, kind: str, message: str, code: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol_null <= 0 or args.tol_equiv <= 0:
-        return _error(args, "parse", "tolerances must be positive", EXIT_PARSE)
+    # written so that NaN fails too: every comparison with NaN is False
+    if not (0 < args.tol_null < np.inf and 0 < args.tol_equiv < np.inf):
+        return _error(args, "parse", "tolerances must be positive and finite", EXIT_PARSE)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except GuardError as exc:

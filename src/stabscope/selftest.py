@@ -457,12 +457,13 @@ def criterion_invariant_drift(rec: _Recorder, master_seed: int) -> str:
 
 
 def criterion_singlet_pair_dimension(rec: _Recorder, master_seed: int) -> str:
-    """A product of two singlets has a six-dimensional density stabilizer."""
+    """A product of two singlets has a six-dimensional density stabilizer,
+    by the direct solve and by the projected one, which cross-checks it."""
     psi = tensor_product(singlet_state(), singlet_state())
     k = stabilizer_density(to_density(psi), method="direct")
     rec.check(k.dim == 6, f"direct solve: dim {k.dim} != 6")
-    k_auto = stabilizer_density(to_density(psi))
-    rec.check(k_auto.dim == 6, f"auto solve: dim {k_auto.dim} != 6")
+    k_projected = stabilizer_density(to_density(psi), method="projected")
+    rec.check(k_projected.dim == 6, f"projected solve: dim {k_projected.dim} != 6")
     return f"dim {k.dim}"
 
 

@@ -9,14 +9,14 @@ vectors are dense complex128 arrays; the implementation targets desk scale
 apply_matrix_to_qubit is the one place where a one-qubit operator meets the
 amplitude tensor: it applies a 2x2 matrix, or a stack of them, to one qubit
 leg of any array whose first axis has length 2**n.  apply_factors applies
-one factor per qubit through it.  The local-unitary action, the pure
-stabilizer map, the canonicalisers and the equivalence witnesses all go
-through these two; density matrices are acted on from the left only, a
-right product being the adjoint of a left one (rho X = (X^dagger
-rho^dagger)^dagger).  The direct density stabilizer map is the exception:
-it is built from real commutators, whose one-qubit products are signs and
-bit flips on the rows of real matrices, formed in place without a complex
-product.
+one factor per qubit through it.  The local-unitary action, the
+canonicalisers and the equivalence witnesses all go through these two;
+density matrices are acted on from the left only, a right product being
+the adjoint of a left one (rho X = (X^dagger rho^dagger)^dagger).  The two
+stabilizer maps are the exception: the pure map's columns are the
+generators applied to Re psi and Im psi, and the direct density map's the
+real commutators with Re rho +- Im rho; the one-qubit products in both are
+signs and bit flips on real rows, formed without a complex product.
 
 reduced_states is the one place a reduced state is formed from amplitudes:
 the Gram matrices of the amplitude matrices of an (S, 2**n) stack of state
@@ -61,7 +61,7 @@ PRODUCT_ENUM_LIMIT = 16
 
 def numerical_rank(s: np.ndarray, tol: float) -> int:
     """Number of nonnegative magnitudes in s above tol times the largest."""
-    return int(np.sum(s > tol * s.max(initial=0.0)))
+    return int(np.count_nonzero(s > tol * s.max(initial=0.0)))
 
 
 def int_to_bits(value: int, n: int) -> tuple[int, ...]:

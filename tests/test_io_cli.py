@@ -449,9 +449,14 @@ def test_cli_small_beta_ghz_is_nonproduct_ghz_class(beta, tmp_path, capsys):
     [
         (["analyze", "--state", "nosuch:3"], 2, "parse", "neither a named state"),
         (["analyze", "--state", "ghz:3", "--tol-null", "-1"], 2, "parse", "tolerances must be positive"),
+        (["analyze", "--state", "ghz:3", "--tol-null", "nan"], 2, "parse", "positive and finite"),
+        (["analyze", "--state", "ghz:3", "--tol-null", "inf"], 2, "parse", "positive and finite"),
+        (["classify", "--state", "ghz:3", "--tol-equiv", "nan"], 2, "parse", "positive and finite"),
+        (["equiv", "--state", "ghz:3", "--state", "w:3", "--tol-equiv=-inf"], 2, "parse", "positive and finite"),
         (["analyze", "--state", "ghz:15"], 3, "guard", "exceeds the limit"),
     ],
-    ids=["parse-state", "parse-tolerance", "guard"],
+    ids=["parse-state", "parse-tolerance", "parse-nan-null", "parse-inf-null", "parse-nan-equiv",
+         "parse-minus-inf-equiv", "guard"],
 )
 def test_cli_json_errors_carry_a_payload(argv, code, kind, text, capsys):
     assert main([*argv, "--format", "json"]) == code

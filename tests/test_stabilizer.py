@@ -7,6 +7,7 @@ from stabscope import (
     StabilizerBasis,
     algebra_type,
     apply_local_unitary,
+    canonical_four_qubit_state,
     ghz_state,
     haar_random_local_unitary,
     partial_trace,
@@ -30,7 +31,9 @@ from stabscope.stabilizer import (
     NULL_TOL,
     QR_BLOCK_BYTES,
     QR_CALL_BYTES,
+    SVD_DIRECT_BYTES,
     _null_spaces,
+    _pure_planes,
 )
 from stabscope.states import numerical_rank
 
@@ -401,6 +404,23 @@ def test_blocked_r_matches_a_single_qr_around_the_cut(offset, monkeypatch):
         assert np.allclose(rows_k.T @ rows_k, kernel.T @ kernel, rtol=0.0, atol=1e-10)
 
 
+def test_small_maps_skip_the_qr_with_the_same_spectrum_and_kernel(monkeypatch):
+    maps = _planted_maps(16, 6, (2, 0), np.random.default_rng(4))
+    assert maps[0].nbytes <= SVD_DIRECT_BYTES
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or qr(a, *args, **kw))
+    direct = _null_spaces(maps, NULL_TOL)
+    assert calls == []
+    monkeypatch.setattr(stabilizer_module, "SVD_DIRECT_BYTES", 0)
+    factored = _null_spaces(maps, NULL_TOL)
+    assert calls == [maps.shape]
+    for (rows_d, s_d, _), (rows_f, s_f, _), dim in zip(direct, factored, (2, 0), strict=True):
+        assert rows_d.shape[0] == rows_f.shape[0] == dim
+        assert np.max(np.abs(s_d - s_f)) <= 1e-13 * s_f[0]
+        assert np.allclose(rows_d.T @ rows_d, rows_f.T @ rows_f, rtol=0.0, atol=1e-9)
+
+
 def test_null_space_rejects_wide_maps():
     with pytest.raises(ValueError, match="fewer rows than columns"):
         _null_spaces(np.ones((1, 2, 3)), NULL_TOL)
@@ -411,3 +431,102 @@ def test_rank_margin_on_a_vanishing_map():
     k = stabilizer_density(DensityMatrix(np.eye(4) / 4), method="direct")
     assert k.dim == 6
     assert k.rank_margin() == {"kernel_max": 0.0, "range_min": None, "cut": NULL_TOL}
+
+
+def _realified_pure_map(psi):
+    """The realified defining map from complex products: each generator is
+    contracted with its qubit's leg of the amplitude tensor."""
+    n = psi.n
+    amps = psi.vector.reshape((2,) * n)
+    cols = [-1j * psi.vector]
+    for j in range(n):
+        for m in SU2_BASIS:
+            cols.append(np.moveaxis(np.tensordot(m, amps, axes=(1, j)), 0, j).reshape(-1))
+    a = np.column_stack(cols)
+    return np.concatenate([a.real, a.imag])
+
+
+@pytest.mark.parametrize("index_qubits", [0, 12])
+def test_pure_planes_are_the_complex_products_bit_for_bit(index_qubits, monkeypatch):
+    # the per-qubit writes and the gather, each at every n
+    monkeypatch.setattr(stabilizer_module, "PLANE_INDEX_QUBITS", index_qubits)
+    rng = np.random.default_rng(7)
+    for n in range(1, 13):
+        states = [random_state(n, rng), random_state(n, rng)]
+        planes = _pure_planes(np.stack([psi.vector for psi in states]), n)
+        assert planes.shape == (2, 3 * n + 1, 2 ** (n + 1)) and planes.flags.c_contiguous
+        for psi, p in zip(states, planes):
+            assert np.array_equal(p.T, _realified_pure_map(psi)), n
+
+
+def _reference_corpus(n):
+    """Haar, W, GHZ orbit points across the beta sweep, moved singlet
+    products at even n and moved four-qubit family members at n = 4."""
+    rng = np.random.default_rng(500 + n)
+    moved = lambda psi: apply_local_unitary(haar_random_local_unitary(n, rng), psi)
+    out = [("haar", random_state(n, rng)), ("w", w_state(n))]
+    for beta in (1e-3, 1e-5, 3e-8, 1e-8, 3e-9):
+        out.append((f"ghz beta={beta}", moved(ghz_state(n, np.sqrt(1 - beta**2), beta))))
+    if n % 2 == 0:
+        singlets = singlet_state()
+        for _ in range(n // 2 - 1):
+            singlets = tensor_product(singlets, singlet_state())
+        out.append(("singlets", moved(singlets)))
+    if n == 4:
+        out += [("canon4", moved(canonical_four_qubit_state(a, b))) for a, b in ((0.5, 0.2 + 0.3j), (0.3, 0.1))]
+    return out
+
+
+def _reference_kernel(psi, tol=NULL_TOL):
+    """Kernel, rank and relative range_min of the full realified map by a
+    dense SVD."""
+    _, s, vh = np.linalg.svd(_realified_pure_map(psi), full_matrices=False)
+    rank = numerical_rank(s, tol)
+    return vh[rank:], s, (s[rank - 1] / s[0] if rank else None)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_gram_first_pure_solve_matches_a_dense_svd(n):
+    eps = np.finfo(np.float64).eps
+    for name, psi in _reference_corpus(n):
+        kernel, s, range_min = _reference_kernel(psi)
+        k = stabilizer_pure(psi)
+        assert k.dim == kernel.shape[0], name
+        reference = StabilizerBasis("pure", n, kernel, s, np.inf)
+        assert k.proj_dims == reference.proj_dims, name
+        assert np.max(np.abs(k.singular_values - s)) <= 1e-12 * s[0], name
+        # the cut's own conditioning bounds how well any solve fixes the kernel
+        bound = 1e-10 if range_min >= 1e-4 else 100 * eps / range_min
+        diff = np.max(np.abs(k.basis.T @ k.basis - kernel.T @ kernel), initial=0.0)
+        assert diff <= bound, (name, diff, range_min)
+        margin = k.rank_margin()
+        assert margin["range_min"] == pytest.approx(range_min, rel=1e-9), name
+        assert (margin["kernel_max"] is None) == (k.dim == 0), name
+
+
+@pytest.mark.parametrize("tol", [1e-3, 0.05, 0.6])
+def test_gram_first_pure_solve_follows_a_coarse_cut(tol):
+    # a coarse cut reaches directions the default would set aside as range
+    for n in (3, 5):
+        for name, psi in _reference_corpus(n):
+            kernel, _, _ = _reference_kernel(psi, tol)
+            assert stabilizer_pure(psi, tol).dim == kernel.shape[0], (n, name)
+
+
+def test_generic_state_at_n_12_factorises_nothing(monkeypatch):
+    haar = random_state(12, np.random.default_rng(12))
+    orbit_point = apply_local_unitary(haar_random_local_unitary(12, np.random.default_rng(1)), ghz_state(12))
+    calls = []
+    null_spaces = stabilizer_module._null_spaces
+    monkeypatch.setattr(
+        stabilizer_module, "_null_spaces", lambda maps, *a: calls.append(maps.shape) or null_spaces(maps, *a)
+    )
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append("qr") or qr(a, *args, **kw))
+    k = stabilizer_pure(haar)
+    assert calls == [] and k.dim == 0 and k.gap == np.inf
+    assert k.rank_margin()["kernel_max"] is None and k.singular_values.shape == (37,)
+    # a GHZ orbit point factorises only its candidate block, with one QR
+    k = stabilizer_pure(orbit_point)
+    (shape, qr_call) = calls
+    assert qr_call == "qr" and shape[:2] == (1, 2**13) and k.dim == 11 <= shape[2] < 37

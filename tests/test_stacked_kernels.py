@@ -84,10 +84,10 @@ def test_reduced_states_match_partial_traces_and_stacks_of_one(n):
 def test_stabilizer_stacks_are_solved_in_bounded_chunks(monkeypatch):
     assert stack_length(12) == 1 and stack_length(4) == STACK_AMPLITUDES // 16
     module = sys.modules["stabscope.stabilizer"]
-    null_spaces = module._null_spaces
+    chunk = module._pure_chunk
     sizes = []
     monkeypatch.setattr(
-        module, "_null_spaces", lambda maps, tol: sizes.append(len(maps)) or null_spaces(maps, tol)
+        module, "_pure_chunk", lambda vectors, n, tol: sizes.append(len(vectors)) or chunk(vectors, n, tol)
     )
     for n, count in ((4, 300), (10, 6), (12, 2)):
         sizes.clear()
