@@ -29,7 +29,6 @@ from .local_unitary import (
     SU2_BASIS,
     LocalUnitary,
     apply_local_unitary,
-    su2_matrix,
 )
 from .stabilizer import StabilizerBasis, algebra_type, stabilizer_pure
 
@@ -55,20 +54,19 @@ def _maximal_pattern(k: StabilizerBasis) -> str | None:
     return None
 
 
-def _align_to_diagonal(direction: np.ndarray) -> np.ndarray:
-    """SU(2) matrix h with h M(u) h^dag = M(e0) for a unit direction u.
+def _align_to_diagonal(directions: np.ndarray) -> np.ndarray:
+    """SU(2) matrices h with h M(u) h^dag = M(e0), one for each unit
+    direction u of an (n, 3) array.
 
-    Works by eigenvector alignment: -i M(u) is Hermitian with eigenvalues
-    +-1, and sending its +1 eigenvector to |0> conjugates M(u) onto the
-    diagonal generator.
+    M(u) and M(e0) both square to -1, so q = 1 - M(e0) M(u) satisfies
+    q M(u) = M(u) + M(e0) = M(e0) q.  q is (1 + u0) times the identity plus
+    an off-diagonal part, with det q = 2 (1 + u0), so h = q / sqrt(det q) is
+    the one such SU(2) matrix with h[0, 0] real and positive; the diagonal
+    factors, which commute with M(e0), leave every other choice open.  It
+    needs u0 > -1.
     """
-    m = su2_matrix(direction)
-    evals, evecs = np.linalg.eigh(-1j * m)
-    # ascending eigenvalues: column 1 belongs to +1
-    u = np.column_stack([evecs[:, 1], evecs[:, 0]])
-    h = u.conj().T
-    det = np.linalg.det(h)
-    return h / np.sqrt(det)
+    q = np.eye(2) - SU2_BASIS[0] @ np.tensordot(directions, SU2_BASIS, axes=1)
+    return q / np.sqrt(2.0 * (1.0 + directions[:, 0]))[:, None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,14 +83,16 @@ def canonicalize_ghz(
     """Reduce a state with maximal stabilizer and all qubit projections
     one-dimensional to the form alpha|0...0> + beta|1...1>.
 
-    Each qubit's stabilizer direction is rotated onto the diagonal
-    generator.  A diagonal stabilizer of dimension n-1 confines a nonproduct
-    state to one basis ket and its complement, so flipping every qubit set
-    in the largest-modulus ket sends that ket to |0...0>, which gives
-    alpha >= beta, and its complement to |1...1>.  A diagonal rotation on
-    qubit 1 and a global phase make both amplitudes real positive.  Only
-    the given stabilizer is used.  tol is its rank cut when stab is None,
-    the off-support residual bound, and the vanishing cut |beta| <= tol |alpha|.
+    Each qubit's stabilizer direction, signed so that its largest component
+    is positive, is rotated onto the diagonal generator.  A diagonal
+    stabilizer of dimension n-1 confines a nonproduct state to one basis ket
+    and its complement, so flipping every qubit set in the largest-modulus
+    ket sends that ket to |0...0>, which gives alpha >= beta, and its
+    complement to |1...1>.  A diagonal rotation on qubit 1 and a global
+    phase make both amplitudes real positive.  Only the given stabilizer is
+    used, and g does not depend on how its basis is rotated.  tol is its
+    rank cut when stab is None, the off-support residual bound, and the
+    vanishing cut |beta| <= tol |alpha|.
     Returns alpha >= beta > 0 with alpha^2 + beta^2 = 1 and the composite
     local unitary g with g|psi> equal to the canonical state up to the
     reported residual.
@@ -104,10 +104,14 @@ def canonicalize_ghz(
             f"need n >= 3, stabilizer dim {n - 1} and all projections 1, got n = {n}, "
             f"dim {k.dim}, projections {k.proj_dims}"
         )
-    factors = np.empty((n, 2, 2), dtype=np.complex128)
-    for j in range(1, n + 1):
-        _, _, vh = np.linalg.svd(k.block_columns(j))
-        factors[j - 1] = _align_to_diagonal(vh[0])
+    # each qubit's direction, from one batched SVD of the coordinate blocks
+    directions = np.linalg.svd(np.stack([k.block_columns(j) for j in range(1, n + 1)]))[2][:, 0]
+    # the SVD gives a direction with either sign; taking its largest
+    # component positive makes g independent of the basis rotation, and
+    # keeps u0 >= -1/sqrt(2) for _align_to_diagonal
+    largest = np.abs(directions).argmax(axis=1)
+    directions *= np.sign(directions[np.arange(n), largest])[:, None]
+    factors = _align_to_diagonal(directions)
     vec = apply_factors(factors, psi.vector)
     # SU2_BASIS[2] swaps |0> and |1>; flipping every qubit set in the
     # largest-modulus ket sends that ket to |0...0>

@@ -7,17 +7,17 @@ built from signs and bit flips of real rows.  The kernel is cut by
 numerical_rank, as is_product cuts Schmidt coefficients, always on singular
 values of the unsquared map: _null_spaces reduces a map to its small
 triangular QR factor R (in cache-sized row blocks when the map is large)
-and takes R's SVD.  The density map goes to it whole.  The pure solve is
-Gram first: eigh of the small Gram matrix sets aside the directions far
-above any cut, and only the block of the remaining candidate directions,
-none for a generic state, goes to _null_spaces.  stabilizer_pure_stack
-solves a stack of states with batched calls per chunk; stabilizer_pure is
-a stack of one.
+and takes R's SVD.  The density map goes to it whole, and so does a small
+pure map.  A larger pure map is solved Gram first: eigh of the small Gram
+matrix sets aside the directions far above any cut, and only the block of
+the remaining candidate directions, none for a generic state, goes to
+_null_spaces.  stabilizer_pure_stack solves a stack of states with batched
+calls per chunk; stabilizer_pure is a stack of one.
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -47,10 +47,6 @@ DENSITY_DIRECT_LIMIT = 6
 QR_CALL_BYTES = 2**20
 # bytes of one row block, small enough that its Householder sweeps stay in cache
 QR_BLOCK_BYTES = 2**18
-# a map of at most this many bytes skips the QR: one thin SVD, whose tall
-# factor is then a few KB, costs less than QR and SVD (16 x 2: 8 against
-# 22 us; 128 x 5: 18 against 26 us; even from about 12-28 KB)
-SVD_DIRECT_BYTES = 2**12
 # the pure solve sets aside Gram eigenvalues lam > GRAM_SPLIT * lam_max as
 # range and solves the rest on the unsquared map.  A kernel vector leaks by
 # about eps / GRAM_SPLIT into the range: against a dense SVD on Haar, W,
@@ -58,21 +54,17 @@ SVD_DIRECT_BYTES = 2**12
 # kernel projectors were off by 3e-10 at 1e-7 and 5e-14 from 1e-6 to 1e-3;
 # from 1e-2 on, Haar states at n = 3 start to have candidates
 GRAM_SPLIT = 1e-4
-# pure maps up to this many qubits are gathered through an index table cached
-# per n (0.5 MB at n = 10, 1 MB for every n up to 10); larger ones are
-# written plane by plane, since tables for n = 11 and 12 raised the peak
-# memory of a mixed-n run by 1.4-3.5 MB
-PLANE_INDEX_QUBITS = 10
+# a pure map of at most this many bytes (n <= 6) goes to _null_spaces whole:
+# there one QR and SVD of the map cost about what they cost on a candidate
+# block, so the Gram product and eigh would only add to them
+GRAM_FIRST_BYTES = 2**15
 
 # the real one-qubit matrices Z, X and J = -i sigma_y act on the rows of a
 # real matrix W by a sign z(bit) = +-1, a flip of the bit, or both:
 # (J W)[r] = -z(r) W[flip r]
 _ROW_SIGN = np.array([1.0, -1.0])[:, None]
-# signs of the flipped rows of (J U, -J V), the J products of _density_direct,
-# and of the (Re, Im) planes of iZ psi taken from (Im psi, Re psi)
+# signs of the flipped rows of (J U, -J V), the J products of _density_direct
 _J_SIGNS = np.stack([-_ROW_SIGN, _ROW_SIGN])[:, None]
-# signs of the (Re, Im) planes of iX psi taken from (Im psi, Re psi)
-_SWAP_SIGNS = np.array([-1.0, 1.0])[:, None, None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,20 +75,18 @@ class StabilizerBasis:
     'density' (no phase coordinate, length 3n).  Rows of `basis` are
     orthonormal in the Euclidean coordinate inner product: they are the
     kernel's right singular vectors in the order and with the signs the SVD
-    gives them (for a pure basis, those of the candidate block mapped back
-    through the candidate directions), which is deterministic for a given
-    input.  No verdict depends on a rotation of the rows; the GHZ canonical
-    form's local unitary does, through the sign of each qubit's direction,
-    and is valid for either.  singular_values holds the full spectrum of
-    the defining map, for a pure basis the square roots of the Gram
-    eigenvalues set aside as range and then the candidate block's singular
-    values; gap is the ratio across the rank cut (inf when the
-    cut is at either end).  When the kernel is exact the denominator of gap
-    is a roundoff-level singular value, so gap then reads 1e9 or more and
-    carries no margin; rank_margin gives the margin on each side of the cut.
-    proj_dims is computed once per basis.  method is 'svd' for a pure basis
-    and names the one route, 'direct' or 'projected', that solved a density
-    basis.
+    gives them (for a pure basis solved Gram first, those of the candidate
+    block mapped back through the candidate directions), which is
+    deterministic for a given input; no reader depends on a rotation of the
+    rows.  singular_values holds the full spectrum of the defining map (when
+    solved Gram first, the square roots of the Gram eigenvalues set aside as
+    range and then the candidate block's singular values); gap is the ratio
+    across the rank cut (inf when the cut is at either end).  When the
+    kernel is exact the denominator of gap is a roundoff-level singular
+    value, so gap then reads 1e9 or more and carries no margin; rank_margin
+    gives the margin on each side of the cut.  proj_dims is computed once
+    per basis.  method is 'svd' for a pure basis and names the one route,
+    'direct' or 'projected', that solved a density basis.
     """
 
     ambient: str
@@ -112,7 +102,7 @@ class StabilizerBasis:
 
     def __post_init__(self):
         for name in ("basis", "singular_values"):
-            a = np.array(getattr(self, name), dtype=np.float64)
+            a = np.asarray(getattr(self, name), dtype=np.float64).copy()
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -193,10 +183,8 @@ def _null_spaces(real_maps: np.ndarray, tol: float, head: np.ndarray | None = No
     The maps are tall, so each is Q R with a square R that has the same
     singular values and right singular vectors.  Only R is formed, never the
     tall orthonormal factor, by _r_factors, directly or in row blocks; the
-    SVD runs on R.  Maps of at most SVD_DIRECT_BYTES (density maps up to
-    n = 2, small pure candidate blocks) go to a thin SVD whole instead.
-    Every step is a batched LAPACK call, which factorises every map exactly
-    as it would alone.  Forming the Gram matrix
+    SVD runs on R.  Every step is a batched LAPACK call, which factorises
+    every map exactly as it would alone.  Forming the Gram matrix
     real_map.T @ real_map and calling eigh, or CholeskyQR, would be cheaper
     still but squares the condition number, which would put the NULL_TOL cut
     at machine epsilon.
@@ -209,10 +197,7 @@ def _null_spaces(real_maps: np.ndarray, tol: float, head: np.ndarray | None = No
     k = real_maps.shape[2]
     if real_maps.shape[1] < k:  # wide matrices would lose kernel directions here
         raise ValueError("defining map has fewer rows than columns")
-    if real_maps.shape[1] * k * real_maps.itemsize <= SVD_DIRECT_BYTES:
-        _, svals, vhs = np.linalg.svd(real_maps, full_matrices=False)
-    else:
-        _, svals, vhs = np.linalg.svd(_r_factors(real_maps))
+    _, svals, vhs = np.linalg.svd(_r_factors(real_maps))
     if head is not None:
         svals = np.concatenate([head, svals], axis=1)
     out = []
@@ -232,61 +217,52 @@ def stabilizer_pure(psi: PureState, tol: float = NULL_TOL) -> StabilizerBasis:
     return stabilizer_pure_stack(psi.vector[None], tol)[0]
 
 
-def _sign_flip_planes(w: np.ndarray) -> np.ndarray:
-    """Realified pure maps from an (S, 2, 2**n) stack of (Re psi, Im psi).
+def _sign_flip_planes(vectors: np.ndarray) -> np.ndarray:
+    """Realified pure maps of an (S, 2**n) stack of state vectors, shape
+    (S, 3n+1, 2 * 2**n).
 
     Plane c of a state is generator c applied to it, (Re, Im) of length
-    2 * 2**n: the phase -i psi is (Im psi, -Re psi), and with z the sign of
+    2 * 2**n.  The phase -i psi is (Im psi, -Re psi).  With z the sign of
     qubit j's bit and flip its bit flip, iZ_j psi is (-z Im psi, z Re psi),
     J_j psi = -iY_j psi is (J Re psi, J Im psi) with (J W)[r] = -z(r)
-    W[flip r], and iX_j psi is (-flip Im psi, flip Re psi).  Each plane is a
-    sign and a flip of (Re psi, Im psi) or of its swap, written in place:
-    the entries equal those of the complex products exactly.
+    W[flip r], and iX_j psi is (-flip Im psi, flip Re psi).  Every plane is
+    a sign and perhaps a flip of (Re psi, Im psi), so each generator type is
+    written for all n qubits at once, the flips of every qubit by one gather
+    through the flipped row indices: the entries equal those of the complex
+    products exactly.
     """
-    s, _, d = w.shape
+    s, d = vectors.shape
     n = d.bit_length() - 1
+    # (S, 2, 2**n) view of (Re psi, Im psi)
+    w = np.ascontiguousarray(vectors, dtype=np.complex128).view(np.float64)
+    w = w.reshape(s, d, 2).swapaxes(1, 2)
+    # qubit 1 is the most significant bit of a row index
+    masks = 1 << np.arange(n - 1, -1, -1)[:, None]
+    rows = np.arange(d)
+    flips = rows ^ masks
+    minus_z = np.where(rows & masks, 1.0, -1.0)
     planes = np.empty((s, 3 * n + 1, 2, d))
     np.multiply(w[:, ::-1], _ROW_SIGN, out=planes[:, 0])
-    for j in range(1, n + 1):
-        legs = (2, 2 ** (j - 1), 2, 2 ** (n - j))
-        wq = w.reshape((s,) + legs)
-        pq = planes.reshape((s, 3 * n + 1) + legs)
-        np.multiply(wq[:, ::-1], _J_SIGNS, out=pq[:, 3 * j - 2])
-        np.multiply(wq[:, :, :, ::-1], _J_SIGNS[0], out=pq[:, 3 * j - 1])
-        np.multiply(wq[:, ::-1, :, ::-1], _SWAP_SIGNS, out=pq[:, 3 * j])
+    # (S, qubit, generator, Re/Im, row) views of planes 1 to 3n
+    by_qubit = planes[:, 1:].reshape(s, n, 3, 2, d)
+    np.multiply(planes[:, :1], minus_z[:, None], out=by_qubit[:, :, 0])
+    # (S, qubit, Re/Im, row): (Re psi, Im psi) with qubit j's bit flipped
+    flipped = w.take(flips, axis=2).swapaxes(1, 2)
+    np.multiply(flipped, minus_z[:, None], out=by_qubit[:, :, 1])
+    np.multiply(flipped[:, :, ::-1], -_ROW_SIGN, out=by_qubit[:, :, 2])
     return planes.reshape(s, 3 * n + 1, 2 * d)
 
 
-@cache
-def _plane_index(n: int) -> np.ndarray:
-    """Where each entry of the n-qubit planes sits in the amplitudes
-    (Re, Im interleaved, then negated): the planes of 1-based positions,
-    a negative label meaning a negated entry."""
-    d = 2**n
-    label = _sign_flip_planes(np.arange(1.0, 2 * d + 1).reshape(1, d, 2).swapaxes(1, 2))[0]
-    # one table serves every call; it stays writeable because np.take runs
-    # several times slower on a read-only index
-    return np.where(label > 0, label - 1, 2 * d - 1 - label).astype(np.intp)
-
-
-def _pure_planes(vectors: np.ndarray, n: int) -> np.ndarray:
-    """Realified pure maps of an (S, 2**n) stack, shape (S, 3n+1, 2 * 2**n):
-    one gather through _plane_index up to PLANE_INDEX_QUBITS qubits, and
-    _sign_flip_planes itself above.  Both give the same bits.  The gather
-    is the faster at every n, since at small n the per-qubit calls cost
-    more than the entries and on the last qubits the runs of a flip are a
-    few entries long (n = 12, one state: 0.29 against 0.87 ms), but its
-    table holds (3n+1) 2**(n+1) indices for the life of the process."""
-    if n > PLANE_INDEX_QUBITS:
-        return _sign_flip_planes(np.stack([vectors.real, vectors.imag], axis=1))
-    w = np.ascontiguousarray(vectors, dtype=np.complex128).view(np.float64)
-    return np.take(np.concatenate([w, -w], axis=1), _plane_index(n), axis=1)
-
-
 def _pure_chunk(vectors: np.ndarray, n: int, tol: float) -> list[StabilizerBasis]:
-    """Gram-first pure solve of one chunk of stabilizer_pure_stack."""
+    """Pure solve of one chunk of stabilizer_pure_stack: Gram first, or
+    the whole map when it is small."""
     k = 3 * n + 1
-    planes = _pure_planes(vectors, n)
+    planes = _sign_flip_planes(vectors)
+    if planes[0].nbytes <= GRAM_FIRST_BYTES:
+        return [
+            StabilizerBasis("pure", n, rows, svals, gap)
+            for rows, svals, gap in _null_spaces(planes.swapaxes(1, 2), tol)
+        ]
     lam, vecs = np.linalg.eigh(planes @ planes.swapaxes(1, 2))
     # candidates: every direction a cut at tol could reach, with a factor 2
     # in singular value to spare; at tol >= 1/2 that is every direction
@@ -316,12 +292,13 @@ def stabilizer_pure_stack(vectors: np.ndarray, tol: float = NULL_TOL) -> list[St
 
     The defining map A of a state sends real coordinates (t, x1, y1, z1, ...)
     to the vector X|psi>, realified to a (2 * 2**n, 3n+1) matrix, built as
-    per-column planes by _pure_planes and solved by _pure_chunk,
+    per-column planes by _sign_flip_planes and solved by _pure_chunk,
     stack_length(n) states at a time.
 
-    The solve is Gram first.  eigh of G = A^T A splits the coordinates:
-    eigenvalues lam > GRAM_SPLIT * lam_max are range directions with
-    singular value sqrt(lam), far above any cut, and the m others are
+    A map of at most GRAM_FIRST_BYTES (n <= 6) goes to _null_spaces whole.
+    A larger one is solved Gram first.  eigh of G = A^T A splits the
+    coordinates: eigenvalues lam > GRAM_SPLIT * lam_max are range directions
+    with singular value sqrt(lam), far above any cut, and the m others are
     candidates V_c.  With m = 0 the kernel is empty and nothing is
     factorised, which is the case for generic states.  Otherwise the
     unsquared map A V_c goes to _null_spaces, with the range singular values

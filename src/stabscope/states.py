@@ -61,7 +61,7 @@ PRODUCT_ENUM_LIMIT = 16
 
 def numerical_rank(s: np.ndarray, tol: float) -> int:
     """Number of nonnegative magnitudes in s above tol times the largest."""
-    return int(np.count_nonzero(s > tol * s.max(initial=0.0)))
+    return int(np.sum(s > tol * s.max(initial=0.0)))
 
 
 def int_to_bits(value: int, n: int) -> tuple[int, ...]:

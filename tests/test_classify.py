@@ -6,6 +6,7 @@ import pytest
 from stabscope import (
     SWAP34_TRIPLE,
     CanonicalizationError,
+    StabilizerBasis,
     apply_local_unitary,
     basis_state,
     canonical_four_qubit_state,
@@ -72,6 +73,22 @@ def test_ghz_canonicalization_orders_and_fixes_phases():
     assert form.alpha >= form.beta > 0
     assert form.alpha == pytest.approx(np.sqrt(0.75), abs=1e-10)
     assert form.beta == pytest.approx(0.5, abs=1e-10)
+
+
+def test_ghz_canonicalization_does_not_depend_on_the_basis_rotation():
+    # any orthogonal rotation of the kernel rows, reflections included, spans
+    # the same stabilizer and must give the same local unitary
+    rng = np.random.default_rng(9)
+    for n in (3, 6):
+        psi = apply_local_unitary(haar_random_local_unitary(n, rng), ghz_state(n, 0.8, 0.6))
+        k = stabilizer_pure(psi)
+        form = canonicalize_ghz(psi, stab=k)
+        for _ in range(4):
+            rot, _ = np.linalg.qr(rng.standard_normal((k.dim, k.dim)))
+            turned = StabilizerBasis("pure", n, rot @ k.basis, k.singular_values, k.gap)
+            other = canonicalize_ghz(psi, stab=turned)
+            assert np.allclose(other.unitary.factors, form.unitary.factors, rtol=0.0, atol=1e-12)
+            assert abs(other.unitary.global_phase - form.unitary.global_phase) < 1e-12
 
 
 def test_ghz_canonicalization_rejects_other_states():

@@ -28,12 +28,12 @@ import stabscope.stabilizer as stabilizer_module
 from stabscope.stabilizer import (
     DENSITY_DIRECT_LIMIT,
     GAP_MIN,
+    GRAM_FIRST_BYTES,
     NULL_TOL,
     QR_BLOCK_BYTES,
     QR_CALL_BYTES,
-    SVD_DIRECT_BYTES,
     _null_spaces,
-    _pure_planes,
+    _sign_flip_planes,
 )
 from stabscope.states import numerical_rank
 
@@ -404,23 +404,6 @@ def test_blocked_r_matches_a_single_qr_around_the_cut(offset, monkeypatch):
         assert np.allclose(rows_k.T @ rows_k, kernel.T @ kernel, rtol=0.0, atol=1e-10)
 
 
-def test_small_maps_skip_the_qr_with_the_same_spectrum_and_kernel(monkeypatch):
-    maps = _planted_maps(16, 6, (2, 0), np.random.default_rng(4))
-    assert maps[0].nbytes <= SVD_DIRECT_BYTES
-    calls = []
-    qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or qr(a, *args, **kw))
-    direct = _null_spaces(maps, NULL_TOL)
-    assert calls == []
-    monkeypatch.setattr(stabilizer_module, "SVD_DIRECT_BYTES", 0)
-    factored = _null_spaces(maps, NULL_TOL)
-    assert calls == [maps.shape]
-    for (rows_d, s_d, _), (rows_f, s_f, _), dim in zip(direct, factored, (2, 0), strict=True):
-        assert rows_d.shape[0] == rows_f.shape[0] == dim
-        assert np.max(np.abs(s_d - s_f)) <= 1e-13 * s_f[0]
-        assert np.allclose(rows_d.T @ rows_d, rows_f.T @ rows_f, rtol=0.0, atol=1e-9)
-
-
 def test_null_space_rejects_wide_maps():
     with pytest.raises(ValueError, match="fewer rows than columns"):
         _null_spaces(np.ones((1, 2, 3)), NULL_TOL)
@@ -446,14 +429,11 @@ def _realified_pure_map(psi):
     return np.concatenate([a.real, a.imag])
 
 
-@pytest.mark.parametrize("index_qubits", [0, 12])
-def test_pure_planes_are_the_complex_products_bit_for_bit(index_qubits, monkeypatch):
-    # the per-qubit writes and the gather, each at every n
-    monkeypatch.setattr(stabilizer_module, "PLANE_INDEX_QUBITS", index_qubits)
+def test_pure_planes_are_the_complex_products_bit_for_bit():
     rng = np.random.default_rng(7)
     for n in range(1, 13):
         states = [random_state(n, rng), random_state(n, rng)]
-        planes = _pure_planes(np.stack([psi.vector for psi in states]), n)
+        planes = _sign_flip_planes(np.stack([psi.vector for psi in states]))
         assert planes.shape == (2, 3 * n + 1, 2 ** (n + 1)) and planes.flags.c_contiguous
         for psi, p in zip(states, planes):
             assert np.array_equal(p.T, _realified_pure_map(psi)), n
@@ -485,28 +465,37 @@ def _reference_kernel(psi, tol=NULL_TOL):
     return vh[rank:], s, (s[rank - 1] / s[0] if rank else None)
 
 
+def _routes(n):
+    """GRAM_FIRST_BYTES settings that reach every route at n: small maps
+    are solved whole, and with the bound at 0 Gram first too."""
+    return (GRAM_FIRST_BYTES, 0) if n <= 6 else (GRAM_FIRST_BYTES,)
+
+
 @pytest.mark.parametrize("n", range(3, 13))
-def test_gram_first_pure_solve_matches_a_dense_svd(n):
+def test_gram_first_pure_solve_matches_a_dense_svd(n, monkeypatch):
     eps = np.finfo(np.float64).eps
-    for name, psi in _reference_corpus(n):
-        kernel, s, range_min = _reference_kernel(psi)
-        k = stabilizer_pure(psi)
-        assert k.dim == kernel.shape[0], name
-        reference = StabilizerBasis("pure", n, kernel, s, np.inf)
-        assert k.proj_dims == reference.proj_dims, name
-        assert np.max(np.abs(k.singular_values - s)) <= 1e-12 * s[0], name
-        # the cut's own conditioning bounds how well any solve fixes the kernel
-        bound = 1e-10 if range_min >= 1e-4 else 100 * eps / range_min
-        diff = np.max(np.abs(k.basis.T @ k.basis - kernel.T @ kernel), initial=0.0)
-        assert diff <= bound, (name, diff, range_min)
-        margin = k.rank_margin()
-        assert margin["range_min"] == pytest.approx(range_min, rel=1e-9), name
-        assert (margin["kernel_max"] is None) == (k.dim == 0), name
+    for gram_first_bytes in _routes(n):
+        monkeypatch.setattr(stabilizer_module, "GRAM_FIRST_BYTES", gram_first_bytes)
+        for name, psi in _reference_corpus(n):
+            kernel, s, range_min = _reference_kernel(psi)
+            k = stabilizer_pure(psi)
+            assert k.dim == kernel.shape[0], name
+            reference = StabilizerBasis("pure", n, kernel, s, np.inf)
+            assert k.proj_dims == reference.proj_dims, name
+            assert np.max(np.abs(k.singular_values - s)) <= 1e-12 * s[0], name
+            # the cut's own conditioning bounds how well any solve fixes the kernel
+            bound = 1e-10 if range_min >= 1e-4 else 100 * eps / range_min
+            diff = np.max(np.abs(k.basis.T @ k.basis - kernel.T @ kernel), initial=0.0)
+            assert diff <= bound, (name, diff, range_min)
+            margin = k.rank_margin()
+            assert margin["range_min"] == pytest.approx(range_min, rel=1e-9), name
+            assert (margin["kernel_max"] is None) == (k.dim == 0), name
 
 
 @pytest.mark.parametrize("tol", [1e-3, 0.05, 0.6])
-def test_gram_first_pure_solve_follows_a_coarse_cut(tol):
+def test_gram_first_pure_solve_follows_a_coarse_cut(tol, monkeypatch):
     # a coarse cut reaches directions the default would set aside as range
+    monkeypatch.setattr(stabilizer_module, "GRAM_FIRST_BYTES", 0)
     for n in (3, 5):
         for name, psi in _reference_corpus(n):
             kernel, _, _ = _reference_kernel(psi, tol)
@@ -530,3 +519,17 @@ def test_generic_state_at_n_12_factorises_nothing(monkeypatch):
     k = stabilizer_pure(orbit_point)
     (shape, qr_call) = calls
     assert qr_call == "qr" and shape[:2] == (1, 2**13) and k.dim == 11 <= shape[2] < 37
+
+
+def test_small_pure_maps_are_solved_whole(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a.shape) or eigh(a, *args))
+    rng = np.random.default_rng(6)
+    psi = apply_local_unitary(haar_random_local_unitary(6, rng), ghz_state(6, 0.8, 0.6))
+    k = stabilizer_pure(psi)
+    assert calls == [] and 2 ** 7 * 19 * 8 <= GRAM_FIRST_BYTES
+    ((rows, svals, gap),) = _null_spaces(_realified_pure_map(psi)[None], NULL_TOL)
+    assert np.array_equal(k.basis, rows) and np.array_equal(k.singular_values, svals) and k.gap == gap
+    stabilizer_pure(random_state(7, rng))
+    assert calls == [(1, 22, 22)]
