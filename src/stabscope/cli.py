@@ -107,8 +107,6 @@ def cmd_classify(args) -> int:
 
 def cmd_orbit(args) -> int:
     (spec, psi), = _states(args, 1)
-    if args.samples < 1:
-        raise StateFormatError(f"--samples must be at least 1, got {args.samples}")
 
     def point(i: int) -> np.ndarray:
         if i < 0:
@@ -260,6 +258,9 @@ def main(argv=None) -> int:
     # written so that NaN fails too: every comparison with NaN is False
     if not (0 < args.tol_null < np.inf and 0 < args.tol_equiv < np.inf):
         return _error(args, "parse", "tolerances must be positive and finite", EXIT_PARSE)
+    for flag, value in (("--restarts", args.restarts), ("--samples", args.samples)):
+        if value < 1:
+            return _error(args, "parse", f"{flag} must be at least 1, got {value}", EXIT_PARSE)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except GuardError as exc:

@@ -7,12 +7,14 @@ built from signs and bit flips of real rows.  The kernel is cut by
 numerical_rank, as is_product cuts Schmidt coefficients, always on singular
 values of the unsquared map: _null_spaces reduces a map to its small
 triangular QR factor R (in cache-sized row blocks when the map is large)
-and takes R's SVD.  The density map goes to it whole, and so does a small
-pure map.  A larger pure map is solved Gram first: eigh of the small Gram
-matrix sets aside the directions far above any cut, and only the block of
-the remaining candidate directions, none for a generic state, goes to
-_null_spaces.  stabilizer_pure_stack solves a stack of states with batched
-calls per chunk; stabilizer_pure is a stack of one.
+and takes R's SVD.  A small map, pure (n <= 6) or density (n <= 6), goes to
+it whole.  A larger map of either kind is solved Gram first by _gram_split:
+eigh of the small Gram matrix sets aside the directions far above any cut,
+and only the block of the remaining candidate directions, none for a
+generic state, goes to _null_spaces.  The large density map is built and
+its Gram matrix summed one cache-sized row block at a time.
+stabilizer_pure_stack solves a stack of states with batched calls per
+chunk; stabilizer_pure is a stack of one.
 """
 
 import warnings
@@ -43,9 +45,11 @@ CLOSURE_TOL = 1e-7
 # direct commutator solves cost O(4^n); above this the rank-one path is used
 DENSITY_DIRECT_LIMIT = 6
 # the most bytes of a defining map one QR call takes: a larger map is
-# factorised in row blocks, this many bytes of blocks per call
+# factorised in row blocks, this many bytes of blocks per call; a density
+# map above it (n >= 7) is solved Gram first
 QR_CALL_BYTES = 2**20
-# bytes of one row block, small enough that its Householder sweeps stay in cache
+# bytes of one row block, small enough that its Householder sweeps, and the
+# build and Gram product of a block of a large density map, stay in cache
 QR_BLOCK_BYTES = 2**18
 # the pure solve sets aside Gram eigenvalues lam > GRAM_SPLIT * lam_max as
 # range and solves the rest on the unsquared map.  A kernel vector leaks by
@@ -63,8 +67,13 @@ GRAM_FIRST_BYTES = 2**15
 # real matrix W by a sign z(bit) = +-1, a flip of the bit, or both:
 # (J W)[r] = -z(r) W[flip r]
 _ROW_SIGN = np.array([1.0, -1.0])[:, None]
-# signs of the flipped rows of (J U, -J V), the J products of _density_direct
-_J_SIGNS = np.stack([-_ROW_SIGN, _ROW_SIGN])[:, None]
+# row r of qubit j's left products (Z V, J U, X V) of _density_planes, and of
+# the products (Z U, -J V, X U) whose transposes it subtracts, is row r, or r
+# with qubit j's bit flipped where _FLIPS is 1, of block
+# _BLOCKS + _BLOCK_PER_BIT * bit(r) of (V, U, -V, -U)
+_FLIPS = np.array([[0, 1, 1], [0, 1, 1]])[:, None, :, None]
+_BLOCKS = np.array([[0, 3, 0], [1, 0, 1]])[:, None, :, None]
+_BLOCK_PER_BIT = np.array([[2, -2, 0], [2, 2, 0]])[:, None, :, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,14 +193,15 @@ def _null_spaces(real_maps: np.ndarray, tol: float, head: np.ndarray | None = No
     singular values and right singular vectors.  Only R is formed, never the
     tall orthonormal factor, by _r_factors, directly or in row blocks; the
     SVD runs on R.  Every step is a batched LAPACK call, which factorises
-    every map exactly as it would alone.  Forming the Gram matrix
-    real_map.T @ real_map and calling eigh, or CholeskyQR, would be cheaper
-    still but squares the condition number, which would put the NULL_TOL cut
-    at machine epsilon.
+    every map exactly as it would alone.  No Gram matrix is formed here:
+    real_map.T @ real_map with eigh, or CholeskyQR, squares the condition
+    number, which would put the NULL_TOL cut at machine epsilon.  The Gram
+    matrix of _gram_split only sets aside directions far above the cut
+    before a map comes here.
 
     head, an (S, r) array, holds singular values of each map's parent that
     lie far above the cut, along directions outside the map's columns (the
-    Gram range of the pure solve); they join the spectrum, so the cut and
+    Gram range of _gram_split); they join the spectrum, so the cut and
     the gap are taken relative to the parent's largest singular value.
     """
     k = real_maps.shape[2]
@@ -253,17 +263,28 @@ def _sign_flip_planes(vectors: np.ndarray) -> np.ndarray:
     return planes.reshape(s, 3 * n + 1, 2 * d)
 
 
-def _pure_chunk(vectors: np.ndarray, n: int, tol: float) -> list[StabilizerBasis]:
-    """Pure solve of one chunk of stabilizer_pure_stack: Gram first, or
-    the whole map when it is small."""
-    k = 3 * n + 1
-    planes = _sign_flip_planes(vectors)
-    if planes[0].nbytes <= GRAM_FIRST_BYTES:
-        return [
-            StabilizerBasis("pure", n, rows, svals, gap)
-            for rows, svals, gap in _null_spaces(planes.swapaxes(1, 2), tol)
-        ]
-    lam, vecs = np.linalg.eigh(planes @ planes.swapaxes(1, 2))
+def _gram_split(planes: np.ndarray, grams: np.ndarray, tol: float) -> list[tuple]:
+    """Kernel rows, full spectrum and gap of each map of an (S, K, M) stack
+    of per-column planes, solved Gram first from its (S, K, K) Gram matrices.
+
+    eigh of G = A^T A splits the coordinates: eigenvalues lam > GRAM_SPLIT *
+    lam_max are range directions with singular value sqrt(lam), far above any
+    cut, and the m others are candidates V_c.  With m = 0 the kernel is empty
+    and nothing is factorised, which is the case for generic states.
+    Otherwise the unsquared map A V_c goes to _null_spaces, with the range
+    singular values as its head, so the rank cut at tol is decided on
+    singular values of A itself, relative to sqrt(lam_max); maps of the stack
+    with the same m share one batched call.  A kernel vector leaks out of the
+    candidate span by about eps / GRAM_SPLIT, the error the Gram step adds to
+    the basis.  Each map gets bit for bit what it gets in a stack of its own.
+    The planes are released once every candidate block is formed, so a map
+    the caller holds no other reference to is freed before any QR (on
+    CPython 3.11 and later, which hands the argument's reference over): that
+    takes the QR copies off the n = 8 density solve's peak, and at n = 7 it
+    cut the page faults of a repeated solve from about 1300 to 20.
+    """
+    k = planes.shape[1]
+    lam, vecs = np.linalg.eigh(grams)
     # candidates: every direction a cut at tol could reach, with a factor 2
     # in singular value to spare; at tol >= 1/2 that is every direction
     bound = max(GRAM_SPLIT, 4.0 * tol * tol) * lam[:, -1:]
@@ -271,20 +292,34 @@ def _pure_chunk(vectors: np.ndarray, n: int, tol: float) -> list[StabilizerBasis
     for i, m in enumerate((lam <= bound).sum(axis=1).tolist()):
         groups.setdefault(m, []).append(i)
     out = [None] * len(planes)
+    blocks = []
     for m, idx in groups.items():
-        # no copy of the planes when the whole chunk shares m
+        # no copy of the planes when the whole stack shares m
         sel = slice(None) if len(idx) == len(planes) else idx
         head = np.sqrt(lam[sel, : m - 1 : -1] if m else lam[sel, ::-1])
         if m == 0:
             for i, svals in zip(idx, head):
-                out[i] = StabilizerBasis("pure", n, np.zeros((0, k)), svals, np.inf)
+                out[i] = (np.zeros((0, k)), svals, np.inf)
             continue
-        # contiguous either way, so each state's product is the one it gets alone
+        # contiguous either way, so each map's product is the one it gets alone
         cands = np.ascontiguousarray(vecs[sel, :, :m])
-        block = np.matmul(cands.swapaxes(1, 2), planes[sel]).swapaxes(1, 2)
+        blocks.append((idx, cands, head, np.matmul(cands.swapaxes(1, 2), planes[sel]).swapaxes(1, 2)))
+    del planes
+    for idx, cands, head, block in blocks:
         for i, c, (rows, svals, gap) in zip(idx, cands, _null_spaces(block, tol, head)):
-            out[i] = StabilizerBasis("pure", n, rows @ c.T, svals, gap)
+            out[i] = (rows @ c.T, svals, gap)
     return out
+
+
+def _pure_chunk(vectors: np.ndarray, n: int, tol: float) -> list[StabilizerBasis]:
+    """Pure solve of one chunk of stabilizer_pure_stack: Gram first, or
+    the whole map when it is small."""
+    planes = _sign_flip_planes(vectors)
+    if planes[0].nbytes <= GRAM_FIRST_BYTES:
+        solved = _null_spaces(planes.swapaxes(1, 2), tol)
+    else:
+        solved = _gram_split(planes, planes @ planes.swapaxes(1, 2), tol)
+    return [StabilizerBasis("pure", n, rows, svals, gap) for rows, svals, gap in solved]
 
 
 def stabilizer_pure_stack(vectors: np.ndarray, tol: float = NULL_TOL) -> list[StabilizerBasis]:
@@ -295,18 +330,10 @@ def stabilizer_pure_stack(vectors: np.ndarray, tol: float = NULL_TOL) -> list[St
     per-column planes by _sign_flip_planes and solved by _pure_chunk,
     stack_length(n) states at a time.
 
-    A map of at most GRAM_FIRST_BYTES (n <= 6) goes to _null_spaces whole.
-    A larger one is solved Gram first.  eigh of G = A^T A splits the
-    coordinates: eigenvalues lam > GRAM_SPLIT * lam_max are range directions
-    with singular value sqrt(lam), far above any cut, and the m others are
-    candidates V_c.  With m = 0 the kernel is empty and nothing is
-    factorised, which is the case for generic states.  Otherwise the
-    unsquared map A V_c goes to _null_spaces, with the range singular values
-    as its head, so the rank cut at tol is decided on singular values of A
-    itself, relative to sqrt(lam_max); states of a chunk with the same m
-    share one batched call.  A kernel vector leaks out of the candidate span
-    by about eps / GRAM_SPLIT, the error the Gram step adds to the basis.
-    Each basis is bit for bit the one the state gets in a stack of its own.
+    A map of at most GRAM_FIRST_BYTES (n <= 6) goes to _null_spaces whole;
+    a larger one is solved Gram first by _gram_split, and a generic state
+    then factorises nothing.  Each basis is bit for bit the one the state
+    gets in a stack of its own.
     """
     n = _stack_qubits(vectors)
     step = stack_length(n)
@@ -323,8 +350,9 @@ def _dominant_eigenvector(rho: DensityMatrix) -> PureState:
     return PureState(col / np.linalg.norm(col))
 
 
-def _density_direct(rho: DensityMatrix, tol: float):
-    """Solve [X, rho] = 0 on all of su(2)^n; the map has 4^n rows.
+def _density_planes(rho: DensityMatrix, gram: np.ndarray | None = None) -> np.ndarray:
+    """Realified commutator map of rho as 3n planes of 4^n rows, shape
+    (3n, 4^n), one plane per generator iZ_j, J_j = -iY_j, iX_j.
 
     The commutator C = [X, rho] is Hermitian, so Re C is symmetric and Im C
     antisymmetric; the two are Frobenius-orthogonal and C.real + C.imag has
@@ -332,32 +360,67 @@ def _density_direct(rho: DensityMatrix, tol: float):
     the Gram matrix of the naive [Re vec C; Im vec C] map, hence its
     singular values and kernel, with half the rows.
 
-    With U = Re rho + Im rho and V = U^T = Re rho - Im rho, the realified
-    planes of the generators iZ, J = -iY and iX of qubit j are the real
-    commutators [Z_j, V], [J_j, U] and [X_j, V].  Each is a left product
-    minus the transpose of a left product, G W - (G^T W^T)^T, and a left
-    product by a real one-qubit matrix is a sign and a flip on row blocks:
-    three calls per qubit form the six, and one transposed subtraction the
-    three planes.  There is no complex product and no complex temporary.
+    With U = Re rho + Im rho and V = U^T = Re rho - Im rho, the planes of
+    qubit j are the real commutators [Z_j, V], [J_j, U] and [X_j, V], that
+    is (Z V) - (Z U)^T, (J U) - (-J V)^T and (X V) - (X U)^T.  A left product
+    by a real one-qubit matrix signs and bit-flips rows, so every row of the
+    six products is a row of (V, U, -V, -U), picked through one index table
+    per side: there is no complex product.
+
+    Rows are written a block at a time: one take for the left products, one
+    for the matching columns of the transposed ones, and one subtraction of
+    that tile's transpose.  With gram, a (3n, 3n) array, given, blocks are
+    about QR_BLOCK_BYTES and each block's B B^T is added to it while B is in
+    cache; otherwise the map is one block.
     """
     n = rho.n
     d = 2**n
-    w = np.empty((2, d, d))  # (V, U)
-    np.subtract(rho.matrix.real, rho.matrix.imag, out=w[0])
-    np.add(rho.matrix.real, rho.matrix.imag, out=w[1])
-    # left products (Z V, J U, X V) and (Z U, -J V, X U), whose transposes
-    # are the right products V Z, U J and V X
-    prods = np.empty((2, 3, d, d))
-    real_map = np.empty((3 * n, d, d))
-    for j in range(1, n + 1):
-        rows = (2 ** (j - 1), 2, 2 ** (n - j) * d)
-        wq = w.reshape((2,) + rows)
-        pq = prods.reshape((2, 3) + rows)
-        np.multiply(wq, _ROW_SIGN, out=pq[:, 0])
-        np.multiply(wq[::-1, :, ::-1], _J_SIGNS, out=pq[:, 1])
-        np.copyto(pq[:, 2], wq[:, :, ::-1])
-        np.subtract(prods[0], prods[1].swapaxes(1, 2), out=real_map[3 * (j - 1) : 3 * j])
-    return _null_spaces(real_map.reshape(3 * n, d * d).T[None], tol)[0]
+    k = 3 * n
+    p = np.empty((4, d, d))  # (V, U, -V, -U)
+    np.subtract(rho.matrix.real, rho.matrix.imag, out=p[0])
+    np.add(rho.matrix.real, rho.matrix.imag, out=p[1])
+    np.negative(p[:2], out=p[2:])
+    p = p.reshape(4 * d, d)
+    # rows of p, shape (side, qubit, generator, row); qubit 1 is the most
+    # significant bit of a row index
+    shifts = np.arange(n - 1, -1, -1)[:, None, None]
+    rows = np.arange(d)
+    bits = rows >> shifts & 1
+    left, right = ((rows ^ _FLIPS << shifts) + d * (_BLOCKS + _BLOCK_PER_BIT * bits)).reshape(2, k, d)
+    real_map = np.empty((k, d, d))
+    step = d if gram is None else min(d, max(1, QR_BLOCK_BYTES // (k * d * p.itemsize)))
+    block = real_map if step == d else np.empty((k, step, d))
+    tile = np.empty((k, d, step))
+    for lo in range(0, d, step):
+        hi = min(lo + step, d)
+        b = block[:, : hi - lo]
+        t = tile[:, :, : hi - lo]
+        np.take(p, left[:, lo:hi], axis=0, out=b, mode="clip")
+        np.take(p[:, lo:hi], right, axis=0, out=t, mode="clip")
+        np.subtract(b, t.swapaxes(1, 2), out=b)
+        if gram is not None:
+            flat = b.reshape(k, -1)
+            gram += flat @ flat.T
+        if block is not real_map:
+            real_map[:, lo:hi] = b
+    return real_map.reshape(k, d * d)
+
+
+def _density_direct(rho: DensityMatrix, tol: float):
+    """Solve [X, rho] = 0 on all of su(2)^n; the map has 4^n rows.
+
+    A map of at most QR_CALL_BYTES (n <= 6) goes to _null_spaces whole.  A
+    larger one is built in row blocks that also sum its Gram matrix, and is
+    solved Gram first by _gram_split, as a large pure map is: only the block
+    of candidate directions is factorised, none for a generic rho, and the
+    cut is still taken on singular values of the unsquared map.
+    """
+    k = 3 * rho.n
+    if k * 4**rho.n * 8 <= QR_CALL_BYTES:  # bytes of the float64 map
+        return _null_spaces(_density_planes(rho).T[None], tol)[0]
+    gram = np.zeros((k, k))
+    # the map's only reference goes to _gram_split, which frees it early
+    return _gram_split(_density_planes(rho, gram)[None], gram[None], tol)[0]
 
 
 def _drop_phase(pure: StabilizerBasis, tol: float = NULL_TOL) -> StabilizerBasis:

@@ -453,10 +453,16 @@ def test_cli_small_beta_ghz_is_nonproduct_ghz_class(beta, tmp_path, capsys):
         (["analyze", "--state", "ghz:3", "--tol-null", "inf"], 2, "parse", "positive and finite"),
         (["classify", "--state", "ghz:3", "--tol-equiv", "nan"], 2, "parse", "positive and finite"),
         (["equiv", "--state", "ghz:3", "--state", "w:3", "--tol-equiv=-inf"], 2, "parse", "positive and finite"),
+        (["equiv", "--state", "ghz:3", "--state", "w:3", "--restarts", "-3"], 2, "parse",
+         "--restarts must be at least 1, got -3"),
+        (["equiv", "--state", "ghz:3", "--state", "w:3", "--restarts", "0"], 2, "parse",
+         "--restarts must be at least 1, got 0"),
+        (["orbit", "--state", "ghz:3", "--samples", "0"], 2, "parse", "--samples must be at least 1, got 0"),
         (["analyze", "--state", "ghz:15"], 3, "guard", "exceeds the limit"),
     ],
     ids=["parse-state", "parse-tolerance", "parse-nan-null", "parse-inf-null", "parse-nan-equiv",
-         "parse-minus-inf-equiv", "guard"],
+         "parse-minus-inf-equiv", "parse-negative-restarts", "parse-zero-restarts", "parse-zero-samples",
+         "guard"],
 )
 def test_cli_json_errors_carry_a_payload(argv, code, kind, text, capsys):
     assert main([*argv, "--format", "json"]) == code

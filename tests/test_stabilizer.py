@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,9 +31,11 @@ from stabscope.stabilizer import (
     DENSITY_DIRECT_LIMIT,
     GAP_MIN,
     GRAM_FIRST_BYTES,
+    GRAM_SPLIT,
     NULL_TOL,
     QR_BLOCK_BYTES,
     QR_CALL_BYTES,
+    _density_planes,
     _null_spaces,
     _sign_flip_planes,
 )
@@ -345,7 +349,7 @@ def _oracle_cases():
         yield f"ghz_orbit:{n}", to_density(apply_local_unitary(g, ghz_state(n, 0.8, 0.6))), n - 1
         wide = to_density(random_state(n + 2, rng))
         yield f"rank4:{n}", partial_trace(wide, (n + 1, n + 2)), 0
-    # n = 7 maps are factorised in row blocks
+    # n = 7 maps are built in row blocks and solved Gram first
     for n in (6, 7):
         g = haar_random_local_unitary(n, rng)
         yield f"ghz_orbit:{n}", to_density(apply_local_unitary(g, ghz_state(n, 0.8, 0.6))), n - 1
@@ -355,19 +359,140 @@ def _oracle_cases():
     g = rng.standard_normal((2**7, 2**7)) + 1j * rng.standard_normal((2**7, 2**7))
     wishart = g @ g.conj().T
     yield "wishart:7", DensityMatrix(wishart / np.trace(wishart).real), 0
+    # maps from n = 7 on are solved Gram first; near the product end of the
+    # GHZ family the smallest range singular value nears the cut
+    for beta in (1e-2, 1e-5, 3e-8, 1e-8, 3e-9):
+        g = haar_random_local_unitary(7, rng)
+        point = ghz_state(7, np.sqrt(1 - beta**2), beta)
+        yield f"ghz_orbit:7:beta={beta}", to_density(apply_local_unitary(g, point)), 6
+    g = haar_random_local_unitary(8, rng)
+    yield "ghz_orbit:8", to_density(apply_local_unitary(g, ghz_state(8, 0.8, 0.6))), 7
+    yield "rank4:8", partial_trace(to_density(random_state(10, rng)), (9, 10)), 0
+    yield "mixed:8", DensityMatrix(np.eye(2**8) / 2**8), 24
 
 
 @pytest.mark.parametrize("name, rho, expected_dim", list(_oracle_cases()))
 def test_direct_density_solve_matches_naive_realified_map(name, rho, expected_dim):
+    eps = np.finfo(np.float64).eps
     real_map = _naive_density_map(rho)
     _, s, vh = np.linalg.svd(real_map, full_matrices=False)
-    rank = int(np.sum(s > NULL_TOL * s[0])) if s[0] > 0 else 0
+    rank = numerical_rank(s, NULL_TOL)
     oracle = StabilizerBasis("density", rho.n, vh[rank:], s, np.inf)
     k = stabilizer_density(rho, method="direct")
     assert k.dim == oracle.dim == expected_dim, name
     assert k.proj_dims == oracle.proj_dims, name
     assert np.allclose(k.singular_values, s, rtol=0.0, atol=1e-12 * max(s[0], 1e-300)), name
-    assert np.allclose(k.basis.T @ k.basis, oracle.basis.T @ oracle.basis, atol=1e-10), name
+    # the cut's own conditioning bounds how well any solve fixes the kernel
+    range_min = oracle.rank_margin()["range_min"]
+    bound = 1e-10 if range_min is None or range_min >= 1e-4 else 100 * eps / range_min
+    diff = np.max(np.abs(k.basis.T @ k.basis - oracle.basis.T @ oracle.basis), initial=0.0)
+    assert diff <= bound, (name, diff, range_min)
+    if range_min is None:
+        # a map that vanishes: every direction is kernel
+        assert k.rank_margin() == {"kernel_max": 0.0, "range_min": None, "cut": NULL_TOL}
+    else:
+        assert k.rank_margin()["range_min"] == pytest.approx(range_min, rel=1e-9), name
+
+
+_Z = np.diag([1.0, -1.0])
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _whole_density_map(rho):
+    """The (3n, 4**n) density map from whole-matrix products: with
+    U = Re rho + Im rho and V = Re rho - Im rho, the planes of qubit j are
+    Z V - (Z U)^T, J U - (-J V)^T and X V - (X U)^T, each one-qubit product
+    exact, so the row-block build must equal it bit for bit."""
+    n, d = rho.n, 2**rho.n
+    v = rho.matrix.real - rho.matrix.imag
+    u = rho.matrix.real + rho.matrix.imag
+    planes = []
+    for j in range(n):
+        def left(g, w):
+            return np.einsum("ab,ibr->iar", g, w.reshape(2**j, 2, -1)).reshape(d, d)
+
+        planes += [left(_Z, v) - left(_Z, u).T, left(_J, u) - left(-_J, v).T, left(_X, v) - left(_X, u).T]
+    return np.stack(planes).reshape(3 * n, d * d)
+
+
+def _density_zoo(n, rng):
+    """A Haar pure state, a rank-4 state, the maximally mixed state and,
+    from n = 2 on, a GHZ orbit point, on n qubits."""
+    out = [to_density(random_state(n, rng)), partial_trace(to_density(random_state(n + 2, rng)), (n + 1, n + 2))]
+    out.append(DensityMatrix(np.eye(2**n) / 2**n))
+    if n >= 2:
+        out.append(to_density(apply_local_unitary(haar_random_local_unitary(n, rng), ghz_state(n, 0.8, 0.6))))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_row_block_build_is_the_whole_matrix_map_bit_for_bit(n):
+    # the blocks of a Gram-summing build cover every row, the last one short
+    # at n = 6, 7 and 8
+    k = 3 * n
+    for rho in _density_zoo(n, np.random.default_rng(40 + n)):
+        whole = _density_planes(rho)
+        gram = np.zeros((k, k))
+        blocked = _density_planes(rho, gram)
+        assert np.array_equal(whole, _whole_density_map(rho)) and np.array_equal(blocked, whole)
+        assert np.allclose(gram, whole @ whole.T, rtol=0.0, atol=1e-13 * np.abs(gram).max())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_small_density_maps_are_solved_whole(n, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a.shape) or eigh(a, *args))
+    for rho in _density_zoo(n, np.random.default_rng(60 + n)):
+        k = stabilizer_density(rho, method="direct")
+        ((rows, svals, gap),) = _null_spaces(_whole_density_map(rho).T[None], NULL_TOL)
+        reference = StabilizerBasis("density", n, rows, svals, gap)
+        assert k.dim == reference.dim and k.proj_dims == reference.proj_dims
+        assert np.max(np.abs(k.singular_values - svals)) <= 1e-15 * svals.max()
+    assert calls == [] and 3 * n * 4**n * 8 <= QR_CALL_BYTES
+
+
+def _gram_candidates(rho):
+    """Number of Gram eigenvalues of the density map at most GRAM_SPLIT
+    times the largest."""
+    k = 3 * rho.n
+    gram = np.zeros((k, k))
+    _density_planes(rho, gram)
+    lam = np.linalg.eigvalsh(gram)
+    return int(np.sum(lam <= GRAM_SPLIT * lam[-1]))
+
+
+def test_large_density_maps_factorise_only_their_candidates(monkeypatch):
+    rng = np.random.default_rng(88)
+    orbit_point = to_density(apply_local_unitary(haar_random_local_unitary(8, rng), ghz_state(8, 0.8, 0.6)))
+    shapes = []
+    r_factors = stabilizer_module._r_factors
+    monkeypatch.setattr(stabilizer_module, "_r_factors", lambda maps: shapes.append(maps.shape) or r_factors(maps))
+    k = stabilizer_density(orbit_point, method="direct")
+    m = _gram_candidates(orbit_point)
+    assert k.dim == 7 <= m < 24 and shapes == [(1, 4**8, m)]
+    # a rank-4 state has no candidates, so nothing is factorised
+    calls = []
+    monkeypatch.setattr(stabilizer_module, "_null_spaces", lambda *args: calls.append(args))
+    rank4 = partial_trace(to_density(random_state(9, rng)), (8, 9))
+    k = stabilizer_density(rank4, method="direct")
+    assert calls == [] and k.dim == 0 and k.gap == np.inf and k.singular_values.shape == (21,)
+    assert k.rank_margin()["kernel_max"] is None
+
+
+def test_large_direct_solve_holds_at_most_1_44_maps():
+    # the map is 3n * 4**n float64; the row blocks, the Gram matrix and the
+    # candidate block with its QR copies must fit in the rest
+    rng = np.random.default_rng(8)
+    rho = to_density(apply_local_unitary(haar_random_local_unitary(8, rng), ghz_state(8, 0.8, 0.6)))
+    tracemalloc.start()
+    try:
+        k = stabilizer_density(rho, method="direct")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k.dim == 7 and peak <= 1.44 * 24 * 4**8 * 8
 
 
 def _planted_maps(rows, k, kernel_dims, rng):
