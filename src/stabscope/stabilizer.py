@@ -7,14 +7,15 @@ built from signs and bit flips of real rows.  The kernel is cut by
 numerical_rank, as is_product cuts Schmidt coefficients, always on singular
 values of the unsquared map: _null_spaces reduces a map to its small
 triangular QR factor R (in cache-sized row blocks when the map is large)
-and takes R's SVD.  A small map, pure (n <= 6) or density (n <= 6), goes to
-it whole.  A larger map of either kind is solved Gram first by _gram_split:
-eigh of the small Gram matrix sets aside the directions far above any cut,
-and only the block of the remaining candidate directions, none for a
-generic state, goes to _null_spaces.  The large density map is built and
-its Gram matrix summed one cache-sized row block at a time.
-stabilizer_pure_stack solves a stack of states with batched calls per
-chunk; stabilizer_pure is a stack of one.
+and takes R's SVD.  A small pure map (n <= 6) goes to it whole; a larger
+one is solved Gram first by _gram_split: eigh of the small Gram matrix sets
+aside the directions far above any cut, and only the block of the
+remaining candidate directions, none for a generic state, goes to
+_null_spaces.  The direct density solve compresses the commutator map of a
+low-rank rho onto the range of rho, an isometry of (3n+1)^2 r^2 rows
+instead of 4^n, and builds the whole map only for a higher rank; either
+map goes to _null_spaces whole.  stabilizer_pure_stack solves a stack of
+states with batched calls per chunk; stabilizer_pure is a stack of one.
 """
 
 import warnings
@@ -42,14 +43,22 @@ GAP_MIN = 1e4
 SPAN_TOL = 1e-7
 # Lie brackets must project back into the span within this residual
 CLOSURE_TOL = 1e-7
-# direct commutator solves cost O(4^n); above this the rank-one path is used
+# method 'auto' solves the commutator map up to this many qubits and the
+# pure stabilizer of a rank-one input above it
 DENSITY_DIRECT_LIMIT = 6
+# the direct density solve compresses the map onto the range of a rho of
+# rank r when (3n+1) r <= RANGE_ROUTE_RATIO * 2**n, and builds the whole map
+# of 4^n rows otherwise.  Against the whole map (one BLAS thread): at n = 6-8
+# the compression took 0.03-0.58 of its time up to a ratio of 0.89, but at
+# n = 4 and 5 it lost already at rank one (1.8x at ratio 0.81, 1.1x at 0.5).
+# A single ratio must stay below 0.5 to keep n = 5 out; 0.4 takes rank 1 at
+# n = 6, ranks up to 2 at n = 7 and up to 4 at n = 8
+RANGE_ROUTE_RATIO = 0.4
 # the most bytes of a defining map one QR call takes: a larger map is
-# factorised in row blocks, this many bytes of blocks per call; a density
-# map above it (n >= 7) is solved Gram first
+# factorised in row blocks, this many bytes of blocks per call
 QR_CALL_BYTES = 2**20
-# bytes of one row block, small enough that its Householder sweeps, and the
-# build and Gram product of a block of a large density map, stay in cache
+# bytes of one row block, small enough that its Householder sweeps stay in
+# cache
 QR_BLOCK_BYTES = 2**18
 # the pure solve sets aside Gram eigenvalues lam > GRAM_SPLIT * lam_max as
 # range and solves the rest on the unsquared map.  A kernel vector leaks by
@@ -277,11 +286,8 @@ def _gram_split(planes: np.ndarray, grams: np.ndarray, tol: float) -> list[tuple
     with the same m share one batched call.  A kernel vector leaks out of the
     candidate span by about eps / GRAM_SPLIT, the error the Gram step adds to
     the basis.  Each map gets bit for bit what it gets in a stack of its own.
-    The planes are released once every candidate block is formed, so a map
-    the caller holds no other reference to is freed before any QR (on
-    CPython 3.11 and later, which hands the argument's reference over): that
-    takes the QR copies off the n = 8 density solve's peak, and at n = 7 it
-    cut the page faults of a repeated solve from about 1300 to 20.
+    The pure solve above GRAM_FIRST_BYTES is the one caller: the direct
+    density solve compresses its map onto the range of rho instead.
     """
     k = planes.shape[1]
     lam, vecs = np.linalg.eigh(grams)
@@ -292,7 +298,6 @@ def _gram_split(planes: np.ndarray, grams: np.ndarray, tol: float) -> list[tuple
     for i, m in enumerate((lam <= bound).sum(axis=1).tolist()):
         groups.setdefault(m, []).append(i)
     out = [None] * len(planes)
-    blocks = []
     for m, idx in groups.items():
         # no copy of the planes when the whole stack shares m
         sel = slice(None) if len(idx) == len(planes) else idx
@@ -303,9 +308,7 @@ def _gram_split(planes: np.ndarray, grams: np.ndarray, tol: float) -> list[tuple
             continue
         # contiguous either way, so each map's product is the one it gets alone
         cands = np.ascontiguousarray(vecs[sel, :, :m])
-        blocks.append((idx, cands, head, np.matmul(cands.swapaxes(1, 2), planes[sel]).swapaxes(1, 2)))
-    del planes
-    for idx, cands, head, block in blocks:
+        block = np.matmul(cands.swapaxes(1, 2), planes[sel]).swapaxes(1, 2)
         for i, c, (rows, svals, gap) in zip(idx, cands, _null_spaces(block, tol, head)):
             out[i] = (rows @ c.T, svals, gap)
     return out
@@ -350,7 +353,7 @@ def _dominant_eigenvector(rho: DensityMatrix) -> PureState:
     return PureState(col / np.linalg.norm(col))
 
 
-def _density_planes(rho: DensityMatrix, gram: np.ndarray | None = None) -> np.ndarray:
+def _density_planes(rho: DensityMatrix) -> np.ndarray:
     """Realified commutator map of rho as 3n planes of 4^n rows, shape
     (3n, 4^n), one plane per generator iZ_j, J_j = -iY_j, iX_j.
 
@@ -365,13 +368,8 @@ def _density_planes(rho: DensityMatrix, gram: np.ndarray | None = None) -> np.nd
     is (Z V) - (Z U)^T, (J U) - (-J V)^T and (X V) - (X U)^T.  A left product
     by a real one-qubit matrix signs and bit-flips rows, so every row of the
     six products is a row of (V, U, -V, -U), picked through one index table
-    per side: there is no complex product.
-
-    Rows are written a block at a time: one take for the left products, one
-    for the matching columns of the transposed ones, and one subtraction of
-    that tile's transpose.  With gram, a (3n, 3n) array, given, blocks are
-    about QR_BLOCK_BYTES and each block's B B^T is added to it while B is in
-    cache; otherwise the map is one block.
+    per side: one take for the left products, one for the transposed ones,
+    and one subtraction, with no complex product.
     """
     n = rho.n
     d = 2**n
@@ -387,40 +385,116 @@ def _density_planes(rho: DensityMatrix, gram: np.ndarray | None = None) -> np.nd
     rows = np.arange(d)
     bits = rows >> shifts & 1
     left, right = ((rows ^ _FLIPS << shifts) + d * (_BLOCKS + _BLOCK_PER_BIT * bits)).reshape(2, k, d)
-    real_map = np.empty((k, d, d))
-    step = d if gram is None else min(d, max(1, QR_BLOCK_BYTES // (k * d * p.itemsize)))
-    block = real_map if step == d else np.empty((k, step, d))
-    tile = np.empty((k, d, step))
-    for lo in range(0, d, step):
-        hi = min(lo + step, d)
-        b = block[:, : hi - lo]
-        t = tile[:, :, : hi - lo]
-        np.take(p, left[:, lo:hi], axis=0, out=b, mode="clip")
-        np.take(p[:, lo:hi], right, axis=0, out=t, mode="clip")
-        np.subtract(b, t.swapaxes(1, 2), out=b)
-        if gram is not None:
-            flat = b.reshape(k, -1)
-            gram += flat @ flat.T
-        if block is not real_map:
-            real_map[:, lo:hi] = b
+    real_map = np.take(p, left, axis=0, mode="clip")
+    tile = np.take(p, right, axis=0, mode="clip")
+    np.subtract(real_map, tile.swapaxes(1, 2), out=real_map)
     return real_map.reshape(k, d * d)
 
 
-def _density_direct(rho: DensityMatrix, tol: float):
-    """Solve [X, rho] = 0 on all of su(2)^n; the map has 4^n rows.
+def _range_factor(matrix: np.ndarray, r_max: int) -> np.ndarray | None:
+    """The columns of a factor L of matrix ~ L L^dagger, at most r_max of
+    them, as the rows of an (r, 2**n) array, by a pivoted Cholesky; None
+    when r_max steps do not exhaust it.
 
-    A map of at most QR_CALL_BYTES (n <= 6) goes to _null_spaces whole.  A
-    larger one is built in row blocks that also sum its Gram matrix, and is
-    solved Gram first by _gram_split, as a large pure map is: only the block
-    of candidate directions is factorised, none for a generic rho, and the
-    cut is still taken on singular values of the unsquared map.
+    Each step takes the column of the largest remaining diagonal entry; the
+    factorisation stops once that entry is at most 2**n * eps times the
+    first pivot, which is at least eps times the trace.  The remaining
+    diagonal only steers the steps: it says nothing of the off-diagonal
+    remainder, so the caller checks the residual itself.
     """
-    k = 3 * rho.n
-    if k * 4**rho.n * 8 <= QR_CALL_BYTES:  # bytes of the float64 map
-        return _null_spaces(_density_planes(rho).T[None], tol)[0]
-    gram = np.zeros((k, k))
-    # the map's only reference goes to _gram_split, which frees it early
-    return _gram_split(_density_planes(rho, gram)[None], gram[None], tol)[0]
+    d = matrix.shape[0]
+    diag = np.diagonal(matrix).real.copy()
+    stop = d * np.finfo(np.float64).eps * diag.max()
+    cols = np.empty((r_max, d), dtype=np.complex128)
+    for r in range(r_max + 1):
+        j = int(np.argmax(diag))
+        if diag[j] <= stop:
+            return cols[:r]
+        if r == r_max:
+            return None
+        col = cols[r]
+        np.subtract(matrix[:, j], cols[:r, j].conj() @ cols[:r], out=col)
+        col /= np.sqrt(diag[j])
+        diag -= col.real**2 + col.imag**2
+
+
+def _residual_norm(matrix: np.ndarray, cols: np.ndarray) -> float:
+    """||matrix - L L^dagger||_F entry by entry, L's columns the rows of cols;
+    its 4^n-entry residual is freed on return, before _range_map builds the
+    compressed map, so the two never share the peak."""
+    residual = cols.T @ cols.conj()
+    np.subtract(matrix, residual, out=residual)
+    return float(np.sqrt(np.vdot(residual, residual).real))
+
+
+def _range_map(rho: DensityMatrix, r_max: int) -> np.ndarray | None:
+    """The realified commutator map of rho compressed onto the range of
+    rho, as 3n planes of ((3n+1) r)^2 rows, or None when rho has rank above
+    r_max or its factor fails the residual check.
+
+    With rho = L L^dagger and W = [L, G_c L] for the 3n generators G_c, every
+    commutator [X, rho] = X L L^dagger - L (X^dagger L)^dagger has its range,
+    and being Hermitian its row space, in range(W).  So with Q the thin QR
+    factor of W, X -> Q^dagger [X, rho] Q is an isometry of the whole map:
+    the same 3n singular values and the same kernel.  Q's span contains
+    range(W) whatever W's rank, so no rank is decided here.  Q^dagger W is
+    the triangular factor R, so Q is never formed: with C = Q^dagger L and
+    B_c = Q^dagger G_c L, both column blocks of R, the compressed commutator
+    of G_c is B_c C^dagger + C B_c^dagger, realified as Re + Im exactly as
+    _density_planes does.  The generator images are the pure planes of
+    _sign_flip_planes applied to the columns of L, the phase plane -i L
+    standing in for L.
+
+    Residual check: the map of rho differs from that of L L^dagger by at
+    most 2 sqrt(n) ||rho - L L^dagger||_F in operator norm, since ||X|| <=
+    sqrt(n) |x| on su(2)^n and ||[X, E]||_F <= 2 ||X|| ||E||_F.  The whole
+    map's Householder QR applies 3n reflections, each backward stable to
+    about eps ||A||_F, so that route already carries an error of about
+    3n eps ||A||_F.  L is accepted only when 2 sqrt(n) ||rho - L
+    L^dagger||_F <= 3n eps ||A||_F, with ||A||_F read off the compressed
+    map, and the norm of rho - L L^dagger is computed entry by entry, not
+    from the remaining diagonal: a Hermitian rho that is not positive can
+    leave a zero diagonal and a nonzero remainder off it.
+    """
+    n = rho.n
+    d = 2**n
+    k = 3 * n
+    cols = _range_factor(rho.matrix, r_max)
+    if cols is None:
+        return None
+    residual_norm = _residual_norm(rho.matrix, cols)
+    r = len(cols)
+    # (generator, column of L, Re/Im, row) to the complex (2**n, (3n+1) r) W
+    planes = _sign_flip_planes(cols).reshape(r, k + 1, 2, d).swapaxes(0, 1)
+    w = planes[:, :, 0] + 1j * planes[:, :, 1]
+    tri = np.linalg.qr(w.reshape((k + 1) * r, d).T, mode="r")
+    q = tri.shape[0]
+    c = 1j * tri[:, :r]  # L = i (-i L)
+    b = tri[:, r:].reshape(q, k, r).swapaxes(0, 1)
+    # with P = B_c C^dagger, Re + Im of P + P^dagger is (Re P + Im P) + (Re P - Im P)^T
+    half = b @ c.conj().T
+    compressed = half.real + half.imag
+    np.subtract(half.real, half.imag, out=half.real)
+    compressed += half.real.swapaxes(1, 2)
+    if 2.0 * np.sqrt(n) * residual_norm > k * np.finfo(np.float64).eps * np.linalg.norm(compressed):
+        return None
+    return compressed.reshape(k, q * q)
+
+
+def _density_direct(rho: DensityMatrix, tol: float):
+    """Solve [X, rho] = 0 on all of su(2)^n.
+
+    A rho of rank r with (3n+1) r <= RANGE_ROUTE_RATIO * 2**n is solved on
+    its range by _range_map, a map of (3n+1)^2 r^2 rows; a higher rank, or a
+    factor that fails _range_map's residual check, takes the whole map of
+    4^n rows.  Either map goes to _null_spaces.
+    """
+    n = rho.n
+    r_max = int(RANGE_ROUTE_RATIO * 2**n) // (3 * n + 1)
+    real_map = _range_map(rho, r_max) if r_max else None
+    if real_map is None:
+        real_map = _density_planes(rho)
+    return _null_spaces(real_map.T[None], tol)[0]
 
 
 def _drop_phase(pure: StabilizerBasis, tol: float = NULL_TOL) -> StabilizerBasis:
@@ -448,9 +522,12 @@ def _density_projected(rho: DensityMatrix, tol: float) -> StabilizerBasis:
 def stabilizer_density(rho: DensityMatrix, tol: float = NULL_TOL, method: str = "auto") -> StabilizerBasis:
     """Stabilizer of a density matrix inside su(2)^n, from one solve.
 
-    method 'direct' builds the commutator map on all of su(2)^n and costs
-    O(4^n); 'projected' recovers the pure state of a rank-one input and
-    drops the phase from its pure stabilizer.  'auto' is 'direct' up to
+    method 'direct' solves the commutator map on all of su(2)^n: on the
+    range of rho when its rank r is low, at O(4^n r) for the residual check
+    of rho's factor and O(2^n n^2 r^2) for the compression, and otherwise on
+    the whole map, at O(4^n n^2).  It does not rely on rho being positive.
+    'projected' recovers the pure state of a rank-one input and drops the
+    phase from its pure stabilizer.  'auto' is 'direct' up to
     DENSITY_DIRECT_LIMIT qubits and 'projected' above it, where a mixed
     input raises and 'direct' is the method that solves it.  That the two
     routes agree on rank-one inputs is phase_projection_check's to show.

@@ -14,11 +14,10 @@ canonicalisers and the equivalence witnesses all go through these two;
 density matrices are acted on from the left only, a right product being
 the adjoint of a left one (rho X = (X^dagger rho^dagger)^dagger).  The two
 stabilizer maps are the exception: the pure map's columns are the
-generators applied to Re psi and Im psi, and the direct density map's the
-real commutators with Re rho +- Im rho, each a left product minus the
-transpose of one, whose rows are signed, bit-flipped rows of those two
-matrices picked through index tables, one row block at a time.  Neither
-map forms a complex product.
+generators applied to Re psi and Im psi, and the whole direct density
+map's the real commutators with Re rho +- Im rho, each a left product minus
+the transpose of one, whose rows are signed, bit-flipped rows of those two
+matrices picked through index tables.  Neither map forms a complex product.
 
 reduced_states is the one place a reduced state is formed from amplitudes:
 the Gram matrices of the amplitude matrices of an (S, 2**n) stack of state
@@ -159,7 +158,10 @@ class DensityMatrix:
     Hermiticity and unit trace are checked at construction.  Positivity is
     preserved by every constructor in this package (pure projectors, partial
     traces, unitary conjugation), so the full eigenvalue check is deferred to
-    validate() for use in tests.
+    validate() for use in tests.  The direct density stabilizer solve does
+    not rely on positivity: it accepts a low-rank factor of rho only after
+    an explicit Frobenius residual check, and solves the whole commutator
+    map otherwise.
     """
 
     matrix: np.ndarray

@@ -10,6 +10,7 @@ from stabscope import (
     algebra_type,
     apply_local_unitary,
     canonical_four_qubit_state,
+    conjugate_density,
     ghz_state,
     haar_random_local_unitary,
     partial_trace,
@@ -31,12 +32,12 @@ from stabscope.stabilizer import (
     DENSITY_DIRECT_LIMIT,
     GAP_MIN,
     GRAM_FIRST_BYTES,
-    GRAM_SPLIT,
     NULL_TOL,
     QR_BLOCK_BYTES,
     QR_CALL_BYTES,
     _density_planes,
     _null_spaces,
+    _range_factor,
     _sign_flip_planes,
 )
 from stabscope.states import numerical_rank
@@ -369,6 +370,37 @@ def _oracle_cases():
     yield "ghz_orbit:8", to_density(apply_local_unitary(g, ghz_state(8, 0.8, 0.6))), 7
     yield "rank4:8", partial_trace(to_density(random_state(10, rng)), (9, 10)), 0
     yield "mixed:8", DensityMatrix(np.eye(2**8) / 2**8), 24
+    # ranks 1, 2 and 4 at n = 6-8, most of them compressed onto the range of
+    # rho; the GHZ mixtures keep the n - 1 relative Z rotations of GHZ
+    rng = np.random.default_rng(32)
+    for n in (6, 7, 8):
+        yield f"haar:{n}", to_density(random_state(n, rng)), 0
+        yield f"rank2:{n}", partial_trace(to_density(random_state(n + 1, rng)), (n + 1,)), 0
+        yield f"ghz_mixture:{n}", _ghz_mixture(n, rng), n - 1
+        yield f"ghz_mixture_rank4:{n}", _ghz_mixture(n, rng, rank=4), n - 1
+    # not positive: a rank-one remainder with a zero diagonal, which only the
+    # Frobenius residual check sees, so the whole map solves it
+    yield "indefinite:7", _indefinite(rng), 6
+
+
+def _ghz_mixture(n, rng, rank=2):
+    """0.7 |GHZ><GHZ| + 0.3 |GHZ'><GHZ'| with GHZ' orthogonal to GHZ, on n
+    qubits or, at rank 4, on n - 1 qubits next to a mixed last qubit, moved
+    by a Haar local unitary: rank 2 or 4, stabilizer dimension n - 1."""
+    m = n if rank == 2 else n - 1
+    states = (ghz_state(m, 0.8, 0.6), ghz_state(m, 0.6, -0.8))
+    matrix = sum(w * to_density(psi).matrix for w, psi in zip((0.7, 0.3), states))
+    if rank == 4:
+        matrix = np.kron(matrix, np.diag([0.8, 0.2]))
+    return conjugate_density(haar_random_local_unitary(n, rng), DensityMatrix(matrix))
+
+
+def _indefinite(rng, eps=1e-9):
+    """A GHZ orbit point at n = 7 plus eps (|a><b| + |b><a|)."""
+    psi = apply_local_unitary(haar_random_local_unitary(7, rng), ghz_state(7, 0.8, 0.6))
+    off = np.zeros((2**7, 2**7))
+    off[3, 100] = off[100, 3] = eps
+    return DensityMatrix(to_density(psi).matrix + off)
 
 
 @pytest.mark.parametrize("name, rho, expected_dim", list(_oracle_cases()))
@@ -428,15 +460,9 @@ def _density_zoo(n, rng):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_row_block_build_is_the_whole_matrix_map_bit_for_bit(n):
-    # the blocks of a Gram-summing build cover every row, the last one short
-    # at n = 6, 7 and 8
-    k = 3 * n
+    # the planes are picked row by row through index tables, all rows at once
     for rho in _density_zoo(n, np.random.default_rng(40 + n)):
-        whole = _density_planes(rho)
-        gram = np.zeros((k, k))
-        blocked = _density_planes(rho, gram)
-        assert np.array_equal(whole, _whole_density_map(rho)) and np.array_equal(blocked, whole)
-        assert np.allclose(gram, whole @ whole.T, rtol=0.0, atol=1e-13 * np.abs(gram).max())
+        assert np.array_equal(_density_planes(rho), _whole_density_map(rho))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -444,46 +470,75 @@ def test_small_density_maps_are_solved_whole(n, monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a.shape) or eigh(a, *args))
+    whole = []
+    density_planes = stabilizer_module._density_planes
+    monkeypatch.setattr(stabilizer_module, "_density_planes", lambda rho: whole.append(rho) or density_planes(rho))
+    ranged = 0
     for rho in _density_zoo(n, np.random.default_rng(60 + n)):
+        whole.clear()
         k = stabilizer_density(rho, method="direct")
+        if not whole:
+            # only a rank-one rho at n = 6 is solved on its range
+            assert n == 6 and len(_range_factor(rho.matrix, 1)) == 1
+            ranged += 1
+            continue
         ((rows, svals, gap),) = _null_spaces(_whole_density_map(rho).T[None], NULL_TOL)
         reference = StabilizerBasis("density", n, rows, svals, gap)
         assert k.dim == reference.dim and k.proj_dims == reference.proj_dims
         assert np.max(np.abs(k.singular_values - svals)) <= 1e-15 * svals.max()
-    assert calls == [] and 3 * n * 4**n * 8 <= QR_CALL_BYTES
+    assert calls == [] and 3 * n * 4**n * 8 <= QR_CALL_BYTES and ranged == (2 if n == 6 else 0)
 
 
-def _gram_candidates(rho):
-    """Number of Gram eigenvalues of the density map at most GRAM_SPLIT
-    times the largest."""
-    k = 3 * rho.n
-    gram = np.zeros((k, k))
-    _density_planes(rho, gram)
-    lam = np.linalg.eigvalsh(gram)
-    return int(np.sum(lam <= GRAM_SPLIT * lam[-1]))
+def test_low_rank_direct_solves_never_build_the_whole_map(monkeypatch):
+    def whole_map(rho):
+        raise AssertionError("built the whole map")
+
+    monkeypatch.setattr(stabilizer_module, "_density_planes", whole_map)
+    rng = np.random.default_rng(66)
+    for n in (6, 7, 8):
+        orbit_point = to_density(apply_local_unitary(haar_random_local_unitary(n, rng), ghz_state(n, 0.8, 0.6)))
+        k = stabilizer_density(orbit_point, method="direct")
+        assert k.method == "direct" and k.dim == n - 1 and k.proj_dims == (1,) * n
+        assert stabilizer_density(to_density(random_state(n, rng)), method="direct").dim == 0
+    # ranks 2 and 4 at n = 8 too; the pivoted Cholesky stops at the rank
+    for rank in (2, 4):
+        kept = int(np.log2(rank))
+        rho = partial_trace(to_density(random_state(8 + kept, rng)), tuple(range(9, 9 + kept)))
+        assert len(_range_factor(rho.matrix, 4)) == rank
+        assert stabilizer_density(rho, method="direct").dim == 0
+    # a rank above the route's cut takes the whole map
+    rank4 = partial_trace(to_density(random_state(8, rng)), (7, 8))
+    assert _range_factor(rank4.matrix, 1) is None
+    with pytest.raises(AssertionError, match="whole map"):
+        stabilizer_density(rank4, method="direct")
+    # a one-column factor whose remainder has a zero diagonal fails the
+    # Frobenius residual check and falls back too
+    indefinite = _indefinite(rng)
+    assert len(_range_factor(indefinite.matrix, 2)) == 1
+    with pytest.raises(AssertionError, match="whole map"):
+        stabilizer_density(indefinite, method="direct")
 
 
-def test_large_density_maps_factorise_only_their_candidates(monkeypatch):
+def test_large_density_maps_factorise_only_their_compression(monkeypatch):
     rng = np.random.default_rng(88)
     orbit_point = to_density(apply_local_unitary(haar_random_local_unitary(8, rng), ghz_state(8, 0.8, 0.6)))
     shapes = []
     r_factors = stabilizer_module._r_factors
     monkeypatch.setattr(stabilizer_module, "_r_factors", lambda maps: shapes.append(maps.shape) or r_factors(maps))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: shapes.append("eigh"))
     k = stabilizer_density(orbit_point, method="direct")
-    m = _gram_candidates(orbit_point)
-    assert k.dim == 7 <= m < 24 and shapes == [(1, 4**8, m)]
-    # a rank-4 state has no candidates, so nothing is factorised
-    calls = []
-    monkeypatch.setattr(stabilizer_module, "_null_spaces", lambda *args: calls.append(args))
-    rank4 = partial_trace(to_density(random_state(9, rng)), (8, 9))
+    # (3n+1) r columns of W and their squared count of rows: 25 and 625
+    assert k.dim == 7 and shapes == [(1, 25**2, 24)]
+    # a rank-4 state: 100 columns of W
+    rank4 = partial_trace(to_density(random_state(10, rng)), (9, 10))
     k = stabilizer_density(rank4, method="direct")
-    assert calls == [] and k.dim == 0 and k.gap == np.inf and k.singular_values.shape == (21,)
+    assert shapes[1:] == [(1, 100**2, 24)] and k.dim == 0 and k.singular_values.shape == (24,)
     assert k.rank_margin()["kernel_max"] is None
 
 
-def test_large_direct_solve_holds_at_most_1_44_maps():
-    # the map is 3n * 4**n float64; the row blocks, the Gram matrix and the
-    # candidate block with its QR copies must fit in the rest
+def test_rank_one_direct_solve_at_n_8_holds_an_eighth_of_a_map():
+    # the whole map would be 3n * 4**n float64; the factor's residual,
+    # 4**n complex entries, is the largest array of the range route
     rng = np.random.default_rng(8)
     rho = to_density(apply_local_unitary(haar_random_local_unitary(8, rng), ghz_state(8, 0.8, 0.6)))
     tracemalloc.start()
@@ -492,7 +547,7 @@ def test_large_direct_solve_holds_at_most_1_44_maps():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert k.dim == 7 and peak <= 1.44 * 24 * 4**8 * 8
+    assert k.dim == 7 and peak <= 24 * 4**8 * 8 / 8
 
 
 def _planted_maps(rows, k, kernel_dims, rng):
