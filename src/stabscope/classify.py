@@ -88,11 +88,13 @@ def canonicalize_ghz(
     stabilizer of dimension n-1 confines a nonproduct state to one basis ket
     and its complement, so flipping every qubit set in the largest-modulus
     ket sends that ket to |0...0>, which gives alpha >= beta, and its
-    complement to |1...1>.  A diagonal rotation on qubit 1 and a global
-    phase make both amplitudes real positive.  Only the given stabilizer is
-    used, and g does not depend on how its basis is rotated.  tol is its
-    rank cut when stab is None, the off-support residual bound, and the
-    vanishing cut |beta| <= tol |alpha|.
+    complement to |1...1>.  The flips multiply the factors; the rotated
+    vector is permuted and phased, not transformed again.  A diagonal
+    rotation on qubit 1 and a global phase make both amplitudes real
+    positive; the reported residual applies the finished unitary to psi.
+    Only the given stabilizer is used, and g does not depend on how its
+    basis is rotated.  tol is its rank cut when stab is None, the
+    off-support residual bound, and the vanishing cut |beta| <= tol |alpha|.
     Returns alpha >= beta > 0 with alpha^2 + beta^2 = 1 and the composite
     local unitary g with g|psi> equal to the canonical state up to the
     reported residual.
@@ -113,13 +115,13 @@ def canonicalize_ghz(
     directions *= np.sign(directions[np.arange(n), largest])[:, None]
     factors = _align_to_diagonal(directions)
     vec = apply_factors(factors, psi.vector)
-    # SU2_BASIS[2] swaps |0> and |1>; flipping every qubit set in the
-    # largest-modulus ket sends that ket to |0...0>
+    # SU2_BASIS[2] = i sigma_x swaps |0> and |1> times i; flipping every
+    # qubit set in the largest-modulus ket sends that ket to |0...0>, and on
+    # the vector it is a permutation times i^(number of flips)
     top = int(np.argmax(np.abs(vec)))
-    for j in range(n):
-        if top >> (n - 1 - j) & 1:
-            factors[j] = SU2_BASIS[2] @ factors[j]
-    vec = apply_factors(factors, psi.vector)
+    flips = [j for j in range(n) if top >> (n - 1 - j) & 1]
+    factors[flips] = SU2_BASIS[2] @ factors[flips]
+    vec = 1j ** len(flips) * vec[np.arange(2**n) ^ top]
     resid = float(np.linalg.norm(vec[1:-1]))
     if resid > tol:
         raise CanonicalizationError(
@@ -138,24 +140,24 @@ def canonicalize_ghz(
     return GhzCanonicalForm(alpha, beta, g, residual)
 
 
-def _su2_lift(rot: np.ndarray) -> np.ndarray:
-    """SU(2) matrix h with h e_a h^dag = sum_b rot[a, b] e_b for a rotation rot.
+def _su2_lift(rots: np.ndarray) -> np.ndarray:
+    """SU(2) matrices h with h e_a h^dag = sum_b rot[a, b] e_b, one for each
+    rotation rot of an (R, 3, 3) stack.
 
     h e_a = M_a h is linear in h: with h flattened row by row, the blocks
     I (x) e_a^T - M_a (x) I stack into a 12x4 map whose kernel is spanned by
     h, since only scalars commute with all of su(2).  The kernel vector
-    rescaled to determinant 1 is h up to the sign SO(3) cannot see.
+    rescaled to determinant 1 is h up to the sign SO(3) cannot see.  All R
+    maps go to one batched SVD and all polar steps to one more.
     """
     eye = np.eye(2)
-    images = np.tensordot(rot, SU2_BASIS, axes=1)
-    system = np.concatenate(
-        [np.kron(eye, e.T) - np.kron(m, eye) for e, m in zip(SU2_BASIS, images)]
-    )
-    h = np.linalg.svd(system)[2][-1].conj().reshape(2, 2)
+    images = np.tensordot(rots, SU2_BASIS, axes=1)
+    system = np.kron(eye, SU2_BASIS.swapaxes(1, 2)) - np.kron(images, eye)
+    h = np.linalg.svd(system.reshape(-1, 12, 4))[2][:, -1].conj().reshape(-1, 2, 2)
     # the polar factor is exactly unitary even when rot is only nearly a rotation
     u, _, vh = np.linalg.svd(h)
     h = u @ vh
-    return h / np.sqrt(np.linalg.det(h))
+    return h / np.sqrt(np.linalg.det(h))[:, None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,11 +202,9 @@ def canonicalize_four_qubit(
             f"need stabilizer dim 3 with all projections 3, got dim {k.dim}, "
             f"projections {k.proj_dims}"
         )
-    b1 = k.block_columns(1)
-    factors = np.stack(
-        [np.eye(2, dtype=np.complex128)]
-        + [_su2_lift(np.linalg.solve(b1, k.block_columns(j))).conj().T for j in (2, 3, 4)]
-    )
+    rots = np.linalg.solve(k.block_columns(1), np.stack([k.block_columns(j) for j in (2, 3, 4)]))
+    lifts = _su2_lift(rots).conj().swapaxes(1, 2)
+    factors = np.concatenate([np.eye(2, dtype=np.complex128)[None], lifts])
     vec = apply_factors(factors, psi.vector)
     amp_a, amp_b = vec[0b0011], vec[0b1001]
     phase = np.exp(-1j * np.angle(amp_a))

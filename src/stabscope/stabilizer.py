@@ -587,24 +587,14 @@ def span_contains(k: StabilizerBasis, flat: np.ndarray) -> bool:
     return float(np.linalg.norm(resid)) < SPAN_TOL * nrm
 
 
-def _bracket_flat(row_i: np.ndarray, row_j: np.ndarray, n: int, ambient: str) -> np.ndarray:
-    """Coordinates of [X_i, X_j]; the u(1) part is central so the phase is 0."""
-    off = 1 if ambient == "pure" else 0
-    ci = row_i[off:].reshape(n, 3)
-    cj = row_j[off:].reshape(n, 3)
-    br = 2.0 * np.cross(ci, cj)
-    if ambient == "pure":
-        return np.concatenate([[0.0], br.reshape(-1)])
-    return br.reshape(-1)
-
-
 @dataclass(frozen=True, eq=False)
 class AlgebraType:
     """Lie-algebra classification of a stabilizer span.
 
     kind is 'abelian', 'su2', or 'other'.  closure_residual is the largest
     distance from a pairwise bracket back to the span; structure_constants
-    c[i, j, :] expand [e_i, e_j] in the basis when the algebra closes.
+    c[i, j, :] expand [e_i, e_j] in the basis when the algebra closes and
+    are exactly antisymmetric in i and j.
     """
 
     kind: str
@@ -616,22 +606,30 @@ class AlgebraType:
 
 def algebra_type(k: StabilizerBasis) -> AlgebraType:
     """Classify the Lie algebra spanned by a stabilizer basis; brackets
-    below CLOSURE_TOL count as zero and so do residuals off the span."""
+    below CLOSURE_TOL count as zero and so do residuals off the span.
+
+    One broadcast forms all dim^2 brackets: on each qubit, [X_i, X_j] is
+    twice the cross product of the coordinate blocks, and its central u(1)
+    part is zero.  Two products with the basis expand the brackets and give
+    their residuals off the span.  Dimensions 0 and 1 build no table.
+    """
     dim = k.dim
     if dim <= 1:
         return AlgebraType("abelian", True, 0.0, None, None)
-    max_norm = 0.0
-    max_resid = 0.0
-    const = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            br = _bracket_flat(k.basis[i], k.basis[j], k.n, k.ambient)
-            max_norm = max(max_norm, float(np.linalg.norm(br)))
-            coeff = k.basis @ br
-            const[i, j] = coeff
-            const[j, i] = -coeff
-            resid = br - k.basis.T @ coeff
-            max_resid = max(max_resid, float(np.linalg.norm(resid)))
+    off = 1 if k.ambient == "pure" else 0
+    coords = k.basis[:, off:]
+    blocks = coords.reshape(dim, k.n, 3)
+    # a x b = nxt(a) prv(b) - prv(a) nxt(b), component by component as np.cross
+    nxt, prv = blocks[..., [1, 2, 0]], blocks[..., [2, 0, 1]]
+    brackets = 2.0 * (nxt[:, None] * prv - prv[:, None] * nxt).reshape(dim * dim, -1)
+    coeff = brackets @ coords.T
+    resid = coeff @ k.basis
+    resid[:, off:] -= brackets
+    max_norm = float(np.linalg.norm(brackets, axis=1).max())
+    max_resid = float(np.linalg.norm(resid, axis=1).max())
+    # [X_j, X_i] = -[X_i, X_j] exactly, but the product may round them apart
+    const = coeff.reshape(dim, dim, dim)
+    const = 0.5 * (const - const.swapaxes(0, 1))
     if max_norm < CLOSURE_TOL:
         return AlgebraType("abelian", True, max_resid, const, None)
     closed = max_resid < CLOSURE_TOL

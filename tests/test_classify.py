@@ -25,7 +25,10 @@ from stabscope import (
     tensor_product,
     w_state,
 )
-from stabscope.selftest import _family_grid, _family_scale
+from stabscope.classify import EQUIV_TOL, _align_to_diagonal
+from stabscope.local_unitary import SU2_BASIS, LocalUnitary
+from stabscope.selftest import CONJUGATE_PAIRS, _family_grid, _family_scale
+from stabscope.states import apply_factors
 
 REPORT_KEYS = {
     "n",
@@ -369,3 +372,94 @@ def test_report_serialization_keys_and_round_trip():
     assert payload4["verdict"] == "four_qubit_su2"
     assert payload4["b_im"] == pytest.approx(rep4.b.imag)
     assert payload4["ambiguous"] is False
+
+
+def _pairwise_ghz_route(psi, k):
+    """canonicalize_ghz with the flips applied to the factors and the whole
+    vector transformed again: the reference for the permutation route."""
+    n = psi.n
+    directions = np.linalg.svd(np.stack([k.block_columns(j) for j in range(1, n + 1)]))[2][:, 0]
+    largest = np.abs(directions).argmax(axis=1)
+    directions *= np.sign(directions[np.arange(n), largest])[:, None]
+    factors = _align_to_diagonal(directions)
+    vec = apply_factors(factors, psi.vector)
+    top = int(np.argmax(np.abs(vec)))
+    for j in range(n):
+        if top >> (n - 1 - j) & 1:
+            factors[j] = SU2_BASIS[2] @ factors[j]
+    vec = apply_factors(factors, psi.vector)
+    arg0, arg1 = float(np.angle(vec[0])), float(np.angle(vec[-1]))
+    theta = (arg1 - arg0) / 2.0
+    factors[0] = np.diag([np.exp(1j * theta), np.exp(-1j * theta)]) @ factors[0]
+    g = LocalUnitary(factors, np.exp(-0.5j * (arg0 + arg1)))
+    alpha, beta = float(abs(vec[0])), float(abs(vec[-1]))
+    target = np.zeros(2**n, dtype=np.complex128)
+    target[0], target[-1] = alpha, beta
+    residual = float(np.linalg.norm(apply_local_unitary(g, psi).vector - target))
+    return alpha, beta, residual, g.factors, g.global_phase
+
+
+def _lift_one_rotation(rot):
+    eye = np.eye(2)
+    images = np.tensordot(rot, SU2_BASIS, axes=1)
+    system = np.concatenate(
+        [np.kron(eye, e.T) - np.kron(m, eye) for e, m in zip(SU2_BASIS, images)]
+    )
+    h = np.linalg.svd(system)[2][-1].conj().reshape(2, 2)
+    u, _, vh = np.linalg.svd(h)
+    h = u @ vh
+    return h / np.sqrt(np.linalg.det(h))
+
+
+def _pairwise_family_route(psi, k):
+    """canonicalize_four_qubit with one solve and one lift per rotation: the
+    reference for the batched route."""
+    b1 = k.block_columns(1)
+    factors = np.stack(
+        [np.eye(2, dtype=np.complex128)]
+        + [_lift_one_rotation(np.linalg.solve(b1, k.block_columns(j))).conj().T for j in (2, 3, 4)]
+    )
+    vec = apply_factors(factors, psi.vector)
+    amp_a, amp_b = vec[0b0011], vec[0b1001]
+    phase = np.exp(-1j * np.angle(amp_a))
+    a, b = float(abs(amp_a)), complex(amp_b * phase)
+    target = canonical_four_qubit_state(a, b)
+    residual = max(1.0 - float(abs(np.vdot(target.vector, vec * phase))) ** 2, 0.0)
+    return a, b, residual, factors, phase
+
+
+def _assert_same_route(got, want):
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y), (x, y)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_ghz_permutation_route_is_the_pairwise_route_bit_for_bit(n):
+    rng = np.random.default_rng(70 + n)
+    for beta in (0.6, 1e-2, 1e-5, 3e-8):
+        base = ghz_state(n, np.sqrt(1.0 - beta**2), beta)
+        for _ in range(3):
+            psi = apply_local_unitary(haar_random_local_unitary(n, rng), base)
+            k = stabilizer_pure(psi)
+            form = canonicalize_ghz(psi, stab=k)
+            got = (form.alpha, form.beta, form.residual, form.unitary.factors, form.unitary.global_phase)
+            _assert_same_route(got, _pairwise_ghz_route(psi, k))
+
+
+FAMILY_IDENTITY_POINTS = (
+    _family_grid()
+    + [(a, s * 1j * b2) for a, b2 in CONJUGATE_PAIRS for s in (1, -1)]
+    + [(0.4, _circle_b(0.4, 0.75 * np.pi))]
+)
+
+
+def test_batched_lift_is_the_pairwise_lift_bit_for_bit():
+    rng = np.random.default_rng(90)
+    for a, b in FAMILY_IDENTITY_POINTS:
+        base = canonical_four_qubit_state(a, b)
+        for psi in (base, apply_local_unitary(haar_random_local_unitary(4, rng), base)):
+            k = stabilizer_pure(psi)
+            form = canonicalize_four_qubit(psi, stab=k)
+            assert form.unitary is not None and form.residual < EQUIV_TOL
+            got = (form.a, form.b, form.residual, form.unitary.factors, form.unitary.global_phase)
+            _assert_same_route(got, _pairwise_family_route(psi, k))

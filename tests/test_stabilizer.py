@@ -29,6 +29,7 @@ from stabscope import (
 )
 import stabscope.stabilizer as stabilizer_module
 from stabscope.stabilizer import (
+    CLOSURE_TOL,
     DENSITY_DIRECT_LIMIT,
     GAP_MIN,
     GRAM_FIRST_BYTES,
@@ -36,6 +37,7 @@ from stabscope.stabilizer import (
     QR_BLOCK_BYTES,
     QR_CALL_BYTES,
     _density_planes,
+    _drop_phase,
     _null_spaces,
     _range_factor,
     _sign_flip_planes,
@@ -296,6 +298,102 @@ def test_algebra_type_other_for_non_closed_span():
     assert at.kind == "other"
     assert not at.closed
     assert at.closure_residual > 0.1
+    assert at.structure_constants is None and at.killing_eigenvalues is None
+
+
+def test_algebra_type_of_dimension_0_and_1_builds_no_table():
+    # a table, even of one basis row, would come back as structure constants
+    for psi in (random_state(4, np.random.default_rng(3)), ghz_state(2, 0.8, 0.6)):
+        for k in (stabilizer_pure(psi), stabilizer_density(to_density(psi), method="direct")):
+            assert k.dim == (0 if psi.n == 4 else 1)
+            at = algebra_type(k)
+            assert (at.kind, at.closed, at.closure_residual) == ("abelian", True, 0.0)
+            assert at.structure_constants is None and at.killing_eigenvalues is None
+
+
+def test_abelian_table_is_exactly_antisymmetric():
+    rng = np.random.default_rng(5)
+    for psi in (ghz_state(9, 0.8, 0.6), ghz_state(3)):
+        moved = apply_local_unitary(haar_random_local_unitary(psi.n, rng), psi)
+        for k in (stabilizer_pure(moved), stabilizer_density(to_density(moved))):
+            at = algebra_type(k)
+            c = at.structure_constants
+            assert at.kind == "abelian" and c.shape == (k.dim,) * 3
+            assert np.array_equal(c, -c.swapaxes(0, 1))
+            assert not np.diagonal(c, axis1=0, axis2=1).any()
+
+
+def _oracle_algebra_type(k):
+    """algebra_type as one bracket per basis pair, each expanded by its own
+    matrix-vector product: the reference the one-call table must match."""
+    dim = k.dim
+    if dim <= 1:
+        return "abelian", True, 0.0, None, None
+    off = 1 if k.ambient == "pure" else 0
+    max_norm = max_resid = 0.0
+    const = np.zeros((dim, dim, dim))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            br = np.zeros(k.basis.shape[1])
+            ci = k.basis[i, off:].reshape(k.n, 3)
+            cj = k.basis[j, off:].reshape(k.n, 3)
+            br[off:] = 2.0 * np.cross(ci, cj).reshape(-1)
+            max_norm = max(max_norm, float(np.linalg.norm(br)))
+            coeff = k.basis @ br
+            const[i, j] = coeff
+            const[j, i] = -coeff
+            max_resid = max(max_resid, float(np.linalg.norm(br - k.basis.T @ coeff)))
+    if max_norm < CLOSURE_TOL:
+        return "abelian", True, max_resid, const, None
+    if not max_resid < CLOSURE_TOL:
+        return "other", False, max_resid, None, None
+    ad = np.transpose(const, (0, 2, 1))
+    killing = np.einsum("akj,bjk->ab", ad, ad)
+    evals = np.linalg.eigvalsh((killing + killing.T) / 2.0)
+    kind = "su2" if dim == 3 and evals.max() < -1e-8 else "other"
+    return kind, True, max_resid, const, evals
+
+
+def _haar(n, seed):
+    return random_state(n, np.random.default_rng(seed))
+
+
+def _density_ambient(psi):
+    """The density stabilizer of a pure state as stabilizer_density solves
+    it; above DENSITY_DIRECT_LIMIT that is the projected route's pure basis
+    without its phase, taken here from psi, since rho itself would hold
+    4^n amplitudes (a 1.1 GB peak at n = 12)."""
+    if psi.n <= DENSITY_DIRECT_LIMIT:
+        return stabilizer_density(to_density(psi))
+    return _drop_phase(stabilizer_pure(psi), NULL_TOL)
+
+
+ALGEBRA_CORPUS = {
+    **{f"ghz{n}": (lambda n=n: ghz_state(n, 0.8, 0.6)) for n in range(3, 13)},
+    **{f"w{n}": (lambda n=n: w_state(n)) for n in (3, 5, 8)},
+    "canon4": lambda: canonical_four_qubit_state(0.5, 0.2 + 0.3j),
+    "singlet_singlet": lambda: tensor_product(singlet_state(), singlet_state()),
+    "singlet_ghz3": lambda: tensor_product(singlet_state(), ghz_state(3)),
+    "three_singlets": lambda: tensor_product(singlet_state(), singlet_state(), singlet_state()),
+    "singlet_haar3": lambda: tensor_product(singlet_state(), _haar(3, 11)),
+    "haar5": lambda: _haar(5, 12),
+}
+
+
+@pytest.mark.parametrize("name", list(ALGEBRA_CORPUS))
+def test_algebra_type_matches_the_pairwise_oracle(name):
+    psi = ALGEBRA_CORPUS[name]()
+    rng = np.random.default_rng(list(ALGEBRA_CORPUS).index(name))
+    moved = apply_local_unitary(haar_random_local_unitary(psi.n, rng), psi)
+    for k in (stabilizer_pure(moved), _density_ambient(moved)):
+        at = algebra_type(k)
+        kind, closed, resid, const, evals = _oracle_algebra_type(k)
+        assert (at.kind, at.closed) == (kind, closed)
+        assert at.closure_residual == pytest.approx(resid, abs=1e-13)
+        for got, want in ((at.structure_constants, const), (at.killing_eigenvalues, evals)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 def test_phase_projection_check_across_state_zoo():
