@@ -5,6 +5,11 @@ invariant_fingerprint_stack and fingerprint_component_stack compute the
 fingerprint of every state in an (S, 2**n) stack of amplitude vectors at
 once; invariant_fingerprint, pair_invariants and polynomial_invariant
 are stacks of one.
+
+The fingerprint's purities after purity:1 come from one partial-trace tree
+(_purity_plan, _purity_table): only the largest sides, of n // 2 qubits,
+are formed from amplitudes by states.reduced_states, and every smaller
+reduced state is traced over one qubit from its parent in the tree.
 """
 
 from dataclasses import dataclass
@@ -100,6 +105,9 @@ DEFAULT_TRIPLES = (REFERENCE_TRIPLE, SWAP34_TRIPLE, EXTRA_TRIPLE)
 
 # 8^m terms per state; m = 4 is already 4096
 MAX_COPIES = 4
+# bytes of top-level reduced states one chunk of the purity tree holds; the
+# levels below it add about half as much again
+TREE_BYTES = 2**18
 
 
 def polynomial_invariant(psi: PureState, triple: PermutationTriple) -> complex:
@@ -168,6 +176,103 @@ def _keyed_subsets(n: int) -> tuple:
     return tuple(sorted((subset_key(s, n), s) for s in _bipartition_sides(n)))
 
 
+def _prefix_run(subset: tuple) -> int:
+    """Length t of the run 1, 2, ..., t that a sorted subset starts with."""
+    t = 0
+    while t < len(subset) and subset[t] == t + 1:
+        t += 1
+    return t
+
+
+@lru_cache
+def _purity_plan(n: int, chunk: int) -> tuple:
+    """Partial-trace tree of the fingerprint purities, in chunks of at most
+    `chunk` top-level sides; built once per (n, chunk) and shared.
+
+    The top level is the largest sides, of n // 2 qubits.  Every smaller
+    side c is traced from one parent, c plus the smallest label missing
+    from c, so a side starting with the run 1..t owns the t children that
+    drop one label of the run, and each child has run length t' = the
+    dropped position.  Levels are kept sorted by run length, longest
+    first, so the sides owning a child at position s are a prefix of their
+    level, and every level's children are made in blocks of equal s.
+
+    Each chunk is (top, steps, rows): the top-level sides; per lower level,
+    its size and (s, count, offset) for each block, `count` sides of the
+    level above dropping position s into rows offset.. of this one; and per
+    level, the index in _keyed_subsets(n) of each of its sides.
+    """
+    index = {subset: i for i, (_, subset) in enumerate(_keyed_subsets(n))}
+    half = n // 2
+    top = sorted(
+        (s for s in _bipartition_sides(n) if len(s) == half), key=_prefix_run, reverse=True
+    )
+    plan = []
+    for lo in range(0, len(top), chunk):
+        level = top[lo : lo + chunk]
+        levels, steps = [level], []
+        while len(level[0]) > 1:
+            runs = [_prefix_run(side) for side in level]
+            blocks, children = [], []
+            for s in reversed(range(runs[0])):
+                count = sum(t > s for t in runs)
+                blocks.append((s, count, len(children)))
+                children += [side[:s] + side[s + 1 :] for side in level[:count]]
+            if not children:
+                break
+            steps.append((len(children), tuple(blocks)))
+            levels.append(children)
+            level = children
+        rows = []
+        for sides in levels:
+            row = np.array([index[side] for side in sides])
+            row.flags.writeable = False
+            rows.append(row)
+        plan.append((tuple(levels[0]), tuple(steps), tuple(rows)))
+    return tuple(plan)
+
+
+def _level_purities(rho: np.ndarray) -> np.ndarray:
+    """tr(rho^2) of an (N, S, d, d) array of Hermitian matrices, as the real
+    dot product of each flattened matrix with itself."""
+    x = rho.view(np.float64).reshape(-1, 1, 2 * rho.shape[-1] ** 2)
+    return np.matmul(x, x.swapaxes(1, 2)).reshape(rho.shape[:2])
+
+
+def _purity_table(vectors: np.ndarray, n: int) -> np.ndarray:
+    """Every fingerprint purity of an (S, 2**n) stack, (len(_keyed_subsets(n)), S).
+
+    Only the top level of _purity_plan comes from reduced_states; every
+    smaller reduced state is the partial trace of its parent over one
+    qubit, the sum of two strided views of the level above.  The top level
+    is taken TREE_BYTES at a time, so the working arrays stay bounded.
+    Each entry depends on its own state only, bit for bit.
+    """
+    states = vectors.shape[0]
+    half = n // 2
+    chunk = max(1, TREE_BYTES // (states * 16 << 2 * half))
+    table = np.empty((len(_keyed_subsets(n)), states))
+    for top, steps, rows in _purity_plan(n, chunk):
+        dim = 1 << half
+        level = np.empty((len(top), states, dim, dim), dtype=np.complex128)
+        for i, keep in enumerate(top):
+            level[i] = reduced_states(vectors, keep)
+        table[rows[0]] = _level_purities(level)
+        for row, (size, blocks) in zip(rows[1:], steps):
+            dim //= 2
+            below = np.empty((size, states, dim, dim), dtype=np.complex128)
+            for s, count, offset in blocks:
+                # axes (side, state, row before, row qubit, row after, column ...)
+                a = level[:count].reshape(count, states, 1 << s, 2, dim >> s, 1 << s, 2, dim >> s)
+                out = below[offset : offset + count].reshape(
+                    count, states, 1 << s, dim >> s, 1 << s, dim >> s
+                )
+                np.add(a[:, :, :, 0, :, :, 0], a[:, :, :, 1, :, :, 1], out=out)
+            table[row] = _level_purities(below)
+            level = below
+    return table
+
+
 @dataclass(frozen=True)
 class InvariantFingerprint:
     """Bundle of LU invariants used for screening and orbit diagnostics.
@@ -228,13 +333,25 @@ def invariant_fingerprint_stack(vectors: np.ndarray) -> list[InvariantFingerprin
 
 def fingerprint_component_stack(vectors: np.ndarray):
     """Yield (name, values) in InvariantFingerprint.components() order for
-    an (S, 2**n) stack, values holding the component of every state,
-    computing each component only when the iteration reaches it."""
+    an (S, 2**n) stack, values holding the component of every state.
+
+    purity:1 comes alone from subset_purity_stack, so a pair that it
+    separates costs one reduced state per state; the first component after
+    it computes every other purity at once (_purity_table), and the
+    four-qubit components are computed only when the iteration reaches them.
+    """
     n = _stack_qubits(vectors)
-    purities = {}
-    for key, subset in _keyed_subsets(n):
-        purities[key] = subset_purity_stack(vectors, subset)
-        yield f"purity:{key}", purities[key]
+    keyed = _keyed_subsets(n)
+    if not keyed:
+        return
+    first_key, first = keyed[0]
+    yield f"purity:{first_key}", subset_purity_stack(vectors, first)
+    if len(keyed) == 1:
+        return
+    table = _purity_table(vectors, n)
+    purities = {key: values for (key, _), values in zip(keyed[1:], table[1:])}
+    for key, values in purities.items():
+        yield f"purity:{key}", values
     if n == 4:
         pairs = _pair_stack(purities["12"], purities["13"], purities["14"])
         for i, values in enumerate(pairs):

@@ -23,7 +23,9 @@ reduced_states is the one place a reduced state is formed from amplitudes:
 the Gram matrices of the amplitude matrices of an (S, 2**n) stack of state
 vectors.  reduced_state, subset_purity_stack, the correlation graph of
 is_product, the one-qubit eigenframes of the standard form and the
-polynomial invariants all take their marginals from it.
+polynomial invariants all take their marginals from it.  The invariant
+fingerprint forms only its largest sides here and takes each smaller one
+as a partial trace of a larger one (invariants._purity_table).
 subset_purity_stack is the stacked form of subset_purity, which is a stack
 of one.  The other per-state kernels (the pure stabilizer solve, the
 invariant fingerprint) have stacked forms of the same shape.
@@ -122,7 +124,8 @@ class PureState:
     vector : array_like
         2**n complex amplitudes in the index convention above.  The vector is
         copied, and renormalized with a warning if its norm misses 1 by more
-        than NORM_TOL.  The zero vector is rejected.
+        than NORM_TOL.  The zero vector and vectors with a NaN or infinite
+        amplitude are rejected.
     """
 
     vector: np.ndarray
@@ -136,6 +139,8 @@ class PureState:
         nrm = np.linalg.norm(vec)
         if nrm == 0.0:
             raise ValueError("zero vector is not a state")
+        if not np.isfinite(nrm):
+            raise ValueError("amplitudes must be finite")
         if abs(nrm - 1.0) > NORM_TOL:
             warnings.warn(f"renormalizing input state (norm was {nrm:.6g})")
             vec = vec / nrm
@@ -174,8 +179,9 @@ class DensityMatrix:
         n = mat.shape[0].bit_length() - 1
         if n < 1 or mat.shape[0] != 1 << n:
             raise ValueError(f"dimension {mat.shape[0]} is not 2**n with n >= 1")
-        if np.max(np.abs(mat - mat.conj().T)) > 100 * NORM_TOL:
-            raise ValueError("matrix is not Hermitian")
+        # written so that a NaN entry fails it too
+        if not np.max(np.abs(mat - mat.conj().T)) <= 100 * NORM_TOL:
+            raise ValueError("matrix is not Hermitian with finite entries")
         tr = np.trace(mat).real
         if abs(tr - 1.0) > NORM_TOL:
             warnings.warn(f"rescaling density matrix (trace was {tr:.6g})")

@@ -21,12 +21,14 @@ from stabscope import (
     purity_invariant,
     random_state,
     separating_component,
+    singlet_state,
     subset_purity,
+    tensor_product,
     w_state,
 )
-from stabscope.invariants import _keyed_subsets, subset_key
+from stabscope.invariants import _keyed_subsets, _purity_plan, invariant_fingerprint_stack, subset_key
 from stabscope.selftest import _poly3_reference
-from stabscope.states import _bipartition_sides
+from stabscope.states import _bipartition_sides, subset_purity_stack
 
 # canonical family point used to pin numeric conventions
 CAL_A = 1.0
@@ -163,6 +165,36 @@ def test_fingerprint_key_table_is_built_once_per_n():
         table = _keyed_subsets(n)
         assert _keyed_subsets(n) is table
         assert table == tuple(sorted((subset_key(s, n), s) for s in _bipartition_sides(n)))
+        assert _purity_plan(n, 4) is _purity_plan(n, 4)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_tree_purities_match_the_direct_route(n):
+    # every purity after purity:1 is traced down the partial-trace tree;
+    # the direct route forms each reduced state from the amplitudes
+    rng = np.random.default_rng(60 + n)
+    states = [
+        random_state(n, rng),
+        apply_local_unitary(haar_random_local_unitary(n, rng), ghz_state(n, 0.8, 0.6)),
+        w_state(n),
+        tensor_product(*(random_state(1, rng) for _ in range(n))),
+    ]
+    if n == 4:
+        states += [
+            tensor_product(singlet_state(), singlet_state()),
+            apply_local_unitary(
+                haar_random_local_unitary(4, rng), canonical_four_qubit_state(0.5, 0.2 + 0.3j)
+            ),
+        ]
+    vectors = np.stack([psi.vector for psi in states])
+    keyed = _keyed_subsets(n)
+    fps = invariant_fingerprint_stack(vectors)
+    for fp in fps:
+        assert set(fp.purities) == {key for key, _ in keyed}
+    for key, subset in keyed:
+        direct = subset_purity_stack(vectors, subset)
+        tree = [fp.purities[key] for fp in fps]
+        assert np.max(np.abs(direct - tree)) <= 1e-14, key
 
 
 @pytest.mark.parametrize("triple", DEFAULT_TRIPLES, ids=lambda t: t.key)

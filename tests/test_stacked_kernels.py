@@ -2,6 +2,7 @@
 it gets in a stack of its own, whatever the chunking."""
 
 import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -95,6 +96,33 @@ def test_stabilizer_stacks_are_solved_in_bounded_chunks(monkeypatch):
         vectors = np.stack([random_state(n, rng).vector for _ in range(count)])
         assert len(stabilizer_pure_stack(vectors)) == count
         assert sum(sizes) == count and max(sizes) * 2**n <= max(STACK_AMPLITUDES, 2**n)
+
+
+def test_fingerprint_forms_only_the_top_level_from_amplitudes(monkeypatch):
+    module = sys.modules["stabscope.states"]
+    amplitudes = module._amplitude_matrices
+    calls = []
+    monkeypatch.setattr(
+        module, "_amplitude_matrices", lambda v, keep: calls.append(keep) or amplitudes(v, keep)
+    )
+    # the half-size sides holding qubit 1 (even n) or all (n - 1)/2-subsets
+    # (odd n), plus purity:1 on its own
+    for n, count in ((10, 127), (11, 463), (12, 463)):
+        calls.clear()
+        invariant_fingerprint(random_state(n, np.random.default_rng(n)))
+        assert len(calls) == count, n
+    monkeypatch.undo()
+    psi = random_state(12, np.random.default_rng(12))
+    invariant_fingerprint(psi)
+    tracemalloc.start()
+    try:
+        invariant_fingerprint(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the tree holds TREE_BYTES = 256 KB of top-level reduced states at a
+    # time, and its levels below about half as much again
+    assert peak < 1.5e6, peak
 
 
 def test_equivalence_walks_both_fingerprints_in_one_stack(monkeypatch):

@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -68,6 +69,22 @@ def test_pure_state_rejects_zero_and_bad_shape():
         PureState(np.zeros(0))
     with pytest.raises(ValueError, match=r"not 2\*\*n"):
         PureState(np.ones(1, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=str)
+def test_states_reject_non_finite_entries(bad):
+    vec = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    vec[1] = bad
+    # rejected outright, not renormalized with a warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            PureState(vec)
+    for i, j in ((2, 2), (0, 3)):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[i, j] = bad
+        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            DensityMatrix(rho)
 
 
 def test_density_matrix_rejects_empty_and_bad_dimension():
