@@ -16,16 +16,19 @@ after which, when every one-qubit spectrum is nondegenerate, an equivalence
 is a diagonal phase per qubit, read off the amplitudes of one
 single-bit-flip index pair.  What neither stage certifies (degenerate
 spectra outside the maximal classes, GHZ support, inequivalent pairs) goes
-to multi-start fidelity maximization over SU(2)^n.
+to multi-start fidelity maximization over SU(2)^n.  Its gradient takes the
+exponentials (n, 2, 2) of an (n, 3) chart point and their derivatives
+(n, 3, 2, 2) from one broadcast, and every generator applied to g psi from
+the (3n+1, 2 * 2**n) sign-flip planes of the pure stabilizer map.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState, apply_factors, apply_matrix_to_qubit, reduced_states
-from .local_unitary import LocalUnitary, _exp_and_dexp, compose, exp_su2, haar_su2, inverse
-from .stabilizer import NULL_TOL, stabilizer_pure_stack
+from .states import PureState, apply_factors, reduced_states
+from .local_unitary import SU2_BASIS, LocalUnitary, _exp_and_dexp, compose, haar_su2, inverse
+from .stabilizer import NULL_TOL, _sign_flip_planes, stabilizer_pure_stack
 from .invariants import fingerprint_component_stack
 from .classify import EQUIV_TOL, CanonicalizationError, GhzCanonicalForm, canonical_form
 
@@ -36,23 +39,20 @@ STOP_TOL = 1e-12
 
 
 def _infidelity_and_grad(x: np.ndarray, base: np.ndarray, psi: np.ndarray, phi: np.ndarray, n: int):
-    """Objective 1 - |<phi| g psi>|^2 with g_j = exp(v_j) base_j, and its gradient."""
-    v = x.reshape(n, 3)
-    units = np.empty((n, 2, 2), dtype=np.complex128)
-    dmats = np.empty((n, 3, 2, 2), dtype=np.complex128)
-    for j in range(n):
-        e, d = _exp_and_dexp(v[j])
-        units[j] = e @ base[j]
-        dmats[j] = np.stack(d) @ base[j]
-    cur = apply_factors(units, psi)
+    """Objective 1 - |<phi| g psi>|^2 with g_j = exp(v_j) base_j, and its gradient:
+    for z = <phi| g psi>, dz/dv_ja = sum_b J_jab p_jb with J_ja the su(2)
+    coordinates of d_ja exp(v_j)^dagger and p_jb = <phi| e_b at qubit j |g psi>."""
+    e, d = _exp_and_dexp(x.reshape(n, 3))
+    cur = apply_factors(e @ base, psi)
     z = np.vdot(phi, cur)
-    grad = np.empty(3 * n)
-    for j in range(n):
-        # the three directions of qubit j, each applied to g psi after undoing g_j
-        w = apply_matrix_to_qubit(dmats[j] @ units[j].conj().T, cur, j + 1, n)
-        grad[3 * j : 3 * j + 3] = -2.0 * np.real(np.conj(z) * (phi.conj() @ w))
-    f = 1.0 - float(np.abs(z)) ** 2
-    return f, grad
+    # coordinate b of M in su(2) is -Re tr(e_b M) / 2
+    jac = -0.5 * np.einsum("bkl,jalk->jab", SU2_BASIS, d @ e.conj().swapaxes(1, 2)[:, None]).real
+    # planes 1 to 3n are (Re, Im) of e_b at qubit j applied to g psi, so their
+    # products with (Re z phi, Im z phi) are Re(conj(z) p_jb)
+    zphi = z * phi
+    overlaps = _sign_flip_planes(cur[None])[0, 1:] @ np.concatenate([zphi.real, zphi.imag])
+    grad = -2.0 * jac @ overlaps.reshape(n, 3, 1)
+    return 1.0 - float(np.abs(z)) ** 2, grad.reshape(3 * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,15 +79,17 @@ def lu_infidelity(
     """
     if psi.n != phi.n:
         raise ValueError(f"states live on {psi.n} and {phi.n} qubits")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     # only this stage needs scipy.optimize, the slowest import in the package
     from scipy.optimize import minimize
 
     n = psi.n
-    children = np.random.SeedSequence(seed).spawn(max(restarts, 1))
+    children = np.random.SeedSequence(seed).spawn(restarts)
     best_f = np.inf
     best_factors = None
     eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (n, 2, 2))
-    for k in range(max(restarts, 1)):
+    for k in range(restarts):
         base = eye if k == 0 else haar_su2(n, np.random.default_rng(children[k]))
         res = minimize(
             _infidelity_and_grad,
@@ -97,16 +99,14 @@ def lu_infidelity(
             method="L-BFGS-B",
             options={"maxiter": 300, "ftol": 1e-18, "gtol": 1e-12},
         )
-        used = k + 1
         f = max(float(res.fun), 0.0)
         if f < best_f:
             best_f = f
-            v = res.x.reshape(n, 3)
-            best_factors = np.stack([exp_su2(v[j]) @ base[j] for j in range(n)])
+            best_factors = _exp_and_dexp(res.x.reshape(n, 3))[0] @ base
         if best_f < STOP_TOL:
             break
     _, witness = _align(psi, phi, best_factors)
-    return FidelitySearch(best_f, witness, used)
+    return FidelitySearch(best_f, witness, k + 1)
 
 
 def _align(psi: PureState, phi: PureState, factors: np.ndarray) -> tuple[float, LocalUnitary]:
@@ -238,6 +238,8 @@ def decide_equivalence(
     """
     if psi.n != phi.n:
         raise ValueError(f"states live on {psi.n} and {phi.n} qubits")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     pair = np.stack([psi.vector, phi.vector])
     ka, kb = stabilizer_pure_stack(pair, null_tol)
     if ka.dim != kb.dim:

@@ -40,33 +40,28 @@ def su2_coords(mat: np.ndarray) -> np.ndarray:
 
 
 def _exp_and_dexp(v: np.ndarray):
-    """exp of an su(2) element and its three partial derivatives, in closed form.
-
-    For m = su2_matrix(v) and theta = |v|, m^2 = -theta^2 * I, so
-    exp(m) = cos(theta) I + sinc(theta) m; the derivative along coordinate a
-    follows from d(theta)/dv_a = v_a/theta.  Below theta = 1e-9 the value is
-    I + m, exact to rounding, and the derivatives are the basis matrices,
-    within theta of the exact ones.
-    """
-    theta = float(np.linalg.norm(v))
-    m = su2_matrix(v)
-    eye = np.eye(2, dtype=np.complex128)
-    if theta < 1e-9:
-        e = eye + m
-        d = [SU2_BASIS[a].copy() for a in range(3)]
-        return e, d
-    c, s = np.cos(theta), np.sin(theta)
-    sinc = s / theta
-    e = c * eye + sinc * m
-    core = -s * eye + ((theta * c - s) / theta**2) * m
-    d = [(v[a] / theta) * core + sinc * SU2_BASIS[a] for a in range(3)]
-    return e, d
+    """exp(m_j) for the su(2) elements m_j = su2_matrix(v[j]) of an (n, 3)
+    array v, shape (n, 2, 2), and its derivatives d[j, a] along coordinate a,
+    shape (n, 3, 2, 2), in one broadcast: with theta = |v_j|, m_j^2 =
+    -theta^2 I, so exp(m_j) = cos(theta) I + sinc(theta) m_j, and
+    d(theta)/dv_a = v_a / theta."""
+    theta = np.linalg.norm(v, axis=1)[:, None, None]
+    c, sinc = np.cos(theta), np.sinc(theta / np.pi)
+    m = (v @ SU2_BASIS.reshape(3, 4)).reshape(-1, 2, 2)
+    eye = np.eye(2)
+    # (c - sinc) / theta^2 tends to -1/3; a row with theta = 0 has v = 0
+    k = (c - sinc) / np.where(theta > 0.0, theta, 1.0) ** 2
+    d = v[:, :, None, None] * (k * m - sinc * eye)[:, None] + sinc[:, None] * SU2_BASIS
+    return c * eye + sinc * m, d
 
 
 def exp_su2(coords) -> np.ndarray:
     """Matrix exponential of an su(2) element, in closed form:
     cos(theta) I + (sin(theta)/theta) M for M = su2_matrix(coords), theta = |coords|."""
-    return _exp_and_dexp(np.asarray(coords, dtype=np.float64))[0]
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.shape != (3,):
+        raise ValueError(f"su(2) coordinates have shape (3,), got {coords.shape}")
+    return _exp_and_dexp(coords[None])[0][0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,11 +13,12 @@ one factor per qubit through it.  The local-unitary action, the
 canonicalisers and the equivalence witnesses all go through these two;
 density matrices are acted on from the left only, a right product being
 the adjoint of a left one (rho X = (X^dagger rho^dagger)^dagger).  The two
-stabilizer maps are the exception: the pure map's columns are the
-generators applied to Re psi and Im psi, and the whole direct density
-map's the real commutators with Re rho +- Im rho, each a left product minus
-the transpose of one, whose rows are signed, bit-flipped rows of those two
-matrices picked through index tables.  Neither map forms a complex product.
+stabilizer maps, and the optimizer gradient as a third reader of the pure
+map's planes, are the exception: the pure map's columns are the generators
+applied to Re psi and Im psi, and the whole direct density map's the real
+commutators with Re rho +- Im rho, each a left product minus the transpose
+of one, whose rows are signed, bit-flipped rows of those two matrices
+picked through index tables.  Neither map forms a complex product.
 
 reduced_states is the one place a reduced state is formed from amplitudes:
 the Gram matrices of the amplitude matrices of an (S, 2**n) stack of state

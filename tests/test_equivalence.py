@@ -30,6 +30,8 @@ from stabscope import (
     w_state,
 )
 from stabscope.equivalence import FINGERPRINT_TOL, _infidelity_and_grad
+from stabscope.local_unitary import SU2_BASIS, su2_matrix
+from stabscope.states import apply_factors, apply_matrix_to_qubit
 from stabscope.invariants import fingerprint_component_stack, first_difference
 
 
@@ -42,6 +44,10 @@ def test_identical_states_need_one_restart():
     search = lu_infidelity(psi, psi, restarts=10)
     assert search.infidelity < 1e-12
     assert search.restarts_used == 1
+    # no restart is an error, not one restart reported as used
+    for decide in (lu_infidelity, decide_equivalence):
+        with pytest.raises(ValueError, match="restarts must be at least 1, got 0"):
+            decide(psi, psi, restarts=0)
 
 
 def test_orbit_pair_is_matched_with_valid_witness():
@@ -357,21 +363,75 @@ def test_import_does_not_load_the_optimizer(tmp_path):
     ]
 
 
+def _per_qubit_exp_and_dexp(v):
+    """exp of one su(2) element and its three partial derivatives, with the
+    small-angle branch: the per-qubit form of local_unitary._exp_and_dexp."""
+    theta = float(np.linalg.norm(v))
+    m = su2_matrix(v)
+    eye = np.eye(2, dtype=np.complex128)
+    if theta < 1e-9:
+        return eye + m, [SU2_BASIS[a].copy() for a in range(3)]
+    c, s = np.cos(theta), np.sin(theta)
+    sinc = s / theta
+    core = -s * eye + ((theta * c - s) / theta**2) * m
+    return c * eye + sinc * m, [(v[a] / theta) * core + sinc * SU2_BASIS[a] for a in range(3)]
+
+
+def _per_qubit_infidelity_and_grad(x, base, psi, phi, n):
+    """Reference objective and gradient, one qubit at a time: each gradient
+    triple applies qubit j's three directions to g psi after undoing g_j."""
+    v = x.reshape(n, 3)
+    units = np.empty((n, 2, 2), dtype=np.complex128)
+    dmats = np.empty((n, 3, 2, 2), dtype=np.complex128)
+    for j in range(n):
+        e, d = _per_qubit_exp_and_dexp(v[j])
+        units[j] = e @ base[j]
+        dmats[j] = np.stack(d) @ base[j]
+    cur = apply_factors(units, psi)
+    z = np.vdot(phi, cur)
+    grad = np.empty(3 * n)
+    for j in range(n):
+        w = apply_matrix_to_qubit(dmats[j] @ units[j].conj().T, cur, j + 1, n)
+        grad[3 * j : 3 * j + 3] = -2.0 * np.real(np.conj(z) * (phi.conj() @ w))
+    return 1.0 - float(np.abs(z)) ** 2, grad
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_infidelity_and_gradient_match_the_per_qubit_reference(n):
+    rng = np.random.default_rng(40 + n)
+    for scale in (1.0, 4.0, 1e-5, 3e-10):
+        psi = random_state(n, rng).vector
+        phi = random_state(n, rng).vector
+        base = haar_su2(n, rng)
+        v = scale * rng.standard_normal((n, 3))
+        if n > 1 and scale == 1.0:
+            # rows on both sides of the reference's small-angle cut in one point
+            v[::2] *= 1e-12
+        f, grad = _infidelity_and_grad(v.reshape(-1), base, psi, phi, n)
+        f_ref, grad_ref = _per_qubit_infidelity_and_grad(v.reshape(-1), base, psi, phi, n)
+        theta = np.linalg.norm(v, axis=1)
+        # below its cut the reference's derivatives are within |v_j| of the exact ones
+        tol = 1e-13 + theta[theta < 1e-9].max(initial=0.0)
+        assert abs(f - f_ref) < tol
+        assert np.max(np.abs(grad - grad_ref)) < tol
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
 @pytest.mark.parametrize("scale", [0.0, 3e-10, 1.0], ids=["zero", "below-cut", "generic"])
-def test_infidelity_gradient_matches_central_differences(scale):
-    n = 3
+def test_infidelity_gradient_matches_central_differences(scale, n):
     rng = np.random.default_rng(5)
     psi = random_state(n, rng)
     phi = random_state(n, rng)
     base = haar_su2(n, rng)
     x = scale * rng.standard_normal(3 * n) / np.sqrt(3.0)
-    _, grad = _infidelity_and_grad(x, base, psi.vector, phi.vector, n)
-    h = 1e-6
-    fd = np.empty(3 * n)
-    for i in range(3 * n):
-        e = np.zeros(3 * n)
-        e[i] = h
-        fp, _ = _infidelity_and_grad(x + e, base, psi.vector, phi.vector, n)
-        fm, _ = _infidelity_and_grad(x - e, base, psi.vector, phi.vector, n)
-        fd[i] = (fp - fm) / (2.0 * h)
-    assert np.allclose(grad, fd, atol=1e-8)
+    for objective in (_infidelity_and_grad, _per_qubit_infidelity_and_grad):
+        _, grad = objective(x, base, psi.vector, phi.vector, n)
+        h = 1e-6
+        fd = np.empty(3 * n)
+        for i in range(3 * n):
+            e = np.zeros(3 * n)
+            e[i] = h
+            fp, _ = objective(x + e, base, psi.vector, phi.vector, n)
+            fm, _ = objective(x - e, base, psi.vector, phi.vector, n)
+            fd[i] = (fp - fm) / (2.0 * h)
+        assert np.allclose(grad, fd, atol=1e-8)

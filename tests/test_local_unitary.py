@@ -70,6 +70,13 @@ def test_exp_su2_small_angle_and_flip():
     assert np.allclose(exp_su2((0.0, 0.0, np.pi / 2)), SU2_BASIS[2], atol=1e-15)
 
 
+def test_exp_su2_rejects_other_shapes():
+    # the broadcast kernel behind it would take an (n, 3) stack without complaint
+    for bad in ((1.0, 0.0), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            exp_su2(bad)
+
+
 def test_lie_element_flat_round_trip():
     coords = np.arange(9, dtype=float).reshape(3, 3)
     x = LieElement(0.5, coords)
