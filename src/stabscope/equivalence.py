@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState, apply_factors, reduced_states
+from .states import PureState, _sign_flip_planes, apply_factors, reduced_states
 from .local_unitary import SU2_BASIS, LocalUnitary, _exp_and_dexp, compose, haar_su2, inverse
-from .stabilizer import NULL_TOL, _sign_flip_planes, stabilizer_pure_stack
+from .stabilizer import NULL_TOL, stabilizer_pure_stack
 from .invariants import fingerprint_component_stack
 from .classify import EQUIV_TOL, CanonicalizationError, GhzCanonicalForm, canonical_form
 

@@ -3,7 +3,9 @@
 The stabilizer of a pure state is the set of X in u(1) + su(2)^n with
 X|psi> = 0; the stabilizer of a density matrix is the set of X in su(2)^n
 with [X, rho] = 0.  Both are kernels of real-linear maps, realified and
-built from signs and bit flips of real rows.  The kernel is cut by
+built from signs and bit flips of real rows: the pure map's columns are the
+generator planes of states._sign_flip_planes, the kernel it shares with the
+optimizer gradient and the product test.  The kernel is cut by
 numerical_rank, as is_product cuts Schmidt coefficients, always on singular
 values of the unsquared map: _null_spaces reduces a map to its small
 triangular QR factor R (in cache-sized row blocks when the map is large)
@@ -29,6 +31,7 @@ from .states import (
     NULL_TOL,
     DensityMatrix,
     PureState,
+    _sign_flip_planes,
     _stack_qubits,
     numerical_rank,
     purity,
@@ -72,10 +75,6 @@ GRAM_SPLIT = 1e-4
 # block, so the Gram product and eigh would only add to them
 GRAM_FIRST_BYTES = 2**15
 
-# the real one-qubit matrices Z, X and J = -i sigma_y act on the rows of a
-# real matrix W by a sign z(bit) = +-1, a flip of the bit, or both:
-# (J W)[r] = -z(r) W[flip r]
-_ROW_SIGN = np.array([1.0, -1.0])[:, None]
 # row r of qubit j's left products (Z V, J U, X V) of _density_planes, and of
 # the products (Z U, -J V, X U) whose transposes it subtracts, is row r, or r
 # with qubit j's bit flipped where _FLIPS is 1, of block
@@ -234,42 +233,6 @@ def stabilizer_pure(psi: PureState, tol: float = NULL_TOL) -> StabilizerBasis:
     """Stabilizer of a pure state inside u(1) + su(2)^n: a stack of one for
     stabilizer_pure_stack."""
     return stabilizer_pure_stack(psi.vector[None], tol)[0]
-
-
-def _sign_flip_planes(vectors: np.ndarray) -> np.ndarray:
-    """Realified pure maps of an (S, 2**n) stack of state vectors, shape
-    (S, 3n+1, 2 * 2**n).
-
-    Plane c of a state is generator c applied to it, (Re, Im) of length
-    2 * 2**n.  The phase -i psi is (Im psi, -Re psi).  With z the sign of
-    qubit j's bit and flip its bit flip, iZ_j psi is (-z Im psi, z Re psi),
-    J_j psi = -iY_j psi is (J Re psi, J Im psi) with (J W)[r] = -z(r)
-    W[flip r], and iX_j psi is (-flip Im psi, flip Re psi).  Every plane is
-    a sign and perhaps a flip of (Re psi, Im psi), so each generator type is
-    written for all n qubits at once, the flips of every qubit by one gather
-    through the flipped row indices: the entries equal those of the complex
-    products exactly.
-    """
-    s, d = vectors.shape
-    n = d.bit_length() - 1
-    # (S, 2, 2**n) view of (Re psi, Im psi)
-    w = np.ascontiguousarray(vectors, dtype=np.complex128).view(np.float64)
-    w = w.reshape(s, d, 2).swapaxes(1, 2)
-    # qubit 1 is the most significant bit of a row index
-    masks = 1 << np.arange(n - 1, -1, -1)[:, None]
-    rows = np.arange(d)
-    flips = rows ^ masks
-    minus_z = np.where(rows & masks, 1.0, -1.0)
-    planes = np.empty((s, 3 * n + 1, 2, d))
-    np.multiply(w[:, ::-1], _ROW_SIGN, out=planes[:, 0])
-    # (S, qubit, generator, Re/Im, row) views of planes 1 to 3n
-    by_qubit = planes[:, 1:].reshape(s, n, 3, 2, d)
-    np.multiply(planes[:, :1], minus_z[:, None], out=by_qubit[:, :, 0])
-    # (S, qubit, Re/Im, row): (Re psi, Im psi) with qubit j's bit flipped
-    flipped = w.take(flips, axis=2).swapaxes(1, 2)
-    np.multiply(flipped, minus_z[:, None], out=by_qubit[:, :, 1])
-    np.multiply(flipped[:, :, ::-1], -_ROW_SIGN, out=by_qubit[:, :, 2])
-    return planes.reshape(s, 3 * n + 1, 2 * d)
 
 
 def _gram_split(planes: np.ndarray, grams: np.ndarray, tol: float) -> list[tuple]:

@@ -6,27 +6,27 @@ sum(i_k * 2**(n-k)), so qubit 1 is the most significant bit.  Amplitude
 vectors are dense complex128 arrays; the implementation targets desk scale
 (n up to about 12).
 
-apply_matrix_to_qubit is the one place where a one-qubit operator meets the
-amplitude tensor: it applies a 2x2 matrix, or a stack of them, to one qubit
-leg of any array whose first axis has length 2**n.  apply_factors applies
-one factor per qubit through it.  The local-unitary action, the
-canonicalisers and the equivalence witnesses all go through these two;
-density matrices are acted on from the left only, a right product being
-the adjoint of a left one (rho X = (X^dagger rho^dagger)^dagger).  The two
-stabilizer maps, and the optimizer gradient as a third reader of the pure
-map's planes, are the exception: the pure map's columns are the generators
-applied to Re psi and Im psi, and the whole direct density map's the real
-commutators with Re rho +- Im rho, each a left product minus the transpose
-of one, whose rows are signed, bit-flipped rows of those two matrices
-picked through index tables.  Neither map forms a complex product.
+The package has two kernels for one-qubit operators.  apply_matrix_to_qubit
+applies a 2x2 matrix to one qubit leg of any array whose first axis has
+length 2**n, and apply_factors one factor per qubit through it.  The
+local-unitary action, the canonicalisers and the equivalence witnesses all
+go through these two; density matrices are acted on from the left only, a
+right product being the adjoint of a left one (rho X = (X^dagger
+rho^dagger)^dagger).  _sign_flip_planes applies every generator of
+u(1) + su(2)^n at once: its 3n+1 planes are signed, bit-flipped copies of
+Re psi and Im psi, with no complex product.  The pure stabilizer map is
+built from them, the optimizer gradient reads its overlaps off them, and
+is_product reads its correlation graph off their Gram matrix.  The whole
+direct density map (stabilizer._density_planes) is built the same way from
+Re rho +- Im rho.
 
 reduced_states is the one place a reduced state is formed from amplitudes:
 the Gram matrices of the amplitude matrices of an (S, 2**n) stack of state
-vectors.  reduced_state, subset_purity_stack, the correlation graph of
-is_product, the one-qubit eigenframes of the standard form and the
-polynomial invariants all take their marginals from it.  The invariant
-fingerprint forms only its largest sides here and takes each smaller one
-as a partial trace of a larger one (invariants._purity_table).
+vectors.  reduced_state, subset_purity_stack, the one-qubit eigenframes of
+the standard form and the polynomial invariants all take their marginals
+from it.  The invariant fingerprint forms only its largest sides here and
+takes each smaller one as a partial trace of a larger one
+(invariants._purity_table).
 subset_purity_stack is the stacked form of subset_purity, which is a stack
 of one.  The other per-state kernels (the pure stabilizer solve, the
 invariant fingerprint) have stacked forms of the same shape.
@@ -37,11 +37,13 @@ NULL_TOL, which decides the stabilizer rank, the Schmidt rank in is_product
 and the vanishing of canonical amplitudes, all linear in what vanishes.
 
 is_product reads product structure off the two-qubit correlation graph,
-whose edge bound is derived from the same cut so that no edge crosses a
-pure cut.  A connected graph means nonproduct with no Schmidt decomposition
-at all; otherwise only cuts between components are tested.  States whose
-two-qubit marginals carry no correlation above the bound, such as 2-uniform
-states, fall back to testing every bipartition.
+every weight of which is an entry of the Gram matrix of the generator
+planes, and whose edge bound is derived from the same cut so that no edge
+crosses a pure cut.  A connected graph means nonproduct with no reduced
+state and no Schmidt decomposition at all; otherwise only cuts between
+components are tested.  States whose two-qubit marginals carry no
+correlation above the bound, such as 2-uniform states, fall back to testing
+every bipartition.
 """
 
 import warnings
@@ -161,13 +163,14 @@ class PureState:
 class DensityMatrix:
     """Trace-one positive semidefinite operator on n qubits.
 
-    Hermiticity and unit trace are checked at construction.  Positivity is
-    preserved by every constructor in this package (pure projectors, partial
-    traces, unitary conjugation), so the full eigenvalue check is deferred to
-    validate() for use in tests.  The direct density stabilizer solve does
-    not rely on positivity: it accepts a low-rank factor of rho only after
-    an explicit Frobenius residual check, and solves the whole commutator
-    map otherwise.
+    Hermiticity and unit trace are checked at construction: a positive trace
+    that misses 1 is rescaled with a warning, a zero or negative one is
+    rejected.  Positivity is preserved by every constructor in this package
+    (pure projectors, partial traces, unitary conjugation), so the full
+    eigenvalue check is deferred to validate() for use in tests.  The direct
+    density stabilizer solve does not rely on positivity: it accepts a
+    low-rank factor of rho only after an explicit Frobenius residual check,
+    and solves the whole commutator map otherwise.
     """
 
     matrix: np.ndarray
@@ -184,6 +187,8 @@ class DensityMatrix:
         if not np.max(np.abs(mat - mat.conj().T)) <= 100 * NORM_TOL:
             raise ValueError("matrix is not Hermitian with finite entries")
         tr = np.trace(mat).real
+        if not tr > 0.0:
+            raise ValueError(f"trace {tr:.6g} is not positive")
         if abs(tr - 1.0) > NORM_TOL:
             warnings.warn(f"rescaling density matrix (trace was {tr:.6g})")
             mat = mat / tr
@@ -204,17 +209,11 @@ def to_density(psi: PureState) -> DensityMatrix:
 
 
 def apply_matrix_to_qubit(mat: np.ndarray, arr: np.ndarray, j: int, n: int) -> np.ndarray:
-    """Apply a 2x2 matrix, or a (..., 2, 2) stack of them, to qubit j (1-based).
-
-    arr is any array whose first axis has length 2**n: an amplitude vector,
-    or a density matrix, which is then multiplied from the left.  The result
-    has shape arr.shape + mat.shape[:-2], the stack along the trailing axes:
-    leading stack axes make einsum's loops slower on the last qubits at
-    n >= 10 than one call per matrix.
-    """
+    """Apply a 2x2 matrix to qubit j (1-based) of arr, any array whose first
+    axis has length 2**n: an amplitude vector, or a density matrix, which is
+    then multiplied from the left."""
     t = arr.reshape(2 ** (j - 1), 2, -1)
-    out = np.einsum("...ab,xby->xay...", mat, t)
-    return out.reshape(arr.shape + mat.shape[:-2])
+    return np.einsum("ab,xby->xay", mat, t).reshape(arr.shape)
 
 
 def apply_factors(factors: np.ndarray, arr: np.ndarray) -> np.ndarray:
@@ -267,6 +266,48 @@ def _amplitude_matrices(vectors: np.ndarray, keep: tuple[int, ...]) -> np.ndarra
     # qubit j is axis j of the (S, 2, ..., 2) tensor
     t = vectors.reshape((s,) + (2,) * n).transpose([0, *keep, *rest])
     return t.reshape(s, 2 ** len(keep), 2 ** len(rest))
+
+
+# the real one-qubit matrices Z, X and J = -i sigma_y act on the rows of a
+# real matrix W by a sign z(bit) = +-1, a flip of the bit, or both:
+# (J W)[r] = -z(r) W[flip r]
+_ROW_SIGN = np.array([1.0, -1.0])[:, None]
+
+
+def _sign_flip_planes(vectors: np.ndarray) -> np.ndarray:
+    """Realified pure maps of an (S, 2**n) stack of state vectors, shape
+    (S, 3n+1, 2 * 2**n).
+
+    Plane c of a state is generator c applied to it, (Re, Im) of length
+    2 * 2**n.  The phase -i psi is (Im psi, -Re psi).  With z the sign of
+    qubit j's bit and flip its bit flip, iZ_j psi is (-z Im psi, z Re psi),
+    J_j psi = -iY_j psi is (J Re psi, J Im psi) with (J W)[r] = -z(r)
+    W[flip r], and iX_j psi is (-flip Im psi, flip Re psi).  Every plane is
+    a sign and perhaps a flip of (Re psi, Im psi), so each generator type is
+    written for all n qubits at once, the flips of every qubit by one gather
+    through the flipped row indices: the entries equal those of the complex
+    products exactly.
+    """
+    s, d = vectors.shape
+    n = d.bit_length() - 1
+    # (S, 2, 2**n) view of (Re psi, Im psi)
+    w = np.ascontiguousarray(vectors, dtype=np.complex128).view(np.float64)
+    w = w.reshape(s, d, 2).swapaxes(1, 2)
+    # qubit 1 is the most significant bit of a row index
+    masks = 1 << np.arange(n - 1, -1, -1)[:, None]
+    rows = np.arange(d)
+    flips = rows ^ masks
+    minus_z = np.where(rows & masks, 1.0, -1.0)
+    planes = np.empty((s, 3 * n + 1, 2, d))
+    np.multiply(w[:, ::-1], _ROW_SIGN, out=planes[:, 0])
+    # (S, qubit, generator, Re/Im, row) views of planes 1 to 3n
+    by_qubit = planes[:, 1:].reshape(s, n, 3, 2, d)
+    np.multiply(planes[:, :1], minus_z[:, None], out=by_qubit[:, :, 0])
+    # (S, qubit, Re/Im, row): (Re psi, Im psi) with qubit j's bit flipped
+    flipped = w.take(flips, axis=2).swapaxes(1, 2)
+    np.multiply(flipped, minus_z[:, None], out=by_qubit[:, :, 1])
+    np.multiply(flipped[:, :, ::-1], -_ROW_SIGN, out=by_qubit[:, :, 2])
+    return planes.reshape(s, 3 * n + 1, 2 * d)
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -353,38 +394,25 @@ def _correlation_components(psi: PureState, tol: float) -> list[tuple[int, ...]]
     2 sqrt(1 - s0^2).  Partial traces are contractive and C vanishes on that
     product, so for i in A and j in B, ||C||_F <= ||C||_1 <= 6 sqrt(1 - s0^2).
     An edge therefore never crosses a pure cut, and every pure side is a
-    union of components.  Pairs already joined are skipped.
+    union of components.
+
+    Every ||C||_F comes from the Gram matrix G = P P^T of the sign-flip
+    planes, G_ab = Re <psi|X_a^dagger X_b|psi>.  Generator a = i s sigma_a
+    of qubit i and b of qubit j give G_ab = s_a s_b <sigma_a sigma_b> and,
+    with the phase plane 0, G_0a G_0b = s_a s_b <sigma_a> <sigma_b>, so
+    ||C||_F^2 = 1/4 sum_ab (G_ab - G_0a G_0b)^2.  The components are the
+    rows of the reachability closure of the edges, ceil(log2 n) squarings.
     """
     n = psi.n
-    v = psi.vector[None]
     bound = 6.0 * np.sqrt(2.0 ** (n // 2) - 1.0) * tol
-    single = [reduced_states(v, (i,))[0] for i in range(1, n + 1)]
-    root = list(range(n))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    count = n
-    for i, j in combinations(range(n), 2):
-        if count == 1:
-            break
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        # axes (row i, row j, column i, column j) on both terms
-        corr = reduced_states(v, (i + 1, j + 1))[0].reshape(2, 2, 2, 2) - (
-            single[i][:, None, :, None] * single[j][None, :, None, :]
-        )
-        if np.vdot(corr, corr).real > bound**2:
-            root[ri] = rj
-            count -= 1
-    groups: dict[int, list[int]] = {}
-    for q in range(n):
-        groups.setdefault(find(q), []).append(q + 1)
-    return sorted(tuple(g) for g in groups.values())
+    planes = _sign_flip_planes(psi.vector[None])[0]
+    gram = planes @ planes.T
+    corr = (gram[1:, 1:] - np.outer(gram[0, 1:], gram[0, 1:])).reshape(n, 3, n, 3)
+    reach = 0.25 * np.square(corr).sum(axis=(1, 3)) > bound**2
+    reach |= np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    return sorted({tuple((np.flatnonzero(row) + 1).tolist()) for row in reach})
 
 
 def is_product(psi: PureState, tol: float = NULL_TOL) -> FactorizationReport:

@@ -391,7 +391,7 @@ def _per_qubit_infidelity_and_grad(x, base, psi, phi, n):
     z = np.vdot(phi, cur)
     grad = np.empty(3 * n)
     for j in range(n):
-        w = apply_matrix_to_qubit(dmats[j] @ units[j].conj().T, cur, j + 1, n)
+        w = np.stack([apply_matrix_to_qubit(m, cur, j + 1, n) for m in dmats[j] @ units[j].conj().T], axis=1)
         grad[3 * j : 3 * j + 3] = -2.0 * np.real(np.conj(z) * (phi.conj() @ w))
     return 1.0 - float(np.abs(z)) ** 2, grad
 

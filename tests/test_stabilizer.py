@@ -40,9 +40,8 @@ from stabscope.stabilizer import (
     _drop_phase,
     _null_spaces,
     _range_factor,
-    _sign_flip_planes,
 )
-from stabscope.states import numerical_rank
+from stabscope.states import _sign_flip_planes, numerical_rank
 
 
 def _dense_pure_map(psi):

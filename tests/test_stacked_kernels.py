@@ -15,6 +15,7 @@ from stabscope import (
     ghz_state,
     haar_random_local_unitary,
     invariant_fingerprint,
+    is_product,
     partial_trace,
     random_state,
     reduced_state,
@@ -123,6 +124,32 @@ def test_fingerprint_forms_only_the_top_level_from_amplitudes(monkeypatch):
     # the tree holds TREE_BYTES = 256 KB of top-level reduced states at a
     # time, and its levels below about half as much again
     assert peak < 1.5e6, peak
+
+
+def test_product_test_forms_amplitude_matrices_only_for_pure_sides(monkeypatch):
+    module = sys.modules["stabscope.states"]
+    amplitudes, pure_side = module._amplitude_matrices, module._pure_side
+    inside, calls = [], []
+
+    def side(*args):
+        inside.append(1)
+        try:
+            return pure_side(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(module, "_pure_side", side)
+    monkeypatch.setattr(
+        module, "_amplitude_matrices", lambda v, keep: calls.append(bool(inside)) or amplitudes(v, keep)
+    )
+    rng = np.random.default_rng(30)
+    ghz12 = apply_local_unitary(haar_random_local_unitary(12, rng), ghz_state(12))
+    for psi in (random_state(8, rng), ghz12):
+        assert not is_product(psi).is_product
+    assert calls == []
+    halves = tensor_product(random_state(4, rng), random_state(4, rng))
+    assert is_product(halves).blocks == ((1, 2, 3, 4), (5, 6, 7, 8))
+    assert calls and all(calls)
 
 
 def test_equivalence_walks_both_fingerprints_in_one_stack(monkeypatch):

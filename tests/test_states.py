@@ -32,10 +32,12 @@ from stabscope.states import (
     _amplitude_matrices,
     _bipartition_sides,
     _correlation_components,
+    _sign_flip_planes,
     bit_table,
     bits_to_int,
     int_to_bits,
     numerical_rank,
+    reduced_states,
 )
 
 
@@ -139,6 +141,10 @@ def test_density_checks_hermiticity_and_trace():
     rho.validate()
     with pytest.raises(ValueError, match="negative eigenvalue"):
         DensityMatrix(np.diag([1.5, -0.5])).validate()
+    # a trace that is not positive cannot be rescaled to one
+    for bad in (np.zeros((4, 4)), -np.eye(4) / 4):
+        with pytest.raises(ValueError, match="not positive"):
+            DensityMatrix(bad)
 
 
 def test_partial_trace_of_product_recovers_factor():
@@ -426,3 +432,97 @@ def test_is_product_reads_connected_states_off_the_graph(monkeypatch):
     halves = tensor_product(random_state(6, rng), random_state(6, rng))
     assert is_product(halves).blocks == ((1, 2, 3, 4, 5, 6), (7, 8, 9, 10, 11, 12))
     assert len(purities) <= 2
+
+
+def _per_pair_components(psi, tol=NULL_TOL):
+    """The per-pair graph _correlation_components replaced: an edge where
+    ||rho_ij - rho_i (x) rho_j||_F, from the marginals, exceeds the bound;
+    components by union-find."""
+    n = psi.n
+    v = psi.vector[None]
+    bound = 6.0 * np.sqrt(2.0 ** (n // 2) - 1.0) * tol
+    single = [reduced_states(v, (i,))[0] for i in range(1, n + 1)]
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, j in combinations(range(n), 2):
+        corr = reduced_states(v, (i + 1, j + 1))[0].reshape(2, 2, 2, 2) - (
+            single[i][:, None, :, None] * single[j][None, :, None, :]
+        )
+        if np.vdot(corr, corr).real > bound**2:
+            root[find(i)] = find(j)
+    groups = {}
+    for q in range(n):
+        groups.setdefault(find(q), []).append(q + 1)
+    return sorted(tuple(g) for g in groups.values())
+
+
+def _near_cut_state(n):
+    """The state of test_no_edge_crosses_a_cut_that_is_pure_at_tol."""
+    rng = np.random.default_rng(100 + n)
+    k = n // 2
+    r = 2**k
+    s = np.full(r, 0.99 * NULL_TOL)
+    s[0] = 1.0
+    s /= np.linalg.norm(s)
+    ua = np.linalg.qr(rng.standard_normal((2**k, r)) + 1j * rng.standard_normal((2**k, r)))[0]
+    vb = np.linalg.qr(rng.standard_normal((2 ** (n - k), r)) + 1j * rng.standard_normal((2 ** (n - k), r)))[0]
+    psi = PureState((ua * s) @ vb.T)
+    return PureState(psi.tensor().transpose(rng.permutation(n)).reshape(-1))
+
+
+def _phase_chain(n, theta=1e-3):
+    """|+>^n under a controlled phase theta on each neighbouring pair: the
+    neighbour correlations (3.5e-4) lie above the bound and all others
+    (1.3e-7 at distance two) below it, so the graph is one path."""
+    bits = bit_table(n)
+    return PureState(np.exp(1j * theta * (bits[:, :-1] * bits[:, 1:]).sum(axis=1)) / 2 ** (n / 2))
+
+
+def _graph_corpus():
+    rng = np.random.default_rng(30)
+    states = [singlet_state(), tensor_product(singlet_state(), singlet_state())]
+    states += [_phase_chain(10), _phase_chain(12), _scramble(_phase_chain(12), rng)]
+    states += [canonical_four_qubit_state(0.5, 0.2), _scramble(canonical_four_qubit_state(0.5, 0.2), rng)]
+    states.append(tensor_product(_five_qubit_code_state(), ghz_state(3)))
+    for n in range(2, 13):
+        states.append(basis_state(rng.integers(0, 2, n)))
+        states += [_scramble(random_state(n, rng), rng), _scramble(ghz_state(n), rng), _scramble(w_state(n), rng)]
+        for beta in (1e-2, 1e-5, 3e-8, 1e-8, 3e-9):
+            states.append(_scramble(ghz_state(n, np.sqrt(1 - beta**2), beta), rng))
+        if n >= 4:
+            k = int(rng.integers(1, n // 2 + 1))
+            states.append(_scramble(tensor_product(random_state(k, rng), random_state(n - k, rng)), rng))
+            states.append(_near_cut_state(n))
+    return states
+
+
+def test_correlation_graph_matches_the_per_pair_reference():
+    states = _graph_corpus()
+    assert len(states) > 120
+    for psi in states:
+        assert _correlation_components(psi, NULL_TOL) == _per_pair_components(psi), psi.n
+    # a bound above every correlation leaves each qubit its own component
+    assert _correlation_components(ghz_state(4), 0.5) == [(1,), (2,), (3,), (4,)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_plane_gram_gives_every_pair_correlation(n):
+    # ||rho_ij - rho_i (x) rho_j||_F^2 = 1/4 sum_ab (G_ab - G_0a G_0b)^2 over
+    # the generators a of qubit i and b of qubit j, G the planes' Gram matrix
+    rng = np.random.default_rng(60 + n)
+    for psi in (random_state(n, rng), _scramble(ghz_state(n, 0.8, 0.6), rng), _scramble(w_state(n), rng)):
+        planes = _sign_flip_planes(psi.vector[None])[0]
+        gram = planes @ planes.T
+        v = psi.vector[None]
+        for i, j in combinations(range(n), 2):
+            corr = reduced_states(v, (i + 1, j + 1))[0] - np.kron(
+                reduced_states(v, (i + 1,))[0], reduced_states(v, (j + 1,))[0]
+            )
+            a, b = slice(1 + 3 * i, 4 + 3 * i), slice(1 + 3 * j, 4 + 3 * j)
+            schur = gram[a, b] - np.outer(gram[0, a], gram[0, b])
+            assert np.isclose(0.25 * np.sum(schur**2), np.vdot(corr, corr).real, rtol=1e-12, atol=1e-15)
