@@ -153,21 +153,11 @@ def cmd_orbit(args) -> int:
 
 def cmd_equiv(args) -> int:
     (spec_a, psi), (spec_b, phi) = _states(args, 2)
-    verdict = decide_equivalence(
-        psi,
-        phi,
-        tol=args.tol_equiv,
-        restarts=args.restarts,
-        seed=args.seed,
-        null_tol=args.tol_null,
-    )
-    payload = {"state_a": spec_a, "state_b": spec_b, **verdict.to_dict()}
-    _emit(args, payload)
-    if verdict.status == "equivalent":
-        return EXIT_OK
-    if verdict.status == "inequivalent":
-        return EXIT_FAIL
-    return EXIT_UNKNOWN
+    verdict = decide_equivalence(psi, phi, tol=args.tol_equiv, restarts=args.restarts,
+                                 seed=args.seed, null_tol=args.tol_null)
+    _emit(args, {"state_a": spec_a, "state_b": spec_b, **verdict.to_dict()})
+    codes = {"equivalent": EXIT_OK, "inequivalent": EXIT_FAIL}
+    return codes.get(verdict.status, EXIT_UNKNOWN)
 
 
 def cmd_invariants(args) -> int:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .states import (
     PureState,
+    _power_of_two_scaled,
     basis_state,
     canonical_four_qubit_state,
     ghz_state,
@@ -65,16 +66,12 @@ def _parse_bitstring(token: str, origin: str) -> tuple[int, int]:
 
 
 def _finalize(vec: np.ndarray, origin: str) -> PureState:
-    """Normalise vec.  It is first scaled by the power of two that brings its
-    largest real or imaginary part into [0.5, 1), so huge amplitudes do not
-    overflow the norm nor tiny ones underflow it.  Scaling by a power of two
-    is exact, so the result is the same to the last bit as plain
-    normalisation wherever that neither overflows nor underflows."""
-    parts = vec.view(np.float64)
-    top = np.abs(parts).max()
-    if top == 0:
+    """Normalise vec after an exact power-of-two scaling, so huge or tiny
+    amplitudes neither overflow nor underflow the norm; elsewhere the result
+    is plain normalisation to the last bit."""
+    if not vec.any():
         raise StateFormatError(f"{origin}: all amplitudes are zero")
-    vec = np.ldexp(parts, -math.frexp(top)[1]).view(np.complex128)
+    vec = _power_of_two_scaled(vec)[0]
     return PureState(vec / np.linalg.norm(vec))
 
 
@@ -262,7 +259,7 @@ def load_state(path: str) -> PureState:
     or line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise StateFormatError(f"{path}: {exc.strerror or exc}") from exc
@@ -371,16 +368,11 @@ def resolve_state(spec: str, rng=None) -> PureState:
 
 def state_to_dict(psi: PureState, cutoff: float = 1e-14) -> dict:
     """JSON-ready description of a state; amplitudes below cutoff are dropped."""
-    amps = []
-    for index in np.flatnonzero(np.abs(psi.vector) > cutoff):
-        value = psi.vector[index]
-        amps.append(
-            {
-                "index": format(index, f"0{psi.n}b"),
-                "re": float(value.real),
-                "im": float(value.imag),
-            }
-        )
+    vec = psi.vector
+    amps = [
+        {"index": format(i, f"0{psi.n}b"), "re": float(vec[i].real), "im": float(vec[i].imag)}
+        for i in np.flatnonzero(np.abs(vec) > cutoff)
+    ]
     return {"n": psi.n, "amplitudes": amps}
 
 

@@ -6,46 +6,32 @@ sum(i_k * 2**(n-k)), so qubit 1 is the most significant bit.  Amplitude
 vectors are dense complex128 arrays; the implementation targets desk scale
 (n up to about 12).
 
-The package has two kernels for one-qubit operators.  apply_matrix_to_qubit
-applies a 2x2 matrix to one qubit leg of any array whose first axis has
-length 2**n, and apply_factors one factor per qubit through it.  The
-local-unitary action, the canonicalisers and the equivalence witnesses all
-go through these two; density matrices are acted on from the left only, a
-right product being the adjoint of a left one (rho X = (X^dagger
-rho^dagger)^dagger).  _sign_flip_planes applies every generator of
-u(1) + su(2)^n at once: its 3n+1 planes are signed, bit-flipped copies of
-Re psi and Im psi, with no complex product.  The pure stabilizer map is
-built from them, the optimizer gradient reads its overlaps off them, and
-is_product reads its correlation graph off their Gram matrix.  The whole
-direct density map (stabilizer._density_planes) is built the same way from
-Re rho +- Im rho.
-
-reduced_states is the one place a reduced state is formed from amplitudes:
-the Gram matrices of the amplitude matrices of an (S, 2**n) stack of state
-vectors.  reduced_state, subset_purity_stack, the one-qubit eigenframes of
-the standard form and the polynomial invariants all take their marginals
-from it.  The invariant fingerprint forms only its largest sides here and
-takes each smaller one as a partial trace of a larger one
-(invariants._purity_table).
-subset_purity_stack is the stacked form of subset_purity, which is a stack
-of one.  The other per-state kernels (the pure stabilizer solve, the
-invariant fingerprint) have stacked forms of the same shape.
-STACK_AMPLITUDES bounds how many amplitudes one chunk of a stack holds.
+Kernels.  apply_matrix_to_qubit applies a 2x2 matrix to one qubit leg of
+any array whose first axis has length 2**n (a density matrix from the left;
+a right product is the adjoint of a left one), and apply_factors one factor
+per qubit; the local-unitary action, the canonicalisers and the equivalence
+witnesses all go through them.  _sign_flip_planes applies every generator
+of u(1) + su(2)^n at once, as signed, bit-flipped copies of Re psi and
+Im psi: the pure stabilizer map, the optimizer gradient and is_product's
+correlation graph read them, and stabilizer._density_planes builds the
+direct density map the same way from Re rho +- Im rho.  reduced_states
+forms reduced states from amplitudes: the Gram matrices of the amplitude
+matrices of an (S, 2**n) stack.  Every marginal comes from it but the
+product test's, which takes the SVD of the same amplitude matrix; the
+invariant fingerprint forms only its largest sides there and takes the
+smaller ones as partial traces (invariants._purity_table).  subset_purity
+and the other per-state kernels are stacks of one of their stacked forms,
+whose chunks hold at most STACK_AMPLITUDES amplitudes.
 
 The package has one numerical zero: numerical_rank's relative cut at
 NULL_TOL, which decides the stabilizer rank, the Schmidt rank in is_product
 and the vanishing of canonical amplitudes, all linear in what vanishes.
-
 is_product reads product structure off the two-qubit correlation graph,
-every weight of which is an entry of the Gram matrix of the generator
-planes, and whose edge bound is derived from the same cut so that no edge
-crosses a pure cut.  A connected graph means nonproduct with no reduced
-state and no Schmidt decomposition at all; otherwise only cuts between
-components are tested.  States whose two-qubit marginals carry no
-correlation above the bound, such as 2-uniform states, fall back to testing
-every bipartition.
+whose edge bound is derived from that cut so that no edge crosses a pure
+cut, and tests only cuts between its components.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cache
@@ -107,6 +93,14 @@ def _stack_qubits(vectors: np.ndarray) -> int:
     return n
 
 
+def _power_of_two_scaled(vec: np.ndarray) -> tuple[np.ndarray, int]:
+    """(vec 2**-e, e), the largest real or imaginary part in [0.5, 1): an
+    exact scaling whose norm neither overflows nor underflows."""
+    parts = np.ascontiguousarray(vec, dtype=np.complex128).view(np.float64)
+    exponent = math.frexp(np.abs(parts).max())[1]
+    return np.ldexp(parts, -exponent).view(np.complex128), exponent
+
+
 def _check_subset(n: int, subset) -> tuple[int, ...]:
     subset = tuple(subset)
     if len(subset) == 0:
@@ -127,8 +121,9 @@ class PureState:
     vector : array_like
         2**n complex amplitudes in the index convention above.  The vector is
         copied, and renormalized with a warning if its norm misses 1 by more
-        than NORM_TOL.  The zero vector and vectors with a NaN or infinite
-        amplitude are rejected.
+        than NORM_TOL; a vector whose squared norm would overflow or
+        underflow is first scaled by a power of two.  The zero vector and
+        vectors with a NaN or infinite amplitude are rejected.
     """
 
     vector: np.ndarray
@@ -139,14 +134,20 @@ class PureState:
         n = vec.size.bit_length() - 1
         if n < 1 or vec.size != 1 << n:
             raise ValueError(f"amplitude count {vec.size} is not 2**n with n >= 1")
-        nrm = np.linalg.norm(vec)
-        if nrm == 0.0:
-            raise ValueError("zero vector is not a state")
-        if not np.isfinite(nrm):
-            raise ValueError("amplitudes must be finite")
+        # the plain norm overflows, or loses precision below tiny, on some finite vectors
+        with np.errstate(over="ignore"):
+            nrm = scale = np.linalg.norm(vec)
+        if not np.finfo(np.float64).tiny <= nrm * nrm < np.inf:
+            if not np.isfinite(vec).all():
+                raise ValueError("amplitudes must be finite")
+            if not vec.any():
+                raise ValueError("zero vector is not a state")
+            vec, exponent = _power_of_two_scaled(vec)
+            scale = np.linalg.norm(vec)
+            nrm = np.ldexp(scale, exponent)
         if abs(nrm - 1.0) > NORM_TOL:
             warnings.warn(f"renormalizing input state (norm was {nrm:.6g})")
-            vec = vec / nrm
+            vec = vec / scale
         vec.flags.writeable = False
         object.__setattr__(self, "vector", vec)
         object.__setattr__(self, "n", n)
@@ -365,20 +366,36 @@ def _bipartition_sides(n: int):
 
 
 def _pure_side(psi: PureState, subset: tuple[int, ...], tol: float) -> bool:
-    """Whether the cut between subset and the rest is pure at tol.
+    """Whether the cut between subset and the rest is pure at tol: the
+    singular values s0 >= s1 >= ... of the amplitude matrix M of its smaller
+    side (of two halves, the one holding qubit 1), with k qubits, have
+    numerical rank 1 at tol.
 
-    The cut is pure when its Schmidt coefficients, the singular values of
-    the amplitude matrix, have numerical rank 1 at tol.  Both sides share
-    them, so the smaller side is used (of two halves, the one holding qubit
-    1).  The Gram purity screens first: with k qubits on that side and
-    second Schmidt coefficient s1, 1 - purity <= 2^(k+1) s1^2, so a deficit
-    above max(tol, 2^(k+1) tol^2) puts s1 above tol without an SVD.
+    The Gram matrix G = M M^dagger screens first, relative to the trace
+    t = tr G = ||M||_F^2 = sum s_i^2, so that the NORM_TOL slack PureState
+    leaves in the norm cannot pass for mixedness.  If s1 <= tol s0, the
+    weights p_i = s_i^2 / t give 1 - p0 <= (2^k - 1) tol^2, so
+    d = 1 - tr(G^2) / t^2 = 1 - sum p_i^2 <= 2 (1 - p0) < 2^(k+1) tol^2: a
+    computed d above that plus its rounding floor proves s1 > tol s0, and
+    only the other cuts take the SVD of M.  To first order in u = eps/2:
+    Re and Im of each entry of G are dot products of length 2^(n-k+1), so
+    tr(G^2) errs by at most 6 2^(n-k) u t^2; summing its 2 4^k squares
+    costs 2 4^k u, t^2 from the 2^(n+1) squares of M (2^(n+2) + 1) u, the
+    division u.  The total, (3 2^(n-k) + 2^(n+1) + 4^k + 1) eps, is below
+    3.5 (2^n + 4^k) eps; the floor 4 (2^n + 4^k) eps also covers the
+    second-order terms.
     """
-    if 2 * len(subset) > psi.n or (2 * len(subset) == psi.n and 1 not in subset):
-        subset = tuple(j for j in range(1, psi.n + 1) if j not in subset)
-    if 1.0 - subset_purity(psi, subset) > max(tol, 2.0 ** (len(subset) + 1) * tol**2):
+    n = psi.n
+    if 2 * len(subset) > n or (2 * len(subset) == n and 1 not in subset):
+        subset = tuple(j for j in range(1, n + 1) if j not in subset)
+    k = len(subset)
+    amplitudes = _amplitude_matrices(psi.vector[None], subset)[0]
+    gram = amplitudes @ amplitudes.conj().T
+    deficit = 1.0 - np.vdot(gram, gram).real / np.vdot(amplitudes, amplitudes).real ** 2
+    floor = 4.0 * (2.0**n + 4.0**k) * np.finfo(np.float64).eps
+    if deficit > 2.0 ** (k + 1) * tol**2 + floor:
         return False
-    schmidt = np.linalg.svd(_amplitude_matrices(psi.vector[None], subset)[0], compute_uv=False)
+    schmidt = np.linalg.svd(amplitudes, compute_uv=False)
     return numerical_rank(schmidt, tol) == 1
 
 
@@ -427,7 +444,8 @@ def is_product(psi: PureState, tol: float = NULL_TOL) -> FactorizationReport:
     not of qubits, are tested and the blocks assembled from the pure sides.
     Edges missed because a correlation is quadratic in a small amplitude,
     or absent as in 2-uniform states, only cost time: that fallback then
-    tests up to every qubit bipartition.
+    tests up to every qubit bipartition, each on one amplitude matrix whose
+    Gram screen (_pure_side) leaves an SVD only to cuts near pure.
     """
     components = _correlation_components(psi, tol)
     # the fallback meets each single component again as a side
@@ -501,8 +519,7 @@ def w_state(n: int) -> PureState:
     if n < 2:
         raise ValueError("w_state needs n >= 2")
     vec = np.zeros(2**n, dtype=np.complex128)
-    for j in range(n):
-        vec[1 << j] = 1.0
+    vec[1 << np.arange(n)] = 1.0
     return PureState(vec / np.sqrt(n))
 
 

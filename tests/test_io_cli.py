@@ -279,6 +279,16 @@ def test_load_state_sniffs_format(tmp_path):
         load_state(str(tmp_path / "missing.txt"))
 
 
+def test_load_state_skips_a_byte_order_mark(tmp_path):
+    psi = random_state(4, np.random.default_rng(4))
+    for name, text in (("a.json", json.dumps(state_to_dict(psi))), ("a.txt", state_to_text(psi))):
+        plain, marked = tmp_path / name, tmp_path / f"bom_{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert load_state(str(marked)).vector.tobytes() == load_state(str(plain)).vector.tobytes()
+
+
 def test_cli_analyze_and_classify_json(capsys):
     assert main(["analyze", "--state", "ghz:3", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

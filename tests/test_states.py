@@ -61,6 +61,24 @@ def test_pure_state_normalizes_with_warning():
     assert np.isclose(np.linalg.norm(psi.vector), 1.0)
 
 
+def test_pure_state_normalizes_huge_and_tiny_vectors():
+    # squares of these overflow, underflow to zero, or fall below the
+    # smallest normal number; powers of two scale exactly, so each gives
+    # the unscaled vector's state to the last bit
+    vec = np.array([3.0, 4.0j, 0.0, -12.0])
+    expected = PureState(vec / 13).vector
+    for exponent in (700, -600, -520):
+        with pytest.warns(UserWarning, match="renormalizing"):
+            psi = PureState(vec * 2.0**exponent)
+        assert psi.vector.tobytes() == expected.tobytes(), exponent
+    for amplitude in (1e200, 1e-200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            psi = PureState([amplitude, amplitude])
+        assert np.allclose(psi.vector, np.sqrt(0.5), rtol=0, atol=1e-15)
+
+
 def test_pure_state_rejects_zero_and_bad_shape():
     with pytest.raises(ValueError):
         PureState(np.zeros(4, dtype=complex))
@@ -382,6 +400,69 @@ def test_is_product_matches_the_schmidt_rule_enumeration():
     states += [code, _scramble(code, rng), tensor_product(code, ghz_state(3))]
     for psi in states:
         assert is_product(psi).blocks == _schmidt_rule_blocks(psi)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_is_product_matches_the_schmidt_rule_on_ghz_beyond_eight_qubits(n):
+    # beta = 1e-2 joins the graph; 1e-5 leaves every qubit its own component
+    # and the screen rejects every cut of the fallback; 3e-9 is below tol and
+    # below the rounding floor, so its cuts take the SVD and come out pure
+    rng = np.random.default_rng(90 + n)
+    for beta in (1e-2, 1e-5, 3e-9):
+        psi = _scramble(ghz_state(n, np.sqrt(1 - beta**2), beta), rng)
+        assert is_product(psi).blocks == _schmidt_rule_blocks(psi), beta
+
+
+def test_near_unit_norm_keeps_the_blocks():
+    # PureState keeps a norm within NORM_TOL of 1 as given: the screen must
+    # read 1 - 1e-10 of squared norm as scale, not as mixedness of a side
+    rng = np.random.default_rng(33)
+    halves = tensor_product(random_state(3, rng), random_state(3, rng))
+    singlets = tensor_product(singlet_state(), singlet_state())
+    for psi, blocks in (
+        (halves, ((1, 2, 3), (4, 5, 6))),
+        (singlets, ((1, 2), (3, 4))),
+        (apply_local_unitary(haar_random_local_unitary(6, rng), halves), ((1, 2, 3), (4, 5, 6))),
+    ):
+        for scale in (1 - 5e-11, 1 + 5e-11):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled = PureState(psi.vector * scale)
+            assert abs(np.linalg.norm(scaled.vector) - 1) > 4e-11
+            assert is_product(scaled).blocks == blocks
+
+
+def test_fallback_forms_one_amplitude_matrix_per_cut(monkeypatch):
+    # a GHZ10 orbit point with beta = 1e-5 has no edge, so every one of its
+    # 511 bipartitions is tested; each is rejected on its Gram deficit
+    calls = {"side": 0, "amplitudes": 0, "purity": 0, "svd": 0}
+    pure_side, amplitudes = states_module._pure_side, states_module._amplitude_matrices
+    svd = np.linalg.svd
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(states_module, "_pure_side", counted("side", pure_side))
+    monkeypatch.setattr(states_module, "_amplitude_matrices", counted("amplitudes", amplitudes))
+    for name in ("subset_purity", "subset_purity_stack", "reduced_states"):
+        monkeypatch.setattr(states_module, name, counted("purity", getattr(states_module, name)))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    rng = np.random.default_rng(10)
+    beta = 1e-5
+    psi = _scramble(ghz_state(10, np.sqrt(1 - beta**2), beta), rng)
+    assert is_product(psi).blocks == (tuple(range(1, 11)),)
+    assert calls == {"side": 511, "amplitudes": 511, "purity": 0, "svd": 0}
+    # below tol and below the rounding floor the cuts still take the SVD
+    for key in calls:
+        calls[key] = 0
+    beta = 3e-9
+    psi = _scramble(ghz_state(12, np.sqrt(1 - beta**2), beta), rng)
+    assert is_product(psi).blocks == tuple((q,) for q in range(1, 13))
+    assert calls == {"side": 12, "amplitudes": 12, "purity": 0, "svd": 12}
 
 
 def test_two_uniform_state_has_no_edges_and_takes_the_fallback():
