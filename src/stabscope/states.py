@@ -171,28 +171,34 @@ class DensityMatrix:
     eigenvalue check is deferred to validate() for use in tests.  The direct
     density stabilizer solve does not rely on positivity: it accepts a
     low-rank factor of rho only after an explicit Frobenius residual check,
-    and solves the whole commutator map otherwise.
+    and solves the whole commutator map otherwise.  Construction copies the
+    input once and forms m - m^dagger on one transposed copy (2.62 MB traced
+    peak at n = 8).
     """
 
     matrix: np.ndarray
     n: int = 0
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.complex128).copy()
+        mat = np.array(self.matrix, dtype=np.complex128, order="C")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"square matrix required, got shape {mat.shape}")
         n = mat.shape[0].bit_length() - 1
         if n < 1 or mat.shape[0] != 1 << n:
             raise ValueError(f"dimension {mat.shape[0]} is not 2**n with n >= 1")
+        # a ufunc reading mat.T in place strides by a whole row per entry
+        diff = mat.T.copy()
+        np.conjugate(diff, out=diff)
+        np.subtract(mat, diff, out=diff)
         # written so that a NaN entry fails it too
-        if not np.max(np.abs(mat - mat.conj().T)) <= 100 * NORM_TOL:
+        if not np.max(np.abs(diff)) <= 100 * NORM_TOL:
             raise ValueError("matrix is not Hermitian with finite entries")
         tr = np.trace(mat).real
         if not tr > 0.0:
             raise ValueError(f"trace {tr:.6g} is not positive")
         if abs(tr - 1.0) > NORM_TOL:
             warnings.warn(f"rescaling density matrix (trace was {tr:.6g})")
-            mat = mat / tr
+            mat /= tr
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "n", n)

@@ -36,11 +36,14 @@ from stabscope.stabilizer import (
     NULL_TOL,
     QR_BLOCK_BYTES,
     QR_CALL_BYTES,
+    RANGE_ROUTE_RATIO,
     _density_planes,
     _drop_phase,
     _null_spaces,
     _range_factor,
+    _residual_norm,
 )
+from stabscope.selftest import _ghz_corpus, _haar_corpus
 from stabscope.states import _sign_flip_planes, numerical_rank
 
 
@@ -634,8 +637,10 @@ def test_large_density_maps_factorise_only_their_compression(monkeypatch):
 
 
 def test_rank_one_direct_solve_at_n_8_holds_an_eighth_of_a_map():
-    # the whole map would be 3n * 4**n float64; the factor's residual,
-    # 4**n complex entries, is the largest array of the range route
+    # the whole map would be 3n * 4**n float64 and rho holds 4**n complex
+    # entries; the range route forms the factor's residual in row blocks of
+    # QR_BLOCK_BYTES, so its largest arrays are the compression's, and it
+    # peaks at 0.66 MB, below three quarters of rho
     rng = np.random.default_rng(8)
     rho = to_density(apply_local_unitary(haar_random_local_unitary(8, rng), ghz_state(8, 0.8, 0.6)))
     tracemalloc.start()
@@ -644,7 +649,75 @@ def test_rank_one_direct_solve_at_n_8_holds_an_eighth_of_a_map():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert k.dim == 7 and peak <= 24 * 4**8 * 8 / 8
+    assert k.dim == 7 and peak <= 4**8 * 16 * 3 / 4
+
+
+def _whole_residual_norm(matrix, cols):
+    """||matrix - L L^dagger||_F from one residual of all 4**n entries."""
+    residual = cols.T @ cols.conj()
+    np.subtract(matrix, residual, out=residual)
+    return float(np.sqrt(np.vdot(residual, residual).real))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_blocked_residual_matches_the_whole_residual(n):
+    # one row block up to n = 7, so the same bits; from n = 8 on the blocks'
+    # sums add in another order
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(90 + n)
+    d = 2**n
+    r_max = max(1, int(RANGE_ROUTE_RATIO * d) // (3 * n + 1))
+    cases = []
+    for r in range(1, r_max + 1):
+        factor = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+        rho = factor @ factor.conj().T
+        rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+        cols = _range_factor(rho, r)
+        assert len(cols) == r
+        noise = 1e-9 * rng.standard_normal((d, d))
+        cases += [(rho, cols), (rho + noise + noise.T, cols)]
+    # Hermitian, not positive: the first pivot leaves a zero diagonal and a
+    # remainder off it
+    indefinite = np.zeros((d, d), dtype=complex)
+    indefinite[0, 0] = 1.0
+    indefinite[1, d - 1] = indefinite[d - 1, 1] = 1e-9
+    cols = _range_factor(indefinite, r_max)
+    assert len(cols) == 1
+    assert _residual_norm(indefinite, cols) == pytest.approx(np.sqrt(2.0) * 1e-9, rel=1e-12)
+    cases.append((indefinite, cols))
+    for matrix, cols in cases:
+        got, whole = _residual_norm(matrix, cols), _whole_residual_norm(matrix, cols)
+        if n <= 7:
+            assert got == whole
+        else:
+            assert abs(got - whole) <= 4 * eps * np.linalg.norm(matrix)
+
+
+def _range_route_inputs():
+    """The density inputs at n = 8 of criterion 3 (its GHZ corpus) and of
+    _oracle_cases.  Criteria 2 and 9 and the rest of criterion 3 solve at
+    n <= 6, where the blocked residual is the whole one bit for bit."""
+    rhos = [to_density(psi) for n, _, _, psi in _ghz_corpus(0) if n == 8]
+    return rhos + [rho for _, rho, _ in _oracle_cases() if rho.n == 8]
+
+
+def test_blocked_residual_keeps_every_route(monkeypatch):
+    whole = []
+    density_planes = stabilizer_module._density_planes
+    monkeypatch.setattr(stabilizer_module, "_density_planes", lambda rho: whole.append(rho) or density_planes(rho))
+    rhos = _range_route_inputs()
+    routes = []
+    for residual_norm in (_residual_norm, _whole_residual_norm):
+        monkeypatch.setattr(stabilizer_module, "_residual_norm", residual_norm)
+        whole.clear()
+        for rho in rhos:
+            stabilizer_density(rho, method="direct")
+        routes.append([rho in whole for rho in rhos])
+    # every input of rank up to r_max = 4 takes the range route; the
+    # maximally mixed state takes the whole map
+    assert routes[0] == routes[1] and len(rhos) > 420 and sum(routes[0]) == 1
+    # criteria 2 and 9 and criterion 3's family and Haar states have n <= 4
+    assert max(psi.n for psi in _haar_corpus(0)) == 4 and int(RANGE_ROUTE_RATIO * 2**5) // 16 == 0
 
 
 def _planted_maps(rows, k, kernel_dims, rng):

@@ -28,6 +28,7 @@ from stabscope import (
 )
 from stabscope import states as states_module
 from stabscope.states import (
+    NORM_TOL,
     NULL_TOL,
     _amplitude_matrices,
     _bipartition_sides,
@@ -163,6 +164,73 @@ def test_density_checks_hermiticity_and_trace():
     for bad in (np.zeros((4, 4)), -np.eye(4) / 4):
         with pytest.raises(ValueError, match="not positive"):
             DensityMatrix(bad)
+
+
+def _reference_density_check(x):
+    """The stored matrix, or the error message, by the whole-matrix check
+    np.max(np.abs(m - m.conj().T)) <= 100 * NORM_TOL."""
+    mat = np.asarray(x, dtype=np.complex128).copy()
+    if not np.max(np.abs(mat - mat.conj().T)) <= 100 * NORM_TOL:
+        return "matrix is not Hermitian with finite entries"
+    tr = np.trace(mat).real
+    if not tr > 0.0:
+        return f"trace {tr:.6g} is not positive"
+    return mat / tr if abs(tr - 1.0) > NORM_TOL else mat
+
+
+def _hermiticity_cases(n, rng):
+    d = 2**n
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    yield "hermitian", rho
+    yield "hermitian:off_trace", 3.0 * rho
+    yield "hermitian:fortran", np.asfortranarray(rho)
+    yield "indefinite", rho - np.eye(d) / (2 * d)
+    cut = 100 * NORM_TOL
+    for scale in (0.99, 1.01):
+        for row, col in ((0, d - 1), (d - 1, 0)):
+            for phase in (1.0, 1j, np.exp(0.7j)):
+                bad = rho.copy()
+                bad[row, col] += scale * cut * phase
+                yield f"asymmetric:{scale}:{row},{col}:{phase}", bad
+    for value in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf)):
+        for row, col in ((d - 1, 0), (0, d - 1)):
+            bad = rho.copy()
+            bad[row, col] = value
+            yield f"non_finite:{value}:{row},{col}", bad
+    real = (g + g.T).real
+    yield "float64", real @ real.T / np.trace(real @ real.T)
+    yield "float64:asymmetric", np.triu(real @ real.T) / np.trace(real @ real.T)
+    yield "complex64", rho.astype(np.complex64)
+    yield "complex64:off_trace", (5.0 * rho).astype(np.complex64)
+    yield "int", np.eye(d, dtype=np.int64)
+    yield "int:asymmetric", np.eye(d, dtype=np.int64) + np.eye(d, k=1, dtype=np.int64)
+    yield "int:zero_trace", np.zeros((d, d), dtype=np.int32)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_density_check_matches_the_whole_matrix_reference(n):
+    # verdict, message, warning and stored bits against the reference check
+    for name, x in _hermiticity_cases(n, np.random.default_rng(70 + n)):
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("ignore")
+            expected = _reference_density_check(x)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(invalid="ignore"):
+            warnings.simplefilter("always")
+            try:
+                got = DensityMatrix(x).matrix
+            except ValueError as exc:
+                got = str(exc)
+        if isinstance(expected, str):
+            assert got == expected, name
+            continue
+        assert isinstance(got, np.ndarray) and got.flags.c_contiguous and not got.flags.writeable, name
+        assert got.dtype == np.complex128 and got.tobytes() == expected.tobytes(), name
+        rescaled = abs(np.trace(np.asarray(x, np.complex128)).real - 1.0) > NORM_TOL
+        assert [str(w.message).startswith("rescaling") for w in caught] == ([True] if rescaled else []), name
+        if not rescaled:
+            assert got.tobytes() == np.asarray(x, np.complex128).tobytes(), name
 
 
 def test_partial_trace_of_product_recovers_factor():
