@@ -12,15 +12,18 @@ and plain text, one ket per line with `#` starting a comment:
     111  0.7071  0.0
 
 Omitted indices are zero; the vector is normalized on load.  Amplitudes must
-be finite numbers and each ket may appear once.  Built-in named
-states (ghz:n[:alpha], w:n, canon4:a:b_re[:b_im], singlets, haar:n, basis:bits)
-cover the self-test without data files.
+be finite numbers and each ket may appear once.  Each format has one parser,
+which reads whole columns; a file it declines is walked entry by entry or line
+by line only to name the first error.  Built-in named states (ghz:n[:alpha],
+w:n, canon4:a:b_re[:b_im], singlets, haar:n, basis:bits) cover the self-test
+without data files.
 """
 
 import json
 import math
 import os
 from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -97,10 +100,9 @@ def _read_json(text: str, origin: str) -> tuple[int, list]:
     return n, entries
 
 
-def _json_vector(n: int, entries: list, origin: str) -> np.ndarray:
-    """Amplitude vector of the JSON entries, checked one entry at a time;
-    raises on the first entry that is not valid."""
-    vec = np.zeros(2**n, dtype=np.complex128)
+def _json_error(n: int, entries: list, origin: str) -> NoReturn:
+    """Raise the error of the first invalid entry, or with none the error of
+    an empty list, the only other list _json_vector declines."""
     seen = set()
     for pos, entry in enumerate(entries):
         where = f"{origin}: amplitudes[{pos}]"
@@ -128,21 +130,12 @@ def _json_vector(n: int, entries: list, origin: str) -> np.ndarray:
             finite = False
         if not finite:
             raise StateFormatError(f"{where}: 're'/'im' must be finite numbers")
-        vec[index] = complex(re, im)
-    return vec
+    raise StateFormatError(f"{origin}: all amplitudes are zero")
 
 
-def parse_state_json(text: str, origin: str = "<json>") -> PureState:
-    """Parse a JSON state one entry at a time, reporting the first entry
-    that is not valid."""
-    n, entries = _read_json(text, origin)
-    return _finalize(_json_vector(n, entries, origin), origin)
-
-
-def parse_state_text(text: str, origin: str = "<text>") -> PureState:
-    """Parse a text state one line at a time, reporting the first line that
-    is not valid."""
-    vec = None
+def _text_error(text: str, origin: str) -> NoReturn:
+    """Raise the error of the first invalid line, or with none the error of
+    a text without amplitude lines, the only other text _text_vector declines."""
     n = None
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -157,7 +150,6 @@ def parse_state_text(text: str, origin: str = "<text>") -> PureState:
         if n is None:
             n = width
             _check_qubits(n, where)
-            vec = np.zeros(2**n, dtype=np.complex128)
         elif width != n:
             raise StateFormatError(f"{where}: bitstring has {width} bits, expected {n}")
         if index in seen:
@@ -170,10 +162,7 @@ def parse_state_text(text: str, origin: str = "<text>") -> PureState:
             raise StateFormatError(f"{where}: amplitudes must be numbers") from exc
         if not (math.isfinite(re) and math.isfinite(im)):
             raise StateFormatError(f"{where}: amplitudes must be finite numbers")
-        vec[index] = complex(re, im)
-    if vec is None:
-        raise StateFormatError(f"{origin}: no amplitude lines found")
-    return _finalize(vec, origin)
+    raise StateFormatError(f"{origin}: no amplitude lines found")
 
 
 def _bitstring_indices(tokens: list, n: int) -> np.ndarray | None:
@@ -187,7 +176,7 @@ def _bitstring_indices(tokens: list, n: int) -> np.ndarray | None:
     return bits @ (1 << np.arange(n - 1, -1, -1))
 
 
-def _bulk_vector(n: int, index: np.ndarray | None, parts) -> np.ndarray | None:
+def _columns_vector(n: int, index: np.ndarray | None, parts) -> np.ndarray | None:
     """Vector with the amplitudes parts (re and im interleaved, as numbers
     or number strings) at index, or None unless the indices are distinct and
     every part is a finite number."""
@@ -204,13 +193,11 @@ def _bulk_vector(n: int, index: np.ndarray | None, parts) -> np.ndarray | None:
     return vec
 
 
-def _bulk_text_vector(text: str) -> np.ndarray | None:
-    """The amplitudes parse_state_text reads from text, taken in whole
-    columns, or None for any text this pass does not accept as it stands.
-
-    The tokens are collected into one list rather than a list per line, so
-    a large file leaves no thousands of containers for the garbage collector
-    to trace."""
+def _text_vector(text: str) -> np.ndarray | None:
+    """The amplitudes of a text state, taken in whole columns, or None when
+    the text has no amplitude line or an invalid one.  The tokens go into one
+    list, not a list per line, so a large file leaves the garbage collector
+    no thousands of containers to trace."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] if "#" in line else line for line in lines]
@@ -226,12 +213,14 @@ def _bulk_text_vector(text: str) -> np.ndarray | None:
     n = len(bits[0])
     if n > MAX_QUBITS:
         return None
-    return _bulk_vector(n, _bitstring_indices(bits, n), flat)
+    return _columns_vector(n, _bitstring_indices(bits, n), flat)
 
 
-def _bulk_json_vector(n: int, entries: list) -> np.ndarray | None:
-    """The amplitudes _json_vector reads from entries, taken in whole
-    columns, or None for any entries this pass does not accept as they stand."""
+def _json_vector(n: int, entries: list) -> np.ndarray | None:
+    """The amplitudes of the JSON entries, taken in whole columns, or None
+    when the list is empty or an entry is invalid.  Only a file that mixes
+    integer indices with bitstrings has them written as bitstrings, and
+    bitstrings are stripped only when they do not read as they stand."""
     if set(map(type, entries)) != {dict}:
         return None
     tokens = [entry.get("index") for entry in entries]
@@ -241,38 +230,45 @@ def _bulk_json_vector(n: int, entries: list) -> np.ndarray | None:
     if not set(map(type, re)) | set(map(type, im)) <= {int, float}:
         return None
     kinds = set(map(type, tokens))
-    if kinds == {str}:
+    if kinds == {int}:
+        index = np.array(tokens) if min(tokens) >= 0 and max(tokens) < 2**n else None
+    elif kinds <= {int, str}:
+        if int in kinds:  # a negative or too large integer gets a wrong width
+            tokens = [token if type(token) is str else format(token, f"0{n}b") for token in tokens]
         index = _bitstring_indices(tokens, n)
-    elif kinds == {int} and min(tokens) >= 0 and max(tokens) < 2**n:
-        index = np.array(tokens)
+        if index is None:
+            index = _bitstring_indices([token.strip() for token in tokens], n)
     else:
         return None
-    return _bulk_vector(n, index, chain.from_iterable(zip(re, im)))
+    return _columns_vector(n, index, chain.from_iterable(zip(re, im)))
+
+
+def parse_state_json(text: str, origin: str = "<json>") -> PureState:
+    """Parse a JSON state; an invalid one is reported by its first bad entry."""
+    n, entries = _read_json(text, origin)
+    vec = _json_vector(n, entries)
+    if vec is None:
+        _json_error(n, entries, origin)
+    return _finalize(vec, origin)
+
+
+def parse_state_text(text: str, origin: str = "<text>") -> PureState:
+    """Parse a text state; an invalid one is reported by its first bad line."""
+    vec = _text_vector(text)
+    if vec is None:
+        _text_error(text, origin)
+    return _finalize(vec, origin)
 
 
 def load_state(path: str) -> PureState:
-    """Load a state file, sniffing JSON versus text from the first character.
-
-    Well-formed files are read in whole columns.  Anything else goes to
-    parse_state_json or parse_state_text, which accept the same files, give
-    the same vectors to the last bit, and report the first offending entry
-    or line.
-    """
+    """Load a state file, sniffing JSON versus text from the first character."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise StateFormatError(f"{path}: {exc.strerror or exc}") from exc
-    if text.lstrip().startswith("{"):
-        n, entries = _read_json(text, path)
-        vec = _bulk_json_vector(n, entries)
-        if vec is None:
-            vec = _json_vector(n, entries, path)
-    else:
-        vec = _bulk_text_vector(text)
-        if vec is None:
-            return parse_state_text(text, origin=path)
-    return _finalize(vec, path)
+    parse = parse_state_json if text.lstrip().startswith("{") else parse_state_text
+    return parse(text, path)
 
 
 def _spec_fields(spec: str, name: str, minimum: int, maximum: int) -> list[str]:
@@ -356,11 +352,10 @@ def named_state(spec: str, rng=None) -> PureState:
 
 def resolve_state(spec: str, rng=None) -> PureState:
     """Interpret a CLI state argument as a named state or a file path."""
-    name = spec.split(":", 1)[0]
-    if name in NAMED_PREFIXES and not os.path.exists(spec):
-        return named_state(spec, rng)
     if os.path.exists(spec):
         return load_state(spec)
+    if spec.split(":", 1)[0] in NAMED_PREFIXES:
+        return named_state(spec, rng)
     raise StateFormatError(
         f"{spec!r} is neither a named state ({', '.join(NAMED_PREFIXES)}) nor an existing file"
     )

@@ -294,6 +294,48 @@ def test_canonicaliser_failure_downgrades_classify_and_falls_through_in_equiv(
     assert verdict.decided_by != "canonical_form"
 
 
+def _pattern_rows(n: int, qubit_sets) -> np.ndarray:
+    """Orthonormal pure-ambient rows: row k spreads the k-th Pauli direction
+    (x, y or z) equally over its set of qubits."""
+    rows = np.zeros((len(qubit_sets), 3 * n + 1))
+    for k, qubits in enumerate(qubit_sets):
+        for j in qubits:
+            rows[k, 1 + 3 * (j - 1) + k % 3] = 1.0 / np.sqrt(len(qubits))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "n, qubit_sets, proj_dims",
+    [
+        (3, [(1,), (1,)], (2, 0, 0)),
+        (4, [(1, 2, 3)] * 3, (3, 3, 3, 0)),
+        (5, [(1,), (1,), (2,), (3, 4, 5)], (2, 1, 1, 1, 1)),
+    ],
+    ids=["n3", "n4_near_family", "n5"],
+)
+def test_classify_flags_an_unrecognized_maximal_pattern(n, qubit_sets, proj_dims, monkeypatch):
+    # no state reaches this branch, so the solver is replaced by one that
+    # returns a basis of the maximal dimension n - 1 with another pattern
+    rows = _pattern_rows(n, qubit_sets)
+    basis = StabilizerBasis("pure", n, rows, np.zeros(rows.shape[1]), np.inf)
+    assert basis.dim == n - 1 and basis.proj_dims == proj_dims
+    monkeypatch.setattr(sys.modules["stabscope.classify"], "stabilizer_pure", lambda *a: basis)
+    rep = classify(ghz_state(n))
+    assert rep.verdict == "max_stab_but_unrecognized"
+    assert rep.stab_dim == n - 1 and rep.proj_dims == proj_dims
+    assert len(rep.notes) == 1 and "unrecognized projection pattern" in rep.notes[0]
+    payload = rep.to_dict()
+    assert set(payload) == {
+        "n", "verdict", "stab_dim", "proj_dims", "algebra_type", "product_structure", "alpha",
+        "beta", "a", "b_re", "b_im", "ambiguous", "residual", "notes",
+    }
+    assert payload["verdict"] == "max_stab_but_unrecognized"
+    assert payload["product_structure"] == "nonproduct"
+    assert payload["proj_dims"] == list(proj_dims)
+    assert payload["notes"] == list(rep.notes)
+    assert all(payload[key] is None for key in ("alpha", "beta", "a", "b_re", "b_im", "residual"))
+
+
 def test_classify_product_and_small_states():
     rep = classify(tensor_product(basis_state([0]), ghz_state(3)))
     assert rep.verdict == "not_max_stab"

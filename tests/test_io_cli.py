@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import warnings
 
 import numpy as np
@@ -32,6 +33,8 @@ from stabscope import (
 )
 from stabscope import selftest
 from stabscope.cli import build_parser, main
+from stabscope.io import _check_qubits, _parse_bitstring
+from stabscope.states import _power_of_two_scaled
 
 
 def test_json_round_trip():
@@ -138,10 +141,133 @@ def _valid_file(rng, n: int, fmt: str) -> str:
     return json.dumps({"n": n, "amplitudes": entries})
 
 
-def _strict_parse(text: str, origin: str) -> PureState:
+# The line-by-line builders that stabscope.io used before its columnar pass
+# became the only parser, kept here as an independent reference: one entry
+# or line at a time, raising on the first one that is not valid.
+
+
+def _reference_finalize(vec: np.ndarray, origin: str) -> PureState:
+    if not vec.any():
+        raise StateFormatError(f"{origin}: all amplitudes are zero")
+    vec = _power_of_two_scaled(vec)[0]
+    return PureState(vec / np.linalg.norm(vec))
+
+
+def _reference_json_vector(n: int, entries: list, origin: str) -> np.ndarray:
+    vec = np.zeros(2**n, dtype=np.complex128)
+    seen = set()
+    for pos, entry in enumerate(entries):
+        where = f"{origin}: amplitudes[{pos}]"
+        if not isinstance(entry, dict):
+            raise StateFormatError(f"{where}: each amplitude must be an object")
+        token = entry.get("index")
+        if isinstance(token, str):
+            index, width = _parse_bitstring(token, where)
+            if width != n:
+                raise StateFormatError(f"{where}: bitstring has {width} bits, expected {n}")
+        elif isinstance(token, int) and not isinstance(token, bool) and 0 <= token < 2**n:
+            index = token
+        else:
+            raise StateFormatError(f"{where}: 'index' must be an {n}-bit string")
+        if index in seen:
+            raise StateFormatError(f"{where}: duplicate index {token!r}")
+        seen.add(index)
+        re = entry.get("re", 0.0)
+        im = entry.get("im", 0.0)
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
+            raise StateFormatError(f"{where}: 're'/'im' must be numbers")
+        try:
+            finite = math.isfinite(re) and math.isfinite(im)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise StateFormatError(f"{where}: 're'/'im' must be finite numbers")
+        vec[index] = complex(re, im)
+    return vec
+
+
+def _reference_parse_text(text: str, origin: str) -> PureState:
+    vec = None
+    n = None
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{origin}: line {lineno}"
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise StateFormatError(f"{where}: expected 'bitstring re [im]', got {raw.strip()!r}")
+        index, width = _parse_bitstring(parts[0], where)
+        if n is None:
+            n = width
+            _check_qubits(n, where)
+            vec = np.zeros(2**n, dtype=np.complex128)
+        elif width != n:
+            raise StateFormatError(f"{where}: bitstring has {width} bits, expected {n}")
+        if index in seen:
+            raise StateFormatError(f"{where}: duplicate ket {parts[0]}")
+        seen.add(index)
+        try:
+            re = float(parts[1])
+            im = float(parts[2]) if len(parts) == 3 else 0.0
+        except ValueError as exc:
+            raise StateFormatError(f"{where}: amplitudes must be numbers") from exc
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise StateFormatError(f"{where}: amplitudes must be finite numbers")
+        vec[index] = complex(re, im)
+    if vec is None:
+        raise StateFormatError(f"{origin}: no amplitude lines found")
+    return _reference_finalize(vec, origin)
+
+
+def _reference_parse(text: str, origin: str) -> PureState:
+    if text.lstrip().startswith("{"):
+        n, entries = stabscope.io._read_json(text, origin)
+        return _reference_finalize(_reference_json_vector(n, entries, origin), origin)
+    return _reference_parse_text(text, origin)
+
+
+def _outcome(parse, *args):
+    """The vector bytes a parser returns, or the type and message it raises."""
+    try:
+        return parse(*args).vector.tobytes()
+    except (StateFormatError, GuardError) as exc:
+        return type(exc), str(exc)
+
+
+def _public_parse(text: str, origin: str) -> PureState:
     if text.lstrip().startswith("{"):
         return parse_state_json(text, origin)
     return parse_state_text(text, origin)
+
+
+@pytest.fixture
+def error_walks(monkeypatch):
+    """Names of the error walks io has run, in call order."""
+    calls = []
+    for name in ("_text_error", "_json_error"):
+
+        def counted(*args, _walk=getattr(stabscope.io, name), _name=name):
+            calls.append(_name)
+            _walk(*args)
+
+        monkeypatch.setattr(stabscope.io, name, counted)
+    return calls
+
+
+def _assert_matches_reference(text: str, path, error_walks) -> None:
+    """load_state and the public parsers give the reference's vector to the
+    last bit, or its exception type and message, line number and entry index
+    included; on a valid file neither error walk runs."""
+    path.write_text(text)
+    origin = str(path)
+    expected = _outcome(_reference_parse, text, origin)
+    before = len(error_walks)
+    assert _outcome(load_state, origin) == expected
+    assert _outcome(_public_parse, text, origin) == expected
+    if isinstance(expected, bytes):
+        assert len(error_walks) == before
 
 
 def _mutations(rng, text: str):
@@ -198,35 +324,59 @@ def _mutations(rng, text: str):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("n", range(1, 13))
-def test_load_state_matches_the_strict_parsers(n, fmt, tmp_path):
-    """load_state reads well-formed files in whole columns and leaves every
-    other file to parse_state_text and parse_state_json, which are the
-    reference: the same vector to the last bit, or the same exception type
-    and message, line number and entry index included."""
+def test_load_state_matches_the_strict_parsers(n, fmt, tmp_path, error_walks):
+    """load_state, parse_state_text and parse_state_json agree with the
+    line-by-line reference on valid files and on one-edit mutations of them,
+    and the columnar pass alone reads every valid file."""
     rng = np.random.default_rng(1000 * n + len(fmt))
     path = tmp_path / f"state.{fmt}"
-    origin = str(path)
     for _ in range(3 if n < 12 else 1):
         text = _valid_file(rng, n, fmt)
-        path.write_text(text)
         if fmt == "text":
-            assert stabscope.io._bulk_text_vector(text) is not None
-        elif all(isinstance(e["index"], str) for e in json.loads(text)["amplitudes"]):
-            entries = json.loads(text)["amplitudes"]
-            assert stabscope.io._bulk_json_vector(n, entries) is not None
-        assert load_state(origin).vector.tobytes() == _strict_parse(text, origin).vector.tobytes()
+            assert stabscope.io._text_vector(text) is not None
+        else:
+            assert stabscope.io._json_vector(n, json.loads(text)["amplitudes"]) is not None
+        _assert_matches_reference(text, path, error_walks)
         for bad in _mutations(rng, text):
-            path.write_text(bad)
-            try:
-                expected = _strict_parse(bad, origin)
-            except (StateFormatError, GuardError) as exc:
-                with pytest.raises(type(exc)) as loaded:
-                    load_state(origin)
-                assert type(loaded.value) is type(exc)
-                assert str(loaded.value) == str(exc)
-            else:
-                # padded bitstrings and some edits at the first line are valid
-                assert load_state(origin).vector.tobytes() == expected.vector.tobytes()
+            # padded bitstrings and some edits at the first line are valid
+            _assert_matches_reference(bad, path, error_walks)
+    assert error_walks, "no mutation reached an error walk"
+
+
+def _json_file(n: int, *entries) -> str:
+    return json.dumps({"n": n, "amplitudes": list(entries)})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _json_file(2, {"index": " 01 ", "re": 0.6}, {"index": "\t10\n", "im": -0.8}),
+        _json_file(2, {"index": " 01", "re": 0.6}, {"index": 2, "re": 0.8}),
+        _json_file(2, {"index": " 01", "re": 0.6}, {"index": "1", "re": 0.8}),
+        _json_file(3, {"index": 5, "re": 0.6}, {"index": "011", "im": 0.8}, {"index": 0}),
+        _json_file(2, {"index": 3, "re": 1}, {"index": "01", "re": 2}, {"index": " 10 ", "im": 3}),
+        _json_file(2, {"index": 1, "re": 0.6}, {"index": "01", "re": 0.8}),
+        _json_file(2, {"index": "01", "re": 0.6}, {"index": 1, "re": 0.8}),
+        _json_file(2, {"index": " 01", "re": 0.6}, {"index": "01 ", "re": 0.8}),
+        _json_file(2, {"index": 4, "re": 0.6}, {"index": "01", "re": 0.8}),
+        _json_file(2, {"index": -1, "re": 0.6}, {"index": "01", "re": 0.8}),
+        _json_file(3, {"index": -1, "re": 0.6}, {"index": "011", "re": 0.8}),
+        _json_file(2, {"index": True, "re": 0.6}, {"index": "01", "re": 0.8}),
+        _json_file(2, {"index": 2, "re": 0.6}, {"index": " 0 1", "re": 0.8}),
+        _json_file(2, {"index": 2, "re": 0}, {"index": "01"}),
+        _json_file(2),
+        _json_file(2, []),
+        "# only a comment\n",
+        "# only a comment\n\n   \n# and another\n",
+        "",
+        "01 0.6\n# c\n 10 0 0.8 # tail\n",
+    ],
+)
+def test_parsers_match_the_reference_on_edge_files(text, tmp_path, error_walks):
+    """Files that the columnar pass reads only since it became the one
+    parser: padded bitstrings, mixed integer and bitstring indices, and
+    duplicates written both ways; and files with no amplitudes at all."""
+    _assert_matches_reference(text, tmp_path / "state", error_walks)
 
 
 def test_size_guard():
