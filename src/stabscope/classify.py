@@ -77,9 +77,7 @@ class GhzCanonicalForm:
     residual: float
 
 
-def canonicalize_ghz(
-    psi: PureState, stab: StabilizerBasis | None = None, tol: float = NULL_TOL
-) -> GhzCanonicalForm:
+def canonicalize_ghz(psi: PureState, stab: StabilizerBasis | None = None) -> GhzCanonicalForm:
     """Reduce a state with maximal stabilizer and all qubit projections
     one-dimensional to the form alpha|0...0> + beta|1...1>.
 
@@ -93,14 +91,15 @@ def canonicalize_ghz(
     rotation on qubit 1 and a global phase make both amplitudes real
     positive; the reported residual applies the finished unitary to psi.
     Only the given stabilizer is used, and g does not depend on how its
-    basis is rotated.  tol is its rank cut when stab is None, the
-    off-support residual bound, and the vanishing cut |beta| <= tol |alpha|.
+    basis is rotated; stab defaults to stabilizer_pure(psi).  Its tol is
+    the off-support residual bound and the vanishing cut |beta| <= tol
+    |alpha|, so a caller who wants another cut solves stab at it.
     Returns alpha >= beta > 0 with alpha^2 + beta^2 = 1 and the composite
     local unitary g with g|psi> equal to the canonical state up to the
     reported residual.
     """
     n = psi.n
-    k = stab if stab is not None else stabilizer_pure(psi, tol)
+    k = stab if stab is not None else stabilizer_pure(psi)
     if _maximal_pattern(k) != "ghz":
         raise CanonicalizationError(
             f"need n >= 3, stabilizer dim {n - 1} and all projections 1, got n = {n}, "
@@ -123,11 +122,11 @@ def canonicalize_ghz(
     factors[flips] = SU2_BASIS[2] @ factors[flips]
     vec = 1j ** len(flips) * vec[np.arange(2**n) ^ top]
     resid = float(np.linalg.norm(vec[1:-1]))
-    if resid > tol:
+    if resid > k.tol:
         raise CanonicalizationError(
             f"off-support residual {resid:.2e}; the state is not in the GHZ class"
         )
-    if numerical_rank(np.abs(vec[[0, -1]]), tol) < 2:
+    if numerical_rank(np.abs(vec[[0, -1]]), k.tol) < 2:
         raise CanonicalizationError("an extreme amplitude vanished; state is product-like")
     arg0, arg1 = float(np.angle(vec[0])), float(np.angle(vec[-1]))
     theta = (arg1 - arg0) / 2.0
@@ -190,9 +189,10 @@ def canonicalize_four_qubit(
     the amplitudes at |0011> and |1001>.  The only local unitaries that keep
     the diagonal su(2) are (h, h, h, h) up to signs, which act on that plane
     as a sign, so the form is unique and b is never confused with its
-    conjugate.  The witness is returned only if its infidelity, recomputed
-    against the canonical state, is below tol; otherwise a note says so and
-    unitary is None.
+    conjugate.  a, |b| and |c| must clear the stabilizer's own tol relative
+    to the largest of them.  The witness is returned only if its infidelity,
+    recomputed against the canonical state, is below tol; otherwise a note
+    says so and unitary is None.
     """
     if psi.n != 4:
         raise CanonicalizationError(f"four-qubit form requires n = 4, got {psi.n}")
@@ -210,7 +210,7 @@ def canonicalize_four_qubit(
     phase = np.exp(-1j * np.angle(amp_a))
     a, b = float(abs(amp_a)), complex(amp_b * phase)
     c = -a - b
-    if numerical_rank(np.array([a, abs(b), abs(c)]), NULL_TOL) < 3:
+    if numerical_rank(np.array([a, abs(b), abs(c)]), k.tol) < 3:
         raise CanonicalizationError(
             f"coefficients (a, |b|, |c|) = ({a:.3g}, {abs(b):.3g}, {abs(c):.3g}) put the "
             "state outside the abc != 0 class"
@@ -224,16 +224,16 @@ def canonicalize_four_qubit(
 
 
 def canonical_form(
-    psi: PureState, k: StabilizerBasis, tol: float = NULL_TOL, tol_equiv: float = EQUIV_TOL
+    psi: PureState, k: StabilizerBasis, tol_equiv: float = EQUIV_TOL
 ) -> GhzCanonicalForm | FourQubitCanonicalForm | None:
     """Canonical form of psi from its stabilizer k when k has one of the two
-    maximal patterns: the GHZ form with tol as its numerical zero, or the
+    maximal patterns: the GHZ form with k.tol as its numerical zero, or the
     four-qubit form certified below the infidelity tol_equiv.  None when
     neither pattern holds; CanonicalizationError when the canonicaliser
     rejects the state."""
     pattern = _maximal_pattern(k)
     if pattern == "ghz":
-        return canonicalize_ghz(psi, stab=k, tol=tol)
+        return canonicalize_ghz(psi, stab=k)
     if pattern == "family":
         return canonicalize_four_qubit(psi, stab=k, tol=tol_equiv)
     return None
@@ -331,7 +331,7 @@ def classify(
     pattern = _maximal_pattern(k)
     if pattern == "ghz" or (pattern == "family" and at.kind == "su2"):
         try:
-            form = canonical_form(psi, k, tol, tol_equiv)
+            form = canonical_form(psi, k, tol_equiv)
         except CanonicalizationError as exc:
             branch = "GHZ" if pattern == "ghz" else "four-qubit"
             notes.append(f"{branch} branch failed: {exc}")
@@ -359,8 +359,10 @@ def classify(
             notes=form.notes,
             **base,
         )
+    found = ("an unrecognized projection pattern" if pattern is None else
+             f"the four-qubit projection pattern {k.proj_dims} but algebra type {at.kind}, not su2")
     notes.append(
-        "maximal stabilizer dimension with an unrecognized projection pattern; "
+        f"maximal stabilizer dimension with {found}; "
         "this contradicts the classification and deserves attention"
     )
     return ClassificationReport(

@@ -80,7 +80,7 @@ def cmd_analyze(args) -> int:
     (spec, psi), = _states(args, 1)
     k = stabilizer_pure(psi, args.tol_null)
     # the density stabilizer of |psi><psi| is the pure one with the phase dropped
-    k_rho = _drop_phase(k, args.tol_null)
+    k_rho = _drop_phase(k)
     blocks = is_product(psi, args.tol_null).blocks
     payload = {
         "state": spec,
@@ -90,7 +90,7 @@ def cmd_analyze(args) -> int:
         "density_stab_dim": k_rho.dim,
         "algebra_type": algebra_type(k_rho).kind,
         "singular_gap": None if not np.isfinite(k.gap) else float(k.gap),
-        "rank_margin": k.rank_margin(args.tol_null),
+        "rank_margin": k.rank_margin(),
         "product_structure": [list(b) for b in blocks] if len(blocks) > 1 else "nonproduct",
     }
     _emit(args, payload)
@@ -191,45 +191,48 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+# add_argument keywords of each option but --seed and --format
+OPTIONS = {
+    "--state": dict(action="append", metavar="SPEC", help="named state (ghz:4:0.8, w:3, "
+                    "canon4:0.5:-0.25:0.25, singlets, haar:3, basis:0101) or file path; repeatable"),
+    "paths": dict(nargs="*", help="state file paths"),
+    "--tol-null": dict(type=float, default=NULL_TOL, dest="tol_null",
+                       help="relative zero of the stabilizer rank, product test and GHZ checks"),
+    "--tol-equiv": dict(type=float, default=EQUIV_TOL, dest="tol_equiv",
+                        help="infidelity below which states count as equivalent"),
+    "--restarts": dict(type=int, default=20, help="optimizer restarts"),
+    "--samples": dict(type=int, default=20, help="orbit sample count"),
+}
+STATES = ("--state", "paths")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process.  It binds no command: main
-    looks cmd_<name> up per call, so a wrapper set on the module later runs."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master random seed")
-    common.add_argument(
-        "--tol-null", type=float, default=NULL_TOL, dest="tol_null",
-        help="relative zero of the stabilizer rank, product test and GHZ checks",
-    )
-    common.add_argument(
-        "--tol-equiv", type=float, default=EQUIV_TOL, dest="tol_equiv",
-        help="infidelity below which states count as equivalent",
-    )
-    common.add_argument("--restarts", type=int, default=20, help="optimizer restarts")
-    common.add_argument("--samples", type=int, default=20, help="orbit sample count")
-    common.add_argument("--format", choices=("json", "text"), default="text")
-    common.add_argument(
-        "--state", action="append", metavar="SPEC",
-        help="named state (ghz:4:0.8, w:3, canon4:0.5:-0.25:0.25, singlets, "
-        "haar:3, basis:0101) or file path; repeatable",
-    )
-    common.add_argument("paths", nargs="*", help="state file paths")
-
+    """The argparse tree, built once per process.  Each subcommand takes
+    --seed, --format and only the options it reads.  It binds no command:
+    main looks cmd_<name> up per call, so a wrapper set on the module later
+    runs."""
     parser = argparse.ArgumentParser(
         prog="stabscope",
         description="Stabilizer Lie algebras, local-unitary invariants, and "
         "canonical forms for n-qubit pure states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analyze", "stabilizer dimensions and algebra type of one state"),
-        ("classify", "run the maximal-stabilizer classification"),
-        ("orbit", "sample the local-unitary orbit and check invariance"),
-        ("equiv", "decide local-unitary equivalence of two states"),
-        ("invariants", "print the invariant fingerprint"),
-        ("selftest", "run the full acceptance suite"),
+    for name, help_text, options in (
+        ("analyze", "stabilizer dimensions and algebra type of one state", (*STATES, "--tol-null")),
+        ("classify", "run the maximal-stabilizer classification", (*STATES, "--tol-null", "--tol-equiv")),
+        ("orbit", "sample the local-unitary orbit and check invariance",
+         (*STATES, "--tol-null", "--samples")),
+        ("equiv", "decide local-unitary equivalence of two states",
+         (*STATES, "--tol-null", "--tol-equiv", "--restarts")),
+        ("invariants", "print the invariant fingerprint", STATES),
+        ("selftest", "run the full acceptance suite", ()),
     ):
-        sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--seed", type=int, default=0, help="master random seed")
+        p.add_argument("--format", choices=("json", "text"), default="text")
+        for flag in options:
+            p.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
@@ -246,9 +249,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # written so that NaN fails too: every comparison with NaN is False
-    if not (0 < args.tol_null < np.inf and 0 < args.tol_equiv < np.inf):
+    if not all(0 < getattr(args, name, 1.0) < np.inf for name in ("tol_null", "tol_equiv")):
         return _error(args, "parse", "tolerances must be positive and finite", EXIT_PARSE)
-    for flag, value in (("--restarts", args.restarts), ("--samples", args.samples)):
+    for flag, name in (("--restarts", "restarts"), ("--samples", "samples")):
+        value = getattr(args, name, 1)
         if value < 1:
             return _error(args, "parse", f"{flag} must be at least 1, got {value}", EXIT_PARSE)
     try:

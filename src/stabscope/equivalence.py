@@ -263,7 +263,7 @@ def decide_equivalence(
     # and the form is unique, so differing parameters prove inequivalence;
     # equal stab_dim and proj_dims give both states the same pattern
     try:
-        fa, fb = canonical_form(psi, ka, null_tol, tol), canonical_form(phi, kb, null_tol, tol)
+        fa, fb = canonical_form(psi, ka, tol), canonical_form(phi, kb, tol)
     except CanonicalizationError:
         fa = fb = None
     if fa is not None and fa.unitary is not None and fb.unitary is not None:

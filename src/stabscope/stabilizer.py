@@ -97,20 +97,21 @@ class StabilizerBasis:
     deterministic for a given input; no reader depends on a rotation of the
     rows.  singular_values holds the full spectrum of the defining map (when
     solved Gram first, the square roots of the Gram eigenvalues set aside as
-    range and then the candidate block's singular values); gap is the ratio
-    across the rank cut (inf when the cut is at either end).  When the
+    range and then the candidate block's singular values); tol is the rank
+    cut it was solved at, the zero every reader of the basis takes, and gap
+    the ratio across that cut (inf when it is at either end).  When the
     kernel is exact the denominator of gap is a roundoff-level singular
     value, so gap then reads 1e9 or more and carries no margin; rank_margin
-    gives the margin on each side of the cut.  proj_dims is computed once
-    per basis.  method is 'svd' for a pure basis and names the one route,
-    'direct' or 'projected', that solved a density basis.
+    gives the margin on each side of the cut.  The rank split, gap and
+    proj_dims are computed once per basis.  method is 'svd' for a pure
+    basis, else the one route ('direct' or 'projected') that solved it.
     """
 
     ambient: str
     n: int
     basis: np.ndarray
     singular_values: np.ndarray
-    gap: float
+    tol: float
     method: str = "svd"
     # always False, since no route cross-checks another; the only reader is
     # the stabilizer_density annotator in perfbench/tracer.py, which would
@@ -127,18 +128,27 @@ class StabilizerBasis:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def rank_margin(self, tol: float = NULL_TOL) -> dict:
-        """Both sides of the rank cut at tol, relative to the largest
+    @cached_property
+    def _rank(self) -> int:
+        return numerical_rank(self.singular_values, self.tol)
+
+    @cached_property
+    def gap(self) -> float:
+        s, rank = self.singular_values, self._rank
+        return float(s[rank - 1] / s[rank]) if 0 < rank < s.size and s[rank] > 0 else np.inf
+
+    def rank_margin(self) -> dict:
+        """Both sides of the basis's rank cut, relative to the largest
         singular value: kernel_max is the largest singular value counted as
         zero (None when the kernel is empty), range_min the smallest one
         kept (None when the map vanishes), and cut is tol itself.  A
         decision is clear when kernel_max <= cut < range_min by a margin."""
         s = self.singular_values / (self.singular_values.max(initial=0.0) or 1.0)
-        rank = numerical_rank(s, tol)
+        rank = self._rank
         return {
             "kernel_max": None if rank == s.size else float(s[rank]),
             "range_min": None if rank == 0 else float(s[rank - 1]),
-            "cut": tol,
+            "cut": self.tol,
         }
 
     @cached_property
@@ -194,8 +204,7 @@ def _r_factors(real_maps: np.ndarray) -> np.ndarray:
 
 
 def _null_spaces(real_maps: np.ndarray, tol: float, head: np.ndarray | None = None) -> list[tuple]:
-    """Kernel rows, full spectrum, and the spectral gap across the cut, for
-    each map of an (S, M, K) stack.
+    """Kernel rows and full spectrum of each map of an (S, M, K) stack.
 
     The maps are tall, so each is Q R with a square R that has the same
     singular values and right singular vectors.  Only R is formed, never the
@@ -209,8 +218,8 @@ def _null_spaces(real_maps: np.ndarray, tol: float, head: np.ndarray | None = No
 
     head, an (S, r) array, holds singular values of each map's parent that
     lie far above the cut, along directions outside the map's columns (the
-    Gram range of _gram_split); they join the spectrum, so the cut and
-    the gap are taken relative to the parent's largest singular value.
+    Gram range of _gram_split); they join the spectrum, so the cut is taken
+    relative to the parent's largest singular value.
     """
     k = real_maps.shape[2]
     if real_maps.shape[1] < k:  # wide matrices would lose kernel directions here
@@ -218,15 +227,7 @@ def _null_spaces(real_maps: np.ndarray, tol: float, head: np.ndarray | None = No
     _, svals, vhs = np.linalg.svd(_r_factors(real_maps))
     if head is not None:
         svals = np.concatenate([head, svals], axis=1)
-    out = []
-    for s, vh in zip(svals, vhs):
-        rank = numerical_rank(s, tol)
-        if 0 < rank < s.size:
-            gap = float(s[rank - 1] / s[rank]) if s[rank] > 0 else np.inf
-        else:
-            gap = np.inf
-        out.append((vh[rank - s.size + k :], s, gap))
-    return out
+    return [(vh[numerical_rank(s, tol) - s.size + k :], s) for s, vh in zip(svals, vhs)]
 
 
 def stabilizer_pure(psi: PureState, tol: float = NULL_TOL) -> StabilizerBasis:
@@ -236,7 +237,7 @@ def stabilizer_pure(psi: PureState, tol: float = NULL_TOL) -> StabilizerBasis:
 
 
 def _gram_split(planes: np.ndarray, grams: np.ndarray, tol: float) -> list[tuple]:
-    """Kernel rows, full spectrum and gap of each map of an (S, K, M) stack
+    """Kernel rows and full spectrum of each map of an (S, K, M) stack
     of per-column planes, solved Gram first from its (S, K, K) Gram matrices.
 
     eigh of G = A^T A splits the coordinates: eigenvalues lam > GRAM_SPLIT *
@@ -267,13 +268,13 @@ def _gram_split(planes: np.ndarray, grams: np.ndarray, tol: float) -> list[tuple
         head = np.sqrt(lam[sel, : m - 1 : -1] if m else lam[sel, ::-1])
         if m == 0:
             for i, svals in zip(idx, head):
-                out[i] = (np.zeros((0, k)), svals, np.inf)
+                out[i] = (np.zeros((0, k)), svals)
             continue
         # contiguous either way, so each map's product is the one it gets alone
         cands = np.ascontiguousarray(vecs[sel, :, :m])
         block = np.matmul(cands.swapaxes(1, 2), planes[sel]).swapaxes(1, 2)
-        for i, c, (rows, svals, gap) in zip(idx, cands, _null_spaces(block, tol, head)):
-            out[i] = (rows @ c.T, svals, gap)
+        for i, c, (rows, svals) in zip(idx, cands, _null_spaces(block, tol, head)):
+            out[i] = (rows @ c.T, svals)
     return out
 
 
@@ -285,7 +286,7 @@ def _pure_chunk(vectors: np.ndarray, n: int, tol: float) -> list[StabilizerBasis
         solved = _null_spaces(planes.swapaxes(1, 2), tol)
     else:
         solved = _gram_split(planes, planes @ planes.swapaxes(1, 2), tol)
-    return [StabilizerBasis("pure", n, rows, svals, gap) for rows, svals, gap in solved]
+    return [StabilizerBasis("pure", n, rows, svals, tol) for rows, svals in solved]
 
 
 def stabilizer_pure_stack(vectors: np.ndarray, tol: float = NULL_TOL) -> list[StabilizerBasis]:
@@ -465,26 +466,27 @@ def _density_direct(rho: DensityMatrix, tol: float):
     return _null_spaces(real_map.T[None], tol)[0]
 
 
-def _drop_phase(pure: StabilizerBasis, tol: float = NULL_TOL) -> StabilizerBasis:
+def _drop_phase(pure: StabilizerBasis) -> StabilizerBasis:
     """Density stabilizer of |psi><psi| from the pure stabilizer of psi.
 
     Dropping the u(1) phase coordinate maps the pure stabilizer onto the
-    density stabilizer of the same state.  The result keeps the spectrum and
-    gap of the pure map, and its method is 'projected'.
+    density stabilizer of the same state; the projected rows are cut at the
+    pure basis's own tol.  The result keeps the spectrum and cut of the pure
+    map, so its gap and rank margin too, and its method is 'projected'.
     """
     rows = pure.basis[:, 1:]
     if rows.shape[0]:
         _, s, vh = np.linalg.svd(rows, full_matrices=False)
-        r = numerical_rank(s, tol)
+        r = numerical_rank(s, pure.tol)
         if r != pure.dim:
             warnings.warn("phase projection lost stabilizer directions; input may be ill-conditioned")
         rows = vh[:r]
-    return StabilizerBasis("density", pure.n, rows, pure.singular_values, pure.gap, method="projected")
+    return StabilizerBasis("density", pure.n, rows, pure.singular_values, pure.tol, method="projected")
 
 
 def _density_projected(rho: DensityMatrix, tol: float) -> StabilizerBasis:
     """Rank-one shortcut: solve the pure stabilizer and drop the phase."""
-    return _drop_phase(stabilizer_pure(_dominant_eigenvector(rho), tol), tol)
+    return _drop_phase(stabilizer_pure(_dominant_eigenvector(rho), tol))
 
 
 def stabilizer_density(rho: DensityMatrix, tol: float = NULL_TOL, method: str = "auto") -> StabilizerBasis:
@@ -504,8 +506,8 @@ def stabilizer_density(rho: DensityMatrix, tol: float = NULL_TOL, method: str = 
     if method not in ("auto", "direct", "projected"):
         raise ValueError(f"unknown method {method!r}")
     if method == "direct" or (method == "auto" and n <= DENSITY_DIRECT_LIMIT):
-        rows, svals, gap = _density_direct(rho, tol)
-        return StabilizerBasis("density", n, rows, svals, gap, method="direct")
+        rows, svals = _density_direct(rho, tol)
+        return StabilizerBasis("density", n, rows, svals, tol, method="direct")
     # 1 - tr rho^2 = 2 sum_{i<j} l_i l_j is linear in the small eigenvalues l_i,
     # the scale of numerical_rank's cut
     if not 1.0 - purity(rho) < tol:

@@ -164,7 +164,8 @@ class PureState:
 class DensityMatrix:
     """Trace-one positive semidefinite operator on n qubits.
 
-    Hermiticity and unit trace are checked at construction: a positive trace
+    Hermiticity relative to the trace, max |m - m^dagger| <= 100 NORM_TOL
+    |tr m|, and unit trace are checked at construction: a positive trace
     that misses 1 is rescaled with a warning, a zero or negative one is
     rejected.  Positivity is preserved by every constructor in this package
     (pure projectors, partial traces, unitary conjugation), so the full
@@ -186,14 +187,15 @@ class DensityMatrix:
         n = mat.shape[0].bit_length() - 1
         if n < 1 or mat.shape[0] != 1 << n:
             raise ValueError(f"dimension {mat.shape[0]} is not 2**n with n >= 1")
+        tr = np.trace(mat).real
         # a ufunc reading mat.T in place strides by a whole row per entry
         diff = mat.T.copy()
         np.conjugate(diff, out=diff)
         np.subtract(mat, diff, out=diff)
-        # written so that a NaN entry fails it too
-        if not np.max(np.abs(diff)) <= 100 * NORM_TOL:
+        # relative to the trace, so that the stored mat / tr is Hermitian to
+        # 100 NORM_TOL; written so that a NaN or infinite entry fails it too
+        if not np.max(np.abs(diff)) <= 100 * NORM_TOL * abs(tr):
             raise ValueError("matrix is not Hermitian with finite entries")
-        tr = np.trace(mat).real
         if not tr > 0.0:
             raise ValueError(f"trace {tr:.6g} is not positive")
         if abs(tr - 1.0) > NORM_TOL:

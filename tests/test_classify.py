@@ -28,7 +28,7 @@ from stabscope import (
 from stabscope.classify import EQUIV_TOL, _align_to_diagonal
 from stabscope.local_unitary import SU2_BASIS, LocalUnitary
 from stabscope.selftest import CONJUGATE_PAIRS, _family_grid, _family_scale
-from stabscope.states import apply_factors
+from stabscope.states import NULL_TOL, apply_factors
 
 REPORT_KEYS = {
     "n",
@@ -88,7 +88,7 @@ def test_ghz_canonicalization_does_not_depend_on_the_basis_rotation():
         form = canonicalize_ghz(psi, stab=k)
         for _ in range(4):
             rot, _ = np.linalg.qr(rng.standard_normal((k.dim, k.dim)))
-            turned = StabilizerBasis("pure", n, rot @ k.basis, k.singular_values, k.gap)
+            turned = StabilizerBasis("pure", n, rot @ k.basis, k.singular_values, k.tol)
             other = canonicalize_ghz(psi, stab=turned)
             assert np.allclose(other.unitary.factors, form.unitary.factors, rtol=0.0, atol=1e-12)
             assert abs(other.unitary.global_phase - form.unitary.global_phase) < 1e-12
@@ -304,26 +304,33 @@ def _pattern_rows(n: int, qubit_sets) -> np.ndarray:
     return rows
 
 
+UNRECOGNIZED = ("an unrecognized projection pattern",)
+
+
 @pytest.mark.parametrize(
-    "n, qubit_sets, proj_dims",
+    "n, rows, proj_dims, named",
     [
-        (3, [(1,), (1,)], (2, 0, 0)),
-        (4, [(1, 2, 3)] * 3, (3, 3, 3, 0)),
-        (5, [(1,), (1,), (2,), (3, 4, 5)], (2, 1, 1, 1, 1)),
+        (3, _pattern_rows(3, [(1,), (1,)]), (2, 0, 0), UNRECOGNIZED),
+        (4, _pattern_rows(4, [(1, 2, 3)] * 3), (3, 3, 3, 0), UNRECOGNIZED),
+        (5, _pattern_rows(5, [(1,), (1,), (2,), (3, 4, 5)]), (2, 1, 1, 1, 1), UNRECOGNIZED),
+        # the family's projections with an algebra that is not su(2): the
+        # pattern is recognised, the algebra is what contradicts it
+        (4, np.linalg.qr(np.random.default_rng(4).standard_normal((13, 3)))[0].T, (3, 3, 3, 3),
+         ("projection pattern (3, 3, 3, 3)", "algebra type other, not su2")),
     ],
-    ids=["n3", "n4_near_family", "n5"],
+    ids=["n3", "n4_near_family", "n5", "n4_family_not_su2"],
 )
-def test_classify_flags_an_unrecognized_maximal_pattern(n, qubit_sets, proj_dims, monkeypatch):
+def test_classify_flags_an_unrecognized_maximal_pattern(n, rows, proj_dims, named, monkeypatch):
     # no state reaches this branch, so the solver is replaced by one that
     # returns a basis of the maximal dimension n - 1 with another pattern
-    rows = _pattern_rows(n, qubit_sets)
-    basis = StabilizerBasis("pure", n, rows, np.zeros(rows.shape[1]), np.inf)
+    basis = StabilizerBasis("pure", n, rows, np.zeros(rows.shape[1]), NULL_TOL)
     assert basis.dim == n - 1 and basis.proj_dims == proj_dims
     monkeypatch.setattr(sys.modules["stabscope.classify"], "stabilizer_pure", lambda *a: basis)
     rep = classify(ghz_state(n))
     assert rep.verdict == "max_stab_but_unrecognized"
     assert rep.stab_dim == n - 1 and rep.proj_dims == proj_dims
-    assert len(rep.notes) == 1 and "unrecognized projection pattern" in rep.notes[0]
+    assert len(rep.notes) == 1 and "contradicts the classification" in rep.notes[0]
+    assert all(part in rep.notes[0] for part in named), rep.notes[0]
     payload = rep.to_dict()
     assert set(payload) == {
         "n", "verdict", "stab_dim", "proj_dims", "algebra_type", "product_structure", "alpha",

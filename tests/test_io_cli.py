@@ -757,6 +757,39 @@ def test_cached_parser_help_matches_a_fresh_parser():
         assert sub.format_help() == fresh_sub[name].format_help()
 
 
+# the options each subcommand reads besides --seed and --format
+READS = {
+    "analyze": ("--state", "--tol-null"),
+    "classify": ("--state", "--tol-null", "--tol-equiv"),
+    "orbit": ("--state", "--tol-null", "--samples"),
+    "equiv": ("--state", "--tol-null", "--tol-equiv", "--restarts"),
+    "invariants": ("--state",),
+    "selftest": (),
+}
+VALUES = {"--state": "ghz:3", "--tol-null": "1e-3", "--tol-equiv": "0.5", "--restarts": "9", "--samples": "9"}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, reads in READS.items() for flag in VALUES if flag not in reads],
+)
+def test_each_subcommand_rejects_the_options_it_does_not_read(command, flag, capsys):
+    states = {"equiv": ["--state", "ghz:3"] * 2, "selftest": []}.get(command, ["--state", "ghz:3"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *states, flag, VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_exactly_the_options_it_reads():
+    for name, sub in _subparsers(build_parser()).items():
+        flags = {flag for action in sub._actions for flag in action.option_strings}
+        assert flags == {"-h", "--help", "--seed", "--format", *READS[name]}, name
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "state.json"])
+    assert exc.value.code == 2
+
+
 def test_main_calls_leave_no_state_in_the_shared_parser(capsys):
     plain = ["orbit", "--state", "w:3", "--samples", "2", "--format", "json"]
     assert main(plain) == 0

@@ -271,7 +271,7 @@ def test_span_contains():
 def _synthetic_basis(rows, ambient="density"):
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[1] // 3
-    return StabilizerBasis(ambient, n, rows, np.ones(rows.shape[0]), np.inf)
+    return StabilizerBasis(ambient, n, rows, np.ones(rows.shape[0]), NULL_TOL)
 
 
 def test_algebra_type_su2_on_repeated_coordinates():
@@ -367,7 +367,7 @@ def _density_ambient(psi):
     4^n amplitudes (a 1.1 GB peak at n = 12)."""
     if psi.n <= DENSITY_DIRECT_LIMIT:
         return stabilizer_density(to_density(psi))
-    return _drop_phase(stabilizer_pure(psi), NULL_TOL)
+    return _drop_phase(stabilizer_pure(psi))
 
 
 ALGEBRA_CORPUS = {
@@ -509,7 +509,7 @@ def test_direct_density_solve_matches_naive_realified_map(name, rho, expected_di
     real_map = _naive_density_map(rho)
     _, s, vh = np.linalg.svd(real_map, full_matrices=False)
     rank = numerical_rank(s, NULL_TOL)
-    oracle = StabilizerBasis("density", rho.n, vh[rank:], s, np.inf)
+    oracle = StabilizerBasis("density", rho.n, vh[rank:], s, NULL_TOL)
     k = stabilizer_density(rho, method="direct")
     assert k.dim == oracle.dim == expected_dim, name
     assert k.proj_dims == oracle.proj_dims, name
@@ -582,8 +582,8 @@ def test_small_density_maps_are_solved_whole(n, monkeypatch):
             assert n == 6 and len(_range_factor(rho.matrix, 1)) == 1
             ranged += 1
             continue
-        ((rows, svals, gap),) = _null_spaces(_whole_density_map(rho).T[None], NULL_TOL)
-        reference = StabilizerBasis("density", n, rows, svals, gap)
+        ((rows, svals),) = _null_spaces(_whole_density_map(rho).T[None], NULL_TOL)
+        reference = StabilizerBasis("density", n, rows, svals, NULL_TOL)
         assert k.dim == reference.dim and k.proj_dims == reference.proj_dims
         assert np.max(np.abs(k.singular_values - svals)) <= 1e-15 * svals.max()
     assert calls == [] and 3 * n * 4**n * 8 <= QR_CALL_BYTES and ranged == (2 if n == 6 else 0)
@@ -747,7 +747,7 @@ def test_blocked_r_matches_a_single_qr_around_the_cut(offset, monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.ndim) or qr(a, *args, **kw))
     got = _null_spaces(maps, NULL_TOL)
     assert calls == ([3] if offset <= 0 else [4] * batched + [3])
-    for (rows_k, s, _), s_ref, vh_ref, dim in zip(got, ref_s, ref_vh, (3, 0), strict=True):
+    for (rows_k, s), s_ref, vh_ref, dim in zip(got, ref_s, ref_vh, (3, 0), strict=True):
         kernel = vh_ref[numerical_rank(s_ref, NULL_TOL) :]
         assert rows_k.shape[0] == kernel.shape[0] == dim
         assert np.max(np.abs(s - s_ref)) <= 1e-13 * s_ref[0]
@@ -764,6 +764,48 @@ def test_rank_margin_on_a_vanishing_map():
     k = stabilizer_density(DensityMatrix(np.eye(4) / 4), method="direct")
     assert k.dim == 6
     assert k.rank_margin() == {"kernel_max": 0.0, "range_min": None, "cut": NULL_TOL}
+
+
+def _margin_corpus(n, rng):
+    """GHZ orbit points near the product cut and a Haar state."""
+    for beta in (1e-7, 1e-5, 1e-3):
+        g = haar_random_local_unitary(n, rng)
+        yield f"ghz{n}:{beta}", apply_local_unitary(g, ghz_state(n, np.sqrt(1.0 - beta**2), beta))
+    yield f"haar{n}", random_state(n, rng)
+
+
+def _bases_at(psi, tol):
+    """Every route's basis for psi at the cut tol: the pure solve, its phase
+    dropped, and up to n = 7 both density routes."""
+    pure = stabilizer_pure(psi, tol)
+    yield "pure", pure
+    yield "drop_phase", _drop_phase(pure)
+    if psi.n <= 7:
+        rho = to_density(psi)
+        for method in ("direct", "projected"):
+            yield method, stabilizer_density(rho, tol, method=method)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-3])
+def test_margins_are_read_at_the_basis_own_cut(tol):
+    rng = np.random.default_rng(int(-np.log10(tol)))
+    for n in range(3, 13):
+        for name, psi in _margin_corpus(n, rng):
+            for route, k in _bases_at(psi, tol):
+                where = (name, route)
+                s = k.singular_values
+                rank = numerical_rank(s, tol)
+                margin = k.rank_margin()
+                assert margin["cut"] == tol, where
+                assert margin["kernel_max"] is None or margin["kernel_max"] <= tol, where
+                assert margin["range_min"] is None or tol < margin["range_min"], where
+                assert k.dim == s.size - rank, where
+                # the raw-spectrum ratio across the cut, or inf
+                if 0 < rank < s.size:
+                    gap = float(s[rank - 1] / s[rank]) if s[rank] > 0 else np.inf
+                else:
+                    gap = np.inf
+                assert k.gap == gap, where
 
 
 def _realified_pure_map(psi):
@@ -830,7 +872,7 @@ def test_gram_first_pure_solve_matches_a_dense_svd(n, monkeypatch):
             kernel, s, range_min = _reference_kernel(psi)
             k = stabilizer_pure(psi)
             assert k.dim == kernel.shape[0], name
-            reference = StabilizerBasis("pure", n, kernel, s, np.inf)
+            reference = StabilizerBasis("pure", n, kernel, s, NULL_TOL)
             assert k.proj_dims == reference.proj_dims, name
             assert np.max(np.abs(k.singular_values - s)) <= 1e-12 * s[0], name
             # the cut's own conditioning bounds how well any solve fixes the kernel
@@ -879,7 +921,9 @@ def test_small_pure_maps_are_solved_whole(monkeypatch):
     psi = apply_local_unitary(haar_random_local_unitary(6, rng), ghz_state(6, 0.8, 0.6))
     k = stabilizer_pure(psi)
     assert calls == [] and 2 ** 7 * 19 * 8 <= GRAM_FIRST_BYTES
-    ((rows, svals, gap),) = _null_spaces(_realified_pure_map(psi)[None], NULL_TOL)
-    assert np.array_equal(k.basis, rows) and np.array_equal(k.singular_values, svals) and k.gap == gap
+    ((rows, svals),) = _null_spaces(_realified_pure_map(psi)[None], NULL_TOL)
+    rank = numerical_rank(svals, NULL_TOL)
+    assert np.array_equal(k.basis, rows) and np.array_equal(k.singular_values, svals)
+    assert k.gap == svals[rank - 1] / svals[rank]
     stabilizer_pure(random_state(7, rng))
     assert calls == [(1, 22, 22)]

@@ -164,15 +164,29 @@ def test_density_checks_hermiticity_and_trace():
     for bad in (np.zeros((4, 4)), -np.eye(4) / 4):
         with pytest.raises(ValueError, match="not positive"):
             DensityMatrix(bad)
+    # the asymmetry is bounded relative to the trace: at a trace of 2e-12 an
+    # entry of 1e-9 with no mirror is far from Hermitian, and would be stored
+    # as 500 after rescaling
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix([[1e-12, 1e-9], [0, 1e-12]])
+    # while at a trace of 7.7e10 a rounding-level asymmetry is not
+    g = np.random.default_rng(3).standard_normal((4, 4))
+    big = g @ g.T
+    big *= 7.7e10 / np.trace(big)
+    big[0, 3] += 6.7e-16 * 7.7e10
+    assert np.max(np.abs(big - big.T)) > 100 * NORM_TOL
+    with pytest.warns(UserWarning, match="rescaling"):
+        rho = DensityMatrix(big)
+    assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) <= 100 * NORM_TOL
 
 
 def _reference_density_check(x):
     """The stored matrix, or the error message, by the whole-matrix check
-    np.max(np.abs(m - m.conj().T)) <= 100 * NORM_TOL."""
+    np.max(np.abs(m - m.conj().T)) <= 100 * NORM_TOL * |tr m|."""
     mat = np.asarray(x, dtype=np.complex128).copy()
-    if not np.max(np.abs(mat - mat.conj().T)) <= 100 * NORM_TOL:
-        return "matrix is not Hermitian with finite entries"
     tr = np.trace(mat).real
+    if not np.max(np.abs(mat - mat.conj().T)) <= 100 * NORM_TOL * abs(tr):
+        return "matrix is not Hermitian with finite entries"
     if not tr > 0.0:
         return f"trace {tr:.6g} is not positive"
     return mat / tr if abs(tr - 1.0) > NORM_TOL else mat
