@@ -69,11 +69,11 @@ def _states(args, expected: int):
             f"{args.command} needs exactly {expected} state argument(s) "
             f"(via --state or positional paths), got {len(specs)}"
         )
-    out = []
-    for i, spec in enumerate(specs):
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(99, i)))
-        out.append((spec, resolve_state(spec, rng)))
-    return out
+    # only a haar:n spec draws, and named_state builds its Generator itself
+    return [
+        (spec, resolve_state(spec, np.random.SeedSequence(args.seed, spawn_key=(99, i))))
+        for i, spec in enumerate(specs)
+    ]
 
 
 def cmd_analyze(args) -> int:

@@ -298,7 +298,8 @@ def named_state(spec: str, rng=None) -> PureState:
     """Build one of the named states.
 
     ghz:n[:alpha] (beta derived from normalization), w:n, canon4:a:b_re[:b_im],
-    singlets (two singlet pairs on four qubits), haar:n (needs rng),
+    singlets (two singlet pairs on four qubits), haar:n (needs rng: a
+    Generator, or a seed that np.random.default_rng takes),
     basis:bitstring.
     """
     name = spec.split(":", 1)[0]

@@ -9,15 +9,15 @@ optimizer gradient and the product test.  The kernel is cut by
 numerical_rank, as is_product cuts Schmidt coefficients, always on singular
 values of the unsquared map: _null_spaces reduces a map to its small
 triangular QR factor R (in cache-sized row blocks when the map is large)
-and takes R's SVD.  A small pure map (n <= 6) goes to it whole; a larger
-one is solved Gram first by _gram_split: eigh of the small Gram matrix sets
-aside the directions far above any cut, and only the block of the
-remaining candidate directions, none for a generic state, goes to
-_null_spaces.  The direct density solve compresses the commutator map of a
-low-rank rho onto the range of rho, an isometry of (3n+1)^2 r^2 rows
-instead of 4^n, and builds the whole map only for a higher rank; either
-map goes to _null_spaces whole.  stabilizer_pure_stack solves a stack of
-states with batched calls per chunk; stabilizer_pure is a stack of one.
+and takes R's SVD.  Every pure map is solved Gram first by _gram_split:
+eigh of the small Gram matrix sets aside the directions far above any cut,
+and only the block of the remaining candidate directions, none for a
+generic state, goes to _null_spaces.  The direct density solve compresses
+the commutator map of a low-rank rho onto the range of rho, an isometry of
+(3n+1)^2 r^2 rows instead of 4^n, and builds the whole map only for a
+higher rank; either map goes to _null_spaces whole.  stabilizer_pure_stack
+solves a stack of states with batched calls per chunk; stabilizer_pure is
+a stack of one.
 """
 
 import warnings
@@ -70,10 +70,6 @@ QR_BLOCK_BYTES = 2**18
 # kernel projectors were off by 3e-10 at 1e-7 and 5e-14 from 1e-6 to 1e-3;
 # from 1e-2 on, Haar states at n = 3 start to have candidates
 GRAM_SPLIT = 1e-4
-# a pure map of at most this many bytes (n <= 6) goes to _null_spaces whole:
-# there one QR and SVD of the map cost about what they cost on a candidate
-# block, so the Gram product and eigh would only add to them
-GRAM_FIRST_BYTES = 2**15
 
 # row r of qubit j's left products (Z V, J U, X V) of _density_planes, and of
 # the products (Z U, -J V, X U) whose transposes it subtracts, is row r, or r
@@ -92,19 +88,19 @@ class StabilizerBasis:
     'density' (no phase coordinate, length 3n).  Rows of `basis` are
     orthonormal in the Euclidean coordinate inner product: they are the
     kernel's right singular vectors in the order and with the signs the SVD
-    gives them (for a pure basis solved Gram first, those of the candidate
-    block mapped back through the candidate directions), which is
-    deterministic for a given input; no reader depends on a rotation of the
-    rows.  singular_values holds the full spectrum of the defining map (when
-    solved Gram first, the square roots of the Gram eigenvalues set aside as
-    range and then the candidate block's singular values); tol is the rank
-    cut it was solved at, the zero every reader of the basis takes, and gap
-    the ratio across that cut (inf when it is at either end).  When the
-    kernel is exact the denominator of gap is a roundoff-level singular
-    value, so gap then reads 1e9 or more and carries no margin; rank_margin
-    gives the margin on each side of the cut.  The rank split, gap and
-    proj_dims are computed once per basis.  method is 'svd' for a pure
-    basis, else the one route ('direct' or 'projected') that solved it.
+    gives them (for a pure basis, those of the candidate block mapped back
+    through the candidate directions), which is deterministic for a given
+    input; no reader depends on a rotation of the rows.  singular_values
+    holds the full spectrum of the defining map (for a pure basis, the
+    square roots of the Gram eigenvalues set aside as range and then the
+    candidate block's singular values); tol is the rank cut it was solved
+    at, the zero every reader of the basis takes, and gap the ratio across
+    that cut (inf when it is at either end).  When the kernel is exact the
+    denominator of gap is a roundoff-level singular value, so gap then
+    reads 1e9 or more and carries no margin; rank_margin gives the margin
+    on each side of the cut.  The rank split, gap and proj_dims are computed
+    once per basis.  method is 'svd' for a pure basis, else the one route
+    ('direct' or 'projected') that solved it.
     """
 
     ambient: str
@@ -236,25 +232,26 @@ def stabilizer_pure(psi: PureState, tol: float = NULL_TOL) -> StabilizerBasis:
     return stabilizer_pure_stack(psi.vector[None], tol)[0]
 
 
-def _gram_split(planes: np.ndarray, grams: np.ndarray, tol: float) -> list[tuple]:
+def _gram_split(planes: np.ndarray, tol: float) -> list[tuple]:
     """Kernel rows and full spectrum of each map of an (S, K, M) stack
-    of per-column planes, solved Gram first from its (S, K, K) Gram matrices.
+    of per-column planes, solved Gram first.
 
-    eigh of G = A^T A splits the coordinates: eigenvalues lam > GRAM_SPLIT *
-    lam_max are range directions with singular value sqrt(lam), far above any
-    cut, and the m others are candidates V_c.  With m = 0 the kernel is empty
-    and nothing is factorised, which is the case for generic states.
-    Otherwise the unsquared map A V_c goes to _null_spaces, with the range
-    singular values as its head, so the rank cut at tol is decided on
-    singular values of A itself, relative to sqrt(lam_max); maps of the stack
-    with the same m share one batched call.  A kernel vector leaks out of the
-    candidate span by about eps / GRAM_SPLIT, the error the Gram step adds to
-    the basis.  Each map gets bit for bit what it gets in a stack of its own.
-    The pure solve above GRAM_FIRST_BYTES is the one caller: the direct
-    density solve compresses its map onto the range of rho instead.
+    eigh of the Gram matrix G = A^T A splits the coordinates: eigenvalues
+    lam > GRAM_SPLIT * lam_max are range directions with singular value
+    sqrt(lam), far above any cut, and the m others are candidates V_c.  With
+    m = 0 the kernel is empty and nothing is factorised, which is the case
+    for generic states.  Otherwise the unsquared map A V_c goes to
+    _null_spaces, with the range singular values as its head, so the rank
+    cut at tol is decided on singular values of A itself, relative to
+    sqrt(lam_max); maps of the stack with the same m share one batched call.
+    A kernel vector leaks out of the candidate span by about eps /
+    GRAM_SPLIT, the error the Gram step adds to the basis.  Each map gets
+    bit for bit what it gets in a stack of its own.  The pure solve is the
+    one caller: the direct density solve compresses its map onto the range
+    of rho instead.
     """
     k = planes.shape[1]
-    lam, vecs = np.linalg.eigh(grams)
+    lam, vecs = np.linalg.eigh(planes @ planes.swapaxes(1, 2))
     # candidates: every direction a cut at tol could reach, with a factor 2
     # in singular value to spare; at tol >= 1/2 that is every direction
     bound = max(GRAM_SPLIT, 4.0 * tol * tol) * lam[:, -1:]
@@ -265,7 +262,8 @@ def _gram_split(planes: np.ndarray, grams: np.ndarray, tol: float) -> list[tuple
     for m, idx in groups.items():
         # no copy of the planes when the whole stack shares m
         sel = slice(None) if len(idx) == len(planes) else idx
-        head = np.sqrt(lam[sel, : m - 1 : -1] if m else lam[sel, ::-1])
+        # the range directions' singular values, descending: all k when m = 0
+        head = np.sqrt(lam[sel, m:][:, ::-1])
         if m == 0:
             for i, svals in zip(idx, head):
                 out[i] = (np.zeros((0, k)), svals)
@@ -278,35 +276,22 @@ def _gram_split(planes: np.ndarray, grams: np.ndarray, tol: float) -> list[tuple
     return out
 
 
-def _pure_chunk(vectors: np.ndarray, n: int, tol: float) -> list[StabilizerBasis]:
-    """Pure solve of one chunk of stabilizer_pure_stack: Gram first, or
-    the whole map when it is small."""
-    planes = _sign_flip_planes(vectors)
-    if planes[0].nbytes <= GRAM_FIRST_BYTES:
-        solved = _null_spaces(planes.swapaxes(1, 2), tol)
-    else:
-        solved = _gram_split(planes, planes @ planes.swapaxes(1, 2), tol)
-    return [StabilizerBasis("pure", n, rows, svals, tol) for rows, svals in solved]
-
-
 def stabilizer_pure_stack(vectors: np.ndarray, tol: float = NULL_TOL) -> list[StabilizerBasis]:
     """Pure stabilizer of each state in an (S, 2**n) stack of unit vectors.
 
     The defining map A of a state sends real coordinates (t, x1, y1, z1, ...)
     to the vector X|psi>, realified to a (2 * 2**n, 3n+1) matrix, built as
-    per-column planes by _sign_flip_planes and solved by _pure_chunk,
-    stack_length(n) states at a time.
-
-    A map of at most GRAM_FIRST_BYTES (n <= 6) goes to _null_spaces whole;
-    a larger one is solved Gram first by _gram_split, and a generic state
-    then factorises nothing.  Each basis is bit for bit the one the state
-    gets in a stack of its own.
+    per-column planes by _sign_flip_planes and solved Gram first by
+    _gram_split, stack_length(n) states at a time; a generic state
+    factorises nothing.  Each basis is bit for bit the one the state gets in
+    a stack of its own.
     """
     n = _stack_qubits(vectors)
     step = stack_length(n)
     out = []
     for lo in range(0, vectors.shape[0], step):
-        out += _pure_chunk(vectors[lo : lo + step], n, tol)
+        solved = _gram_split(_sign_flip_planes(vectors[lo : lo + step]), tol)
+        out += [StabilizerBasis("pure", n, rows, svals, tol) for rows, svals in solved]
     return out
 
 

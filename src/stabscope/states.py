@@ -53,7 +53,7 @@ PRODUCT_ENUM_LIMIT = 16
 
 def numerical_rank(s: np.ndarray, tol: float) -> int:
     """Number of nonnegative magnitudes in s above tol times the largest."""
-    return int(np.sum(s > tol * s.max(initial=0.0)))
+    return int(np.count_nonzero(s > tol * s.max(initial=0.0)))
 
 
 def int_to_bits(value: int, n: int) -> tuple[int, ...]:
@@ -187,11 +187,13 @@ class DensityMatrix:
         n = mat.shape[0].bit_length() - 1
         if n < 1 or mat.shape[0] != 1 << n:
             raise ValueError(f"dimension {mat.shape[0]} is not 2**n with n >= 1")
-        tr = np.trace(mat).real
         # a ufunc reading mat.T in place strides by a whole row per entry
         diff = mat.T.copy()
         np.conjugate(diff, out=diff)
-        np.subtract(mat, diff, out=diff)
+        # an infinite entry makes inf - inf here, a NaN the test below rejects
+        with np.errstate(invalid="ignore"):
+            tr = np.trace(mat).real
+            np.subtract(mat, diff, out=diff)
         # relative to the trace, so that the stored mat / tr is Hermitian to
         # 100 NORM_TOL; written so that a NaN or infinite entry fails it too
         if not np.max(np.abs(diff)) <= 100 * NORM_TOL * abs(tr):

@@ -32,7 +32,6 @@ from stabscope.stabilizer import (
     CLOSURE_TOL,
     DENSITY_DIRECT_LIMIT,
     GAP_MIN,
-    GRAM_FIRST_BYTES,
     NULL_TOL,
     QR_BLOCK_BYTES,
     QR_CALL_BYTES,
@@ -450,7 +449,7 @@ def _oracle_cases():
         yield f"ghz_orbit:{n}", to_density(apply_local_unitary(g, ghz_state(n, 0.8, 0.6))), n - 1
         wide = to_density(random_state(n + 2, rng))
         yield f"rank4:{n}", partial_trace(wide, (n + 1, n + 2)), 0
-    # n = 7 maps are built in row blocks and solved Gram first
+    # the n = 7 rank-4 map is factorised in row blocks
     for n in (6, 7):
         g = haar_random_local_unitary(n, rng)
         yield f"ghz_orbit:{n}", to_density(apply_local_unitary(g, ghz_state(n, 0.8, 0.6))), n - 1
@@ -460,8 +459,8 @@ def _oracle_cases():
     g = rng.standard_normal((2**7, 2**7)) + 1j * rng.standard_normal((2**7, 2**7))
     wishart = g @ g.conj().T
     yield "wishart:7", DensityMatrix(wishart / np.trace(wishart).real), 0
-    # maps from n = 7 on are solved Gram first; near the product end of the
-    # GHZ family the smallest range singular value nears the cut
+    # near the product end of the GHZ family the smallest range singular
+    # value nears the cut
     for beta in (1e-2, 1e-5, 3e-8, 1e-8, 3e-9):
         g = haar_random_local_unitary(7, rng)
         point = ghz_state(7, np.sqrt(1 - beta**2), beta)
@@ -857,73 +856,54 @@ def _reference_kernel(psi, tol=NULL_TOL):
     return vh[rank:], s, (s[rank - 1] / s[0] if rank else None)
 
 
-def _routes(n):
-    """GRAM_FIRST_BYTES settings that reach every route at n: small maps
-    are solved whole, and with the bound at 0 Gram first too."""
-    return (GRAM_FIRST_BYTES, 0) if n <= 6 else (GRAM_FIRST_BYTES,)
-
-
 @pytest.mark.parametrize("n", range(3, 13))
-def test_gram_first_pure_solve_matches_a_dense_svd(n, monkeypatch):
+def test_gram_first_pure_solve_matches_a_dense_svd(n):
     eps = np.finfo(np.float64).eps
-    for gram_first_bytes in _routes(n):
-        monkeypatch.setattr(stabilizer_module, "GRAM_FIRST_BYTES", gram_first_bytes)
-        for name, psi in _reference_corpus(n):
-            kernel, s, range_min = _reference_kernel(psi)
-            k = stabilizer_pure(psi)
-            assert k.dim == kernel.shape[0], name
-            reference = StabilizerBasis("pure", n, kernel, s, NULL_TOL)
-            assert k.proj_dims == reference.proj_dims, name
-            assert np.max(np.abs(k.singular_values - s)) <= 1e-12 * s[0], name
-            # the cut's own conditioning bounds how well any solve fixes the kernel
-            bound = 1e-10 if range_min >= 1e-4 else 100 * eps / range_min
-            diff = np.max(np.abs(k.basis.T @ k.basis - kernel.T @ kernel), initial=0.0)
-            assert diff <= bound, (name, diff, range_min)
-            margin = k.rank_margin()
-            assert margin["range_min"] == pytest.approx(range_min, rel=1e-9), name
-            assert (margin["kernel_max"] is None) == (k.dim == 0), name
+    for name, psi in _reference_corpus(n):
+        kernel, s, range_min = _reference_kernel(psi)
+        k = stabilizer_pure(psi)
+        assert k.dim == kernel.shape[0], name
+        reference = StabilizerBasis("pure", n, kernel, s, NULL_TOL)
+        assert k.proj_dims == reference.proj_dims, name
+        assert np.max(np.abs(k.singular_values - s)) <= 1e-12 * s[0], name
+        # the cut's own conditioning bounds how well any solve fixes the kernel
+        bound = 1e-10 if range_min >= 1e-4 else 100 * eps / range_min
+        diff = np.max(np.abs(k.basis.T @ k.basis - kernel.T @ kernel), initial=0.0)
+        assert diff <= bound, (name, diff, range_min)
+        margin = k.rank_margin()
+        assert margin["range_min"] == pytest.approx(range_min, rel=1e-9), name
+        assert (margin["kernel_max"] is None) == (k.dim == 0), name
 
 
 @pytest.mark.parametrize("tol", [1e-3, 0.05, 0.6])
-def test_gram_first_pure_solve_follows_a_coarse_cut(tol, monkeypatch):
+def test_gram_first_pure_solve_follows_a_coarse_cut(tol):
     # a coarse cut reaches directions the default would set aside as range
-    monkeypatch.setattr(stabilizer_module, "GRAM_FIRST_BYTES", 0)
     for n in (3, 5):
         for name, psi in _reference_corpus(n):
             kernel, _, _ = _reference_kernel(psi, tol)
             assert stabilizer_pure(psi, tol).dim == kernel.shape[0], (n, name)
 
 
-def test_generic_state_at_n_12_factorises_nothing(monkeypatch):
-    haar = random_state(12, np.random.default_rng(12))
-    orbit_point = apply_local_unitary(haar_random_local_unitary(12, np.random.default_rng(1)), ghz_state(12))
+@pytest.mark.parametrize("n", range(3, 13))
+def test_generic_state_factorises_nothing(n, monkeypatch):
+    haar = random_state(n, np.random.default_rng(n))
+    orbit_point = apply_local_unitary(haar_random_local_unitary(n, np.random.default_rng(1)), ghz_state(n))
     calls = []
     null_spaces = stabilizer_module._null_spaces
     monkeypatch.setattr(
         stabilizer_module, "_null_spaces", lambda maps, *a: calls.append(maps.shape) or null_spaces(maps, *a)
     )
-    qr = np.linalg.qr
+    qr, eigh = np.linalg.qr, np.linalg.eigh
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append("qr") or qr(a, *args, **kw))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(("eigh", a.shape)) or eigh(a, *args))
+    gram = ("eigh", (1, 3 * n + 1, 3 * n + 1))
+    # every map is solved Gram first: one eigh, and a Haar state factorises nothing
     k = stabilizer_pure(haar)
-    assert calls == [] and k.dim == 0 and k.gap == np.inf
-    assert k.rank_margin()["kernel_max"] is None and k.singular_values.shape == (37,)
+    assert calls == [gram] and k.dim == 0 and k.gap == np.inf
+    assert k.rank_margin()["kernel_max"] is None and k.singular_values.shape == (3 * n + 1,)
     # a GHZ orbit point factorises only its candidate block, with one QR
+    calls.clear()
     k = stabilizer_pure(orbit_point)
-    (shape, qr_call) = calls
-    assert qr_call == "qr" and shape[:2] == (1, 2**13) and k.dim == 11 <= shape[2] < 37
-
-
-def test_small_pure_maps_are_solved_whole(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a.shape) or eigh(a, *args))
-    rng = np.random.default_rng(6)
-    psi = apply_local_unitary(haar_random_local_unitary(6, rng), ghz_state(6, 0.8, 0.6))
-    k = stabilizer_pure(psi)
-    assert calls == [] and 2 ** 7 * 19 * 8 <= GRAM_FIRST_BYTES
-    ((rows, svals),) = _null_spaces(_realified_pure_map(psi)[None], NULL_TOL)
-    rank = numerical_rank(svals, NULL_TOL)
-    assert np.array_equal(k.basis, rows) and np.array_equal(k.singular_values, svals)
-    assert k.gap == svals[rank - 1] / svals[rank]
-    stabilizer_pure(random_state(7, rng))
-    assert calls == [(1, 22, 22)]
+    (eigh_call, shape, qr_call) = calls
+    assert eigh_call == gram and qr_call == "qr" and shape[:2] == (1, 2 ** (n + 1))
+    assert k.dim == n - 1 <= shape[2] < 3 * n + 1

@@ -86,11 +86,9 @@ def test_reduced_states_match_partial_traces_and_stacks_of_one(n):
 def test_stabilizer_stacks_are_solved_in_bounded_chunks(monkeypatch):
     assert stack_length(12) == 1 and stack_length(4) == STACK_AMPLITUDES // 16
     module = sys.modules["stabscope.stabilizer"]
-    chunk = module._pure_chunk
+    chunk = module._gram_split
     sizes = []
-    monkeypatch.setattr(
-        module, "_pure_chunk", lambda vectors, n, tol: sizes.append(len(vectors)) or chunk(vectors, n, tol)
-    )
+    monkeypatch.setattr(module, "_gram_split", lambda planes, tol: sizes.append(len(planes)) or chunk(planes, tol))
     for n, count in ((4, 300), (10, 6), (12, 2)):
         sizes.clear()
         rng = np.random.default_rng(n)

@@ -150,9 +150,15 @@ def test_ghz_balanced_default():
     assert psi.amplitude((1,) * 4) == pytest.approx(1 / np.sqrt(2))
 
 
+@pytest.mark.filterwarnings("error")
 def test_density_checks_hermiticity_and_trace():
     with pytest.raises(ValueError):
         DensityMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    # an infinite or NaN entry raises the class's own error, with no numpy
+    # warning from inf - inf on the way
+    for bad in ([[np.inf, 0], [0, 1]], [[np.inf, 0], [0, -np.inf]], [[np.nan, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="not Hermitian with finite entries"):
+            DensityMatrix(bad)
     with pytest.warns(UserWarning, match="rescaling"):
         rho = DensityMatrix(np.eye(2))
     assert np.trace(rho.matrix).real == pytest.approx(1.0)
