@@ -17,7 +17,7 @@ import numpy as np
 from .states import NULL_TOL, is_product, stack_length
 from .local_unitary import apply_local_unitary, haar_random_local_unitary
 from .stabilizer import algebra_type, _drop_phase, stabilizer_pure, stabilizer_pure_stack
-from .invariants import fingerprint_drift, invariant_fingerprint, invariant_fingerprint_stack
+from .invariants import _drift, fingerprint_component_stack, invariant_fingerprint
 from .equivalence import EQUIV_TOL, FINGERPRINT_TOL, decide_equivalence
 from .classify import classify
 from .io import GuardError, StateFormatError, resolve_state
@@ -121,17 +121,20 @@ def cmd_orbit(args) -> int:
     for lo in range(-1, args.samples, step):
         index = range(lo, min(lo + step, args.samples))
         vectors = np.array([point(i) for i in index])
-        solved = zip(index, stabilizer_pure_stack(vectors, args.tol_null),
-                     invariant_fingerprint_stack(vectors))
-        for i, k, fp in solved:
+        # (component, state); a one-qubit state has no components
+        values = np.array([v for _, v in fingerprint_component_stack(vectors)]).reshape(-1, len(index))
+        if lo < 0:
+            base = values[:, :1]
+        solved = zip(index, stabilizer_pure_stack(vectors, args.tol_null), _drift(base, values))
+        for i, k, drift in solved:
             if i < 0:
-                base_k, base_fp = k, fp
+                base_k = k
                 continue
             rows.append({
                 "sample": i,
                 "stab_dim": k.dim,
                 "proj_dims": list(k.proj_dims),
-                "drift": fingerprint_drift(base_fp, fp),
+                "drift": float(drift),
             })
     max_drift = max(row["drift"] for row in rows)
     consistent = all(

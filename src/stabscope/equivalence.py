@@ -29,7 +29,7 @@ import numpy as np
 from .states import PureState, _sign_flip_planes, apply_factors, reduced_states
 from .local_unitary import SU2_BASIS, LocalUnitary, _exp_and_dexp, compose, haar_su2, inverse
 from .stabilizer import NULL_TOL, stabilizer_pure_stack
-from .invariants import fingerprint_component_stack
+from .invariants import fingerprint_component_stack, first_difference
 from .classify import EQUIV_TOL, CanonicalizationError, GhzCanonicalForm, canonical_form
 
 # invariant components differing by more than this certify inequivalence
@@ -161,11 +161,9 @@ def _parameter_difference(fa, fb, tol: float) -> tuple | None:
     """The first canonical parameter, (alpha,) for GHZ or (a, b) for the
     family, on which two forms differ by more than tol, as a separator."""
     names = ("alpha",) if isinstance(fa, GhzCanonicalForm) else ("a", "b")
-    for name in names:
-        va, vb = getattr(fa, name), getattr(fb, name)
-        if abs(va - vb) > tol:
-            return f"canonical_form:{name}", va, vb
-    return None
+    return first_difference(
+        ((f"canonical_form:{name}", (getattr(fa, name), getattr(fb, name))) for name in names), tol
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,12 +251,10 @@ def decide_equivalence(
         )
     # each component is computed for both states at once, and only as far
     # as the first one that separates them
-    for name, values in fingerprint_component_stack(pair):
-        va, vb = values[0].item(), values[1].item()
-        if abs(va - vb) > FINGERPRINT_TOL:
-            return EquivVerdict(
-                "inequivalent", None, (name, va, vb), None, None, f"fingerprint:{name}"
-            )
+    components = ((name, values.tolist()) for name, values in fingerprint_component_stack(pair))
+    sep = first_difference(components, FINGERPRINT_TOL)
+    if sep is not None:
+        return EquivVerdict("inequivalent", None, sep, None, None, f"fingerprint:{sep[0]}")
     # the canonical form goes first: where it applies its witness is exact,
     # and the form is unique, so differing parameters prove inequivalence;
     # equal stab_dim and proj_dims give both states the same pattern

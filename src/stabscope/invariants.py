@@ -1,10 +1,10 @@
 """Local-unitary invariants: subsystem purities, four-qubit pair invariants,
 and the polynomial family built from per-qubit copy permutations.
 
-invariant_fingerprint_stack and fingerprint_component_stack compute the
-fingerprint of every state in an (S, 2**n) stack of amplitude vectors at
-once; invariant_fingerprint, pair_invariants and polynomial_invariant
-are stacks of one.
+fingerprint_component_stack computes the fingerprint of every state in an
+(S, 2**n) stack of amplitude vectors at once, one component at a time;
+invariant_fingerprint, pair_invariants and polynomial_invariant are stacks
+of one.
 
 The fingerprint's purities after purity:1 come from one partial-trace tree
 (_purity_plan, _purity_table): only the largest sides, of n // 2 qubits,
@@ -45,12 +45,12 @@ def pair_invariants(psi: PureState) -> tuple[float, float, float]:
     q = |b|^2, r = |c|^2, and cyclically for pairs (1,3) and (1,4).  Solving
     the linear system gives the products pq, pr, qr, whence
     I1 = |a||b|, I2 = |a||c|, I3 = |b||c|.  Each value is clamped at zero
-    against rounding for states outside the family.
+    against rounding for states outside the family.  These are the
+    fingerprint's pair:I1-I3, bit for bit.
     """
     if psi.n != 4:
         raise ValueError(f"pair_invariants requires n = 4, got n = {psi.n}")
-    pairs = [subset_purity_stack(psi.vector[None], (1, j)) for j in (2, 3, 4)]
-    return tuple(float(v[0]) for v in _pair_stack(*pairs))
+    return invariant_fingerprint(psi).pair_invariants
 
 
 def _pair_stack(p12: np.ndarray, p13: np.ndarray, p14: np.ndarray) -> tuple:
@@ -308,27 +308,14 @@ class InvariantFingerprint:
 
 def invariant_fingerprint(psi: PureState) -> InvariantFingerprint:
     """Collect the purity, pair, and polynomial invariants of a state: a
-    stack of one for invariant_fingerprint_stack."""
-    return invariant_fingerprint_stack(psi.vector[None])[0]
-
-
-def invariant_fingerprint_stack(vectors: np.ndarray) -> list[InvariantFingerprint]:
-    """invariant_fingerprint of each state in an (S, 2**n) stack of unit
-    vectors, each bit for bit what the state gets in a stack of its own."""
-    n = _stack_qubits(vectors)
+    stack of one for fingerprint_component_stack."""
     groups = {"purity": {}, "pair": {}, "poly": {}}
-    for name, values in fingerprint_component_stack(vectors):
+    for name, values in fingerprint_component_stack(psi.vector[None]):
         kind, _, key = name.partition(":")
-        groups[kind][key] = values.tolist()
-    return [
-        InvariantFingerprint(
-            n,
-            {key: v[i] for key, v in groups["purity"].items()},
-            tuple(v[i] for v in groups["pair"].values()) or None,
-            {key: v[i] for key, v in groups["poly"].items()} or None,
-        )
-        for i in range(vectors.shape[0])
-    ]
+        groups[kind][key] = values.item()
+    return InvariantFingerprint(
+        psi.n, groups["purity"], tuple(groups["pair"].values()) or None, groups["poly"] or None
+    )
 
 
 def fingerprint_component_stack(vectors: np.ndarray):
@@ -361,21 +348,31 @@ def fingerprint_component_stack(vectors: np.ndarray):
             yield f"poly:{t.key}", _polynomial_stack(rho, t)
 
 
-def fingerprint_drift(fa: InvariantFingerprint, fb: InvariantFingerprint) -> float:
-    """Largest relative component difference |x - y| / (1 + |x|)."""
+def _matched(fa: InvariantFingerprint, fb: InvariantFingerprint) -> list:
+    """(name, (x, y)) of each component of fa and fb, which must have the same ones."""
     ca = fa.components()
     cb = fb.components()
     if [k for k, _ in ca] != [k for k, _ in cb]:
         raise ValueError("fingerprints have different components")
-    x = np.array([v for _, v in ca])
-    y = np.array([v for _, v in cb])
-    return float(np.max(np.abs(x - y) / (1.0 + np.abs(x)), initial=0.0))
+    return [(name, (x, y)) for (name, x), (_, y) in zip(ca, cb)]
 
 
-def first_difference(ca, cb, tol: float) -> tuple | None:
-    """First (name, x, y) of two parallel (name, value) sequences with
-    |x - y| > tol, or None; iterators are consumed only that far."""
-    for (name, x), (_, y) in zip(ca, cb):
+def _drift(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Largest |x - y| / (1 + |x|) over axis 0 of two component arrays,
+    0.0 where there are no components."""
+    return np.max(np.abs(x - y) / (1.0 + np.abs(x)), axis=0, initial=0.0)
+
+
+def fingerprint_drift(fa: InvariantFingerprint, fb: InvariantFingerprint) -> float:
+    """Largest relative component difference |x - y| / (1 + |x|)."""
+    xy = np.array([v for _, v in _matched(fa, fb)]).reshape(-1, 2)
+    return float(_drift(xy[:, 0], xy[:, 1]))
+
+
+def first_difference(pairs, tol: float) -> tuple | None:
+    """First (name, x, y) of a stream of (name, (x, y)) with |x - y| > tol,
+    or None; an iterator is consumed only that far."""
+    for name, (x, y) in pairs:
         if abs(x - y) > tol:
             return (name, x, y)
     return None
@@ -385,4 +382,4 @@ def separating_component(
     fa: InvariantFingerprint, fb: InvariantFingerprint, tol: float
 ) -> tuple | None:
     """First fingerprint component differing by more than tol, or None."""
-    return first_difference(fa.components(), fb.components(), tol)
+    return first_difference(_matched(fa, fb), tol)

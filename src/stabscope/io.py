@@ -44,6 +44,9 @@ MAX_QUBITS = 12
 
 NAMED_PREFIXES = ("ghz", "w", "canon4", "singlets", "haar", "basis")
 
+# the state writers drop amplitudes of modulus at most this
+WRITE_CUTOFF = 1e-14
+
 
 class StateFormatError(ValueError):
     """A state file or named-state spec could not be parsed."""
@@ -362,19 +365,19 @@ def resolve_state(spec: str, rng=None) -> PureState:
     )
 
 
-def state_to_dict(psi: PureState, cutoff: float = 1e-14) -> dict:
-    """JSON-ready description of a state; amplitudes below cutoff are dropped."""
+def state_to_dict(psi: PureState) -> dict:
+    """JSON-ready description of a state, without amplitudes at most WRITE_CUTOFF."""
     vec = psi.vector
     amps = [
         {"index": format(i, f"0{psi.n}b"), "re": float(vec[i].real), "im": float(vec[i].imag)}
-        for i in np.flatnonzero(np.abs(vec) > cutoff)
+        for i in np.flatnonzero(np.abs(vec) > WRITE_CUTOFF)
     ]
     return {"n": psi.n, "amplitudes": amps}
 
 
-def state_to_text(psi: PureState, cutoff: float = 1e-14) -> str:
+def state_to_text(psi: PureState) -> str:
     lines = [f"# {psi.n}-qubit state"]
-    for index in np.flatnonzero(np.abs(psi.vector) > cutoff):
+    for index in np.flatnonzero(np.abs(psi.vector) > WRITE_CUTOFF):
         value = psi.vector[index]
         lines.append(f"{format(index, f'0{psi.n}b')} {value.real:+.16e} {value.imag:+.16e}")
     return "\n".join(lines) + "\n"

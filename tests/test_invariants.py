@@ -26,7 +26,12 @@ from stabscope import (
     tensor_product,
     w_state,
 )
-from stabscope.invariants import _keyed_subsets, _purity_plan, invariant_fingerprint_stack, subset_key
+from stabscope.invariants import (
+    _keyed_subsets,
+    _purity_plan,
+    fingerprint_component_stack,
+    subset_key,
+)
 from stabscope.selftest import _poly3_reference
 from stabscope.states import _bipartition_sides, subset_purity_stack
 
@@ -71,6 +76,20 @@ def test_pair_invariants_nonnegative_on_generic_states():
     for seed in range(5):
         vals = pair_invariants(random_state(4, np.random.default_rng(seed)))
         assert all(v >= 0.0 for v in vals)
+
+
+def test_pair_invariants_are_the_fingerprint_pair_components():
+    rng = np.random.default_rng(44)
+    states = [random_state(4, rng) for _ in range(50)] + [
+        canonical_four_qubit_state(0.5, 0.2 + 0.3j),
+        canonical_four_qubit_state(CAL_A, CAL_B),
+        apply_local_unitary(
+            haar_random_local_unitary(4, rng), canonical_four_qubit_state(0.5, -0.25 + 0.1j)
+        ),
+    ]
+    stream = dict(fingerprint_component_stack(np.stack([psi.vector for psi in states])))
+    for i, psi in enumerate(states):
+        assert pair_invariants(psi) == tuple(stream[f"pair:I{j}"][i] for j in (1, 2, 3))
 
 
 def test_permutation_triple_key_and_validation():
@@ -188,13 +207,13 @@ def test_tree_purities_match_the_direct_route(n):
         ]
     vectors = np.stack([psi.vector for psi in states])
     keyed = _keyed_subsets(n)
-    fps = invariant_fingerprint_stack(vectors)
-    for fp in fps:
-        assert set(fp.purities) == {key for key, _ in keyed}
+    stream = dict(fingerprint_component_stack(vectors))
+    assert [name for name in stream if name.startswith("purity:")] == [
+        f"purity:{key}" for key, _ in keyed
+    ]
     for key, subset in keyed:
         direct = subset_purity_stack(vectors, subset)
-        tree = [fp.purities[key] for fp in fps]
-        assert np.max(np.abs(direct - tree)) <= 1e-14, key
+        assert np.max(np.abs(direct - stream[f"purity:{key}"])) <= 1e-14, key
 
 
 @pytest.mark.parametrize("triple", DEFAULT_TRIPLES, ids=lambda t: t.key)
@@ -235,6 +254,14 @@ def test_fingerprint_drift_matches_the_componentwise_loop(n):
 def test_fingerprint_drift_requires_matching_shape():
     with pytest.raises(ValueError):
         fingerprint_drift(invariant_fingerprint(ghz_state(3)), invariant_fingerprint(w_state(4)))
+
+
+@pytest.mark.parametrize("na, nb", [(3, 4), (4, 3)])
+def test_separating_component_requires_matching_components(na, nb):
+    # zipped blindly, purity:2 of GHZ3 would meet purity:12 of GHZ4
+    fa, fb = invariant_fingerprint(ghz_state(na)), invariant_fingerprint(ghz_state(nb))
+    with pytest.raises(ValueError, match="different components"):
+        separating_component(fa, fb, 1e-9)
 
 
 def _two_m_copy_reference(psi, triple):

@@ -647,23 +647,35 @@ def test_cli_json_numerical_failure_carries_a_payload(monkeypatch, capsys):
 
 
 def test_cli_orbit_rows_do_not_depend_on_the_chunks(tmp_path, capsys):
-    # at n = 10 a chunk holds four states: the base and samples 0-2, then 3-5
-    path = tmp_path / "haar10.json"
-    path.write_text(json.dumps(state_to_dict(random_state(10, np.random.default_rng(8)))))
-    psi = load_state(str(path))
-    assert main(["orbit", str(path), "--samples", "6", "--seed", "3", "--format", "json"]) == 0
-    rows = json.loads(capsys.readouterr().out)["rows"]
-    base = invariant_fingerprint(psi)
-    for i, row in enumerate(rows):
-        rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(7, i)))
-        moved = apply_local_unitary(haar_random_local_unitary(10, rng), psi)
-        k = stabilizer_pure(moved)
-        assert row == {
-            "sample": i,
-            "stab_dim": k.dim,
-            "proj_dims": list(k.proj_dims),
-            "drift": fingerprint_drift(base, invariant_fingerprint(moved)),
-        }
+    draws = np.random.default_rng(8)
+    states = {
+        # at n = 10 a chunk holds four states: the base and samples 0-2, then 3-5
+        "haar10": random_state(10, draws),
+        # its poly:* components are complex
+        "canon4": apply_local_unitary(
+            haar_random_local_unitary(4, draws), named_state("canon4:0.5:0.2:0.3")
+        ),
+        # a one-qubit fingerprint has no components, so every drift is 0.0
+        "haar1": random_state(1, draws),
+    }
+    for name, state in states.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(state_to_dict(state)))
+        psi = load_state(str(path))
+        assert main(["orbit", str(path), "--samples", "6", "--seed", "3", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        base = invariant_fingerprint(psi)
+        for i, row in enumerate(rows):
+            rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(7, i)))
+            moved = apply_local_unitary(haar_random_local_unitary(psi.n, rng), psi)
+            k = stabilizer_pure(moved)
+            assert row == {
+                "sample": i,
+                "stab_dim": k.dim,
+                "proj_dims": list(k.proj_dims),
+                "drift": fingerprint_drift(base, invariant_fingerprint(moved)),
+            }, name
+        assert psi.n > 1 or all(row["drift"] == 0.0 for row in rows)
 
 
 def test_cli_orbit_consistency(capsys):

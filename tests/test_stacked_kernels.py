@@ -26,7 +26,7 @@ from stabscope import (
     to_density,
     w_state,
 )
-from stabscope.invariants import _keyed_subsets, invariant_fingerprint_stack
+from stabscope.invariants import _keyed_subsets, fingerprint_component_stack
 from stabscope.stabilizer import stabilizer_pure_stack
 from stabscope.states import STACK_AMPLITUDES, reduced_states, stack_length, subset_purity_stack
 
@@ -63,8 +63,10 @@ def test_stacked_slices_equal_stacks_of_one(n):
         assert np.array_equal(k.basis, one.basis)
         assert np.array_equal(k.singular_values, one.singular_values)
         assert (k.dim, k.proj_dims, k.gap) == (one.dim, one.proj_dims, one.gap)
-    for psi, fp in zip(states, invariant_fingerprint_stack(vectors), strict=True):
-        assert fp == invariant_fingerprint(psi)
+    # each state's row of the stream is its fingerprint alone, a stack of one
+    stream = [(name, values.tolist()) for name, values in fingerprint_component_stack(vectors)]
+    for i, psi in enumerate(states):
+        assert [(name, values[i]) for name, values in stream] == invariant_fingerprint(psi).components()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
