@@ -14,6 +14,7 @@ reduced state is traced over one qubit from its parent in the tree.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -46,11 +47,14 @@ def pair_invariants(psi: PureState) -> tuple[float, float, float]:
     the linear system gives the products pq, pr, qr, whence
     I1 = |a||b|, I2 = |a||c|, I3 = |b||c|.  Each value is clamped at zero
     against rounding for states outside the family.  These are the
-    fingerprint's pair:I1-I3, bit for bit.
+    fingerprint's pair:I1-I3, bit for bit: the fingerprint stream is read
+    up to pair:I3, so the polynomial invariants after it are not computed.
     """
     if psi.n != 4:
         raise ValueError(f"pair_invariants requires n = 4, got n = {psi.n}")
-    return invariant_fingerprint(psi).pair_invariants
+    stream = fingerprint_component_stack(psi.vector[None])
+    pairs = (values.item() for name, values in stream if name.startswith("pair:"))
+    return tuple(islice(pairs, 3))
 
 
 def _pair_stack(p12: np.ndarray, p13: np.ndarray, p14: np.ndarray) -> tuple:

@@ -10,9 +10,11 @@ numerical_rank, as is_product cuts Schmidt coefficients, always on singular
 values of the unsquared map: _null_spaces reduces a map to its small
 triangular QR factor R (in cache-sized row blocks when the map is large)
 and takes R's SVD.  Every pure map is solved Gram first by _gram_split:
-eigh of the small Gram matrix sets aside the directions far above any cut,
-and only the block of the remaining candidate directions, none for a
-generic state, goes to _null_spaces.  The direct density solve compresses
+eigh of the small Gram matrix, which states._plane_grams sums over row
+blocks of the planes and a PureState caches for is_product too, sets aside
+the directions far above any cut, and only the map of the remaining
+candidate directions, none for a generic state, is formed, in the same row
+blocks, and goes to _null_spaces.  The direct density solve compresses
 the commutator map of a low-rank rho onto the range of rho, an isometry of
 (3n+1)^2 r^2 rows instead of 4^n, and builds the whole map only for a
 higher rank; either map goes to _null_spaces whole.  stabilizer_pure_stack
@@ -29,8 +31,11 @@ import numpy as np
 
 from .states import (
     NULL_TOL,
+    QR_BLOCK_BYTES,
     DensityMatrix,
     PureState,
+    _plane_grams,
+    _sign_flip_blocks,
     _sign_flip_planes,
     _stack_qubits,
     numerical_rank,
@@ -58,11 +63,9 @@ DENSITY_DIRECT_LIMIT = 6
 # n = 6, ranks up to 2 at n = 7 and up to 4 at n = 8
 RANGE_ROUTE_RATIO = 0.4
 # the most bytes of a defining map one QR call takes: a larger map is
-# factorised in row blocks, this many bytes of blocks per call
+# factorised in row blocks of states.QR_BLOCK_BYTES, this many bytes of
+# blocks per call
 QR_CALL_BYTES = 2**20
-# bytes of one row block, small enough that its Householder sweeps stay in
-# cache
-QR_BLOCK_BYTES = 2**18
 # the pure solve sets aside Gram eigenvalues lam > GRAM_SPLIT * lam_max as
 # range and solves the rest on the unsquared map.  A kernel vector leaks by
 # about eps / GRAM_SPLIT into the range: against a dense SVD on Haar, W,
@@ -227,22 +230,39 @@ def _null_spaces(real_maps: np.ndarray, tol: float, head: np.ndarray | None = No
 
 
 def stabilizer_pure(psi: PureState, tol: float = NULL_TOL) -> StabilizerBasis:
-    """Stabilizer of a pure state inside u(1) + su(2)^n: a stack of one for
-    stabilizer_pure_stack."""
-    return stabilizer_pure_stack(psi.vector[None], tol)[0]
+    """Stabilizer of a pure state inside u(1) + su(2)^n: a stack of one, as
+    stabilizer_pure_stack solves it, on the plane Gram matrix psi caches, so
+    that is_product on the same state does not form it again."""
+    ((rows, svals),) = _gram_split(psi.vector[None], psi._plane_gram[None], tol)
+    return StabilizerBasis("pure", psi.n, rows, svals, tol)
 
 
-def _gram_split(planes: np.ndarray, tol: float) -> list[tuple]:
-    """Kernel rows and full spectrum of each map of an (S, K, M) stack
-    of per-column planes, solved Gram first.
+def _candidate_maps(vectors: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """The maps A V_c of an (S, 2**n) stack, shape (S, 2 * 2**n, m), from
+    candidate directions cands of shape (S, 3n+1, m), formed in the row
+    blocks of states._sign_flip_blocks, rows in the order of the whole
+    planes; up to n = 9, one block, the product of the whole planes."""
+    s, d = vectors.shape
+    left = cands.swapaxes(1, 2)
+    out = np.empty((s, cands.shape[2], 2, d))
+    for lo, planes in _sign_flip_blocks(vectors):
+        rows = planes.shape[2] // 2
+        out[..., lo : lo + rows] = np.matmul(left, planes).reshape(s, -1, 2, rows)
+    return out.reshape(s, -1, 2 * d).swapaxes(1, 2)
+
+
+def _gram_split(vectors: np.ndarray, grams: np.ndarray, tol: float) -> list[tuple]:
+    """Kernel rows and full spectrum of the pure map of each state of an
+    (S, 2**n) stack, solved Gram first from grams, the (S, 3n+1, 3n+1) Gram
+    matrices of their planes (states._plane_grams).
 
     eigh of the Gram matrix G = A^T A splits the coordinates: eigenvalues
     lam > GRAM_SPLIT * lam_max are range directions with singular value
     sqrt(lam), far above any cut, and the m others are candidates V_c.  With
     m = 0 the kernel is empty and nothing is factorised, which is the case
-    for generic states.  Otherwise the unsquared map A V_c goes to
-    _null_spaces, with the range singular values as its head, so the rank
-    cut at tol is decided on singular values of A itself, relative to
+    for generic states.  Otherwise the unsquared map A V_c (_candidate_maps)
+    goes to _null_spaces, with the range singular values as its head, so the
+    rank cut at tol is decided on singular values of A itself, relative to
     sqrt(lam_max); maps of the stack with the same m share one batched call.
     A kernel vector leaks out of the candidate span by about eps /
     GRAM_SPLIT, the error the Gram step adds to the basis.  Each map gets
@@ -250,18 +270,18 @@ def _gram_split(planes: np.ndarray, tol: float) -> list[tuple]:
     one caller: the direct density solve compresses its map onto the range
     of rho instead.
     """
-    k = planes.shape[1]
-    lam, vecs = np.linalg.eigh(planes @ planes.swapaxes(1, 2))
+    k = grams.shape[1]
+    lam, vecs = np.linalg.eigh(grams)
     # candidates: every direction a cut at tol could reach, with a factor 2
     # in singular value to spare; at tol >= 1/2 that is every direction
     bound = max(GRAM_SPLIT, 4.0 * tol * tol) * lam[:, -1:]
     groups = {}
     for i, m in enumerate((lam <= bound).sum(axis=1).tolist()):
         groups.setdefault(m, []).append(i)
-    out = [None] * len(planes)
+    out = [None] * len(grams)
     for m, idx in groups.items():
-        # no copy of the planes when the whole stack shares m
-        sel = slice(None) if len(idx) == len(planes) else idx
+        # no copy of the vectors when the whole stack shares m
+        sel = slice(None) if len(idx) == len(grams) else idx
         # the range directions' singular values, descending: all k when m = 0
         head = np.sqrt(lam[sel, m:][:, ::-1])
         if m == 0:
@@ -270,7 +290,7 @@ def _gram_split(planes: np.ndarray, tol: float) -> list[tuple]:
             continue
         # contiguous either way, so each map's product is the one it gets alone
         cands = np.ascontiguousarray(vecs[sel, :, :m])
-        block = np.matmul(cands.swapaxes(1, 2), planes[sel]).swapaxes(1, 2)
+        block = _candidate_maps(vectors[sel], cands)
         for i, c, (rows, svals) in zip(idx, cands, _null_spaces(block, tol, head)):
             out[i] = (rows @ c.T, svals)
     return out
@@ -280,17 +300,20 @@ def stabilizer_pure_stack(vectors: np.ndarray, tol: float = NULL_TOL) -> list[St
     """Pure stabilizer of each state in an (S, 2**n) stack of unit vectors.
 
     The defining map A of a state sends real coordinates (t, x1, y1, z1, ...)
-    to the vector X|psi>, realified to a (2 * 2**n, 3n+1) matrix, built as
-    per-column planes by _sign_flip_planes and solved Gram first by
+    to the vector X|psi>, realified to a (2 * 2**n, 3n+1) matrix whose
+    columns are the planes of states._sign_flip_planes.  Its Gram matrix
+    comes from states._plane_grams and the map is solved Gram first by
     _gram_split, stack_length(n) states at a time; a generic state
-    factorises nothing.  Each basis is bit for bit the one the state gets in
-    a stack of its own.
+    factorises nothing.  Neither step holds more than one row block of
+    planes.  Each basis is bit for bit the one the state gets in a stack of
+    its own, and the one stabilizer_pure gives it.
     """
     n = _stack_qubits(vectors)
     step = stack_length(n)
     out = []
     for lo in range(0, vectors.shape[0], step):
-        solved = _gram_split(_sign_flip_planes(vectors[lo : lo + step]), tol)
+        chunk = vectors[lo : lo + step]
+        solved = _gram_split(chunk, _plane_grams(chunk), tol)
         out += [StabilizerBasis("pure", n, rows, svals, tol) for rows, svals in solved]
     return out
 

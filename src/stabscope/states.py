@@ -12,9 +12,14 @@ a right product is the adjoint of a left one), and apply_factors one factor
 per qubit; the local-unitary action, the canonicalisers and the equivalence
 witnesses all go through them.  _sign_flip_planes applies every generator
 of u(1) + su(2)^n at once, as signed, bit-flipped copies of Re psi and
-Im psi: the pure stabilizer map, the optimizer gradient and is_product's
-correlation graph read them, and stabilizer._density_planes builds the
-direct density map the same way from Re rho +- Im rho.  reduced_states
+Im psi: the optimizer gradient and the density range route read them, and
+stabilizer._density_planes builds the direct density map the same way from
+Re rho +- Im rho.  _sign_flip_blocks forms the same planes a row block of
+QR_BLOCK_BYTES at a time, by one gather per block, and _plane_grams sums
+their Gram matrix G = P P^T over the blocks: the pure stabilizer's rank
+split and is_product's correlation graph read G, which a PureState forms
+once and caches, and the pure solve forms its candidate map in the same
+blocks, so no n = 12 solve holds the whole planes.  reduced_states
 forms reduced states from amplitudes: the Gram matrices of the amplitude
 matrices of an (S, 2**n) stack.  Every marginal comes from it but the
 product test's, which takes the SVD of the same amplitude matrix; the
@@ -34,7 +39,7 @@ cut, and tests only cuts between its components.
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 
 import numpy as np
@@ -49,6 +54,11 @@ STACK_AMPLITUDES = 2**12
 # is_product's fallback enumerates bipartitions of uncorrelated components,
 # which is only sane up to this many components
 PRODUCT_ENUM_LIMIT = 16
+# bytes of one row block of a defining map: one state's sign-flip planes are
+# formed this many bytes of rows at a time (_plane_rows), and a tall map is
+# factorised in blocks of this size (stabilizer._r_factors), small enough
+# that the work on a block stays in cache
+QR_BLOCK_BYTES = 2**18
 
 
 def numerical_rank(s: np.ndarray, tol: float) -> int:
@@ -154,6 +164,14 @@ class PureState:
 
     def amplitude(self, bits) -> complex:
         return complex(self.vector[bits_to_int(bits)])
+
+    @cached_property
+    def _plane_gram(self) -> np.ndarray:
+        """Gram matrix of the state's sign-flip planes, formed once: the pure
+        stabilizer's rank split and is_product's correlation graph read it."""
+        gram = _plane_grams(self.vector[None])[0]
+        gram.flags.writeable = False
+        return gram
 
     def tensor(self) -> np.ndarray:
         """Read-only view with shape (2,) * n."""
@@ -321,6 +339,104 @@ def _sign_flip_planes(vectors: np.ndarray) -> np.ndarray:
     return planes.reshape(s, 3 * n + 1, 2 * d)
 
 
+def _plane_rows(n: int) -> int:
+    """Rows of psi in one block of _sign_flip_blocks: the largest power of
+    two, at most 2**n, whose block of one state's planes, (3n+1) x 2 x rows
+    reals, fits in QR_BLOCK_BYTES.  A state of up to 9 qubits is one block;
+    a 12-qubit one is 16 blocks of 256 rows."""
+    fit = QR_BLOCK_BYTES // (16 * (3 * n + 1))
+    return min(1 << n, 1 << fit.bit_length() - 1)
+
+
+@cache
+def _sign_flip_table(n: int) -> np.ndarray:
+    """Where each entry of the first row block's planes sits in the flat
+    (Re psi, Im psi, -Re psi, -Im psi) of an n-qubit state, shape
+    (3n+1, 2, _plane_rows(n)); built once per n and shared, so read-only.
+
+    By _sign_flip_planes, a plane is a pair of parts read at row r or at r
+    with qubit j's bit flipped: the phase (Im, -Re) at r; iZ_j (Im, -Re) at r
+    where bit j of r is set, (-Im, Re) where it is clear; J_j (Re, Im) or
+    (-Re, -Im) at the flipped row, by the same rule; iX_j (-Im, Re) there.
+    """
+    d = 1 << n
+    rows = _plane_rows(n)
+    r = np.arange(rows)
+    masks = 1 << np.arange(n - 1, -1, -1)[:, None]
+    table = np.empty((3 * n + 1, 2, rows), dtype=np.intp)
+    table[0] = np.array([[1], [2]]) * d + r
+    # (qubit, generator, Re/Im, row) views of planes 1 to 3n
+    set_parts = np.array([[1, 2], [0, 1], [3, 0]])[:, :, None]
+    clear_parts = np.array([[3, 0], [2, 3], [3, 0]])[:, :, None]
+    parts = np.where((r & masks)[:, None, None] > 0, set_parts, clear_parts)
+    flips = r ^ masks
+    source = np.stack([np.broadcast_to(r, flips.shape), flips, flips], axis=1)
+    table[1:] = (parts * d + source[:, :, None]).reshape(3 * n, 2, rows)
+    table.flags.writeable = False
+    return table
+
+
+def _sign_flip_blocks(vectors: np.ndarray):
+    """The planes of _sign_flip_planes, _plane_rows(n) rows of psi at a
+    time: yield (lo, planes) for each block, planes of shape
+    (S, 3n+1, 2 * rows) holding rows lo..lo+rows-1 of each plane's Re half
+    and then of its Im half, the entries of the whole planes exactly.  One
+    buffer is refilled for every block, so a caller reads a block before it
+    asks for the next one.
+
+    Each block is one gather through _sign_flip_table from the flat
+    (Re, Im, -Re, -Im) shifted by lo: block lo reads every entry lo places
+    after where the first block reads it, except in the planes of a high
+    qubit, one whose flip crosses blocks, when lo sets its bit.  Those read
+    the other pair of parts, at rows lo.. and at the block below, and are
+    copied in as slices.
+    """
+    s, d = vectors.shape
+    n = d.bit_length() - 1
+    rows = _plane_rows(n)
+    w = np.ascontiguousarray(vectors, dtype=np.complex128).view(np.float64)
+    parts = np.empty((s, 4, d))
+    parts[:, :2] = w.reshape(s, d, 2).swapaxes(1, 2)
+    np.negative(parts[:, :2], out=parts[:, 2:])
+    flat = parts.reshape(s, 4 * d)
+    table = _sign_flip_table(n)
+    planes = np.empty((s, 3 * n + 1, 2, rows))
+    high = [(j, 1 << n - j) for j in range(1, n + 2 - rows.bit_length())]
+    for lo in range(0, d, rows):
+        # the planes of set high bits read past the shifted parts: clipped, then overwritten
+        np.take(flat[:, lo:], table, axis=1, out=planes, mode="clip")
+        for j, mask in high:
+            if lo & mask:
+                qubit = planes[:, 3 * j - 2 : 3 * j + 1]
+                here, below = slice(lo, lo + rows), slice(lo - mask, lo - mask + rows)
+                qubit[:, 0] = parts[:, 1:3, here]
+                qubit[:, 1] = parts[:, 0:2, below]
+                qubit[:, 2, 0] = parts[:, 3, below]
+                qubit[:, 2, 1] = parts[:, 0, below]
+        yield lo, planes.reshape(s, 3 * n + 1, 2 * rows)
+
+
+def _plane_grams(vectors: np.ndarray) -> np.ndarray:
+    """Gram matrix G = P P^T of the sign-flip planes of each state of an
+    (S, 2**n) stack, shape (S, 3n+1, 3n+1), summed over the row blocks of
+    _sign_flip_blocks, so no more than one block of planes is held.
+
+    The rows per block depend on n only: up to n = 9 the sum is one product,
+    bit for bit the product of the whole planes, and at every n a state gets
+    the same G alone and in a stack.  Above, the blocked sum rounds
+    differently from the whole product, each entry within the rounding of
+    a dot product of 2 * 2**n terms whose absolute values sum to at most 1.
+    """
+    gram = None
+    for _, planes in _sign_flip_blocks(vectors):
+        part = planes @ planes.swapaxes(1, 2)
+        if gram is None:
+            gram = part
+        else:
+            gram += part
+    return gram
+
+
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2), between 2**-n and 1."""
     return float(np.real(np.vdot(rho.matrix, rho.matrix)))
@@ -424,7 +540,8 @@ def _correlation_components(psi: PureState, tol: float) -> list[tuple[int, ...]]
     union of components.
 
     Every ||C||_F comes from the Gram matrix G = P P^T of the sign-flip
-    planes, G_ab = Re <psi|X_a^dagger X_b|psi>.  Generator a = i s sigma_a
+    planes, G_ab = Re <psi|X_a^dagger X_b|psi>, the one psi caches for its
+    pure stabilizer too (PureState._plane_gram).  Generator a = i s sigma_a
     of qubit i and b of qubit j give G_ab = s_a s_b <sigma_a sigma_b> and,
     with the phase plane 0, G_0a G_0b = s_a s_b <sigma_a> <sigma_b>, so
     ||C||_F^2 = 1/4 sum_ab (G_ab - G_0a G_0b)^2.  The components are the
@@ -432,8 +549,7 @@ def _correlation_components(psi: PureState, tol: float) -> list[tuple[int, ...]]
     """
     n = psi.n
     bound = 6.0 * np.sqrt(2.0 ** (n // 2) - 1.0) * tol
-    planes = _sign_flip_planes(psi.vector[None])[0]
-    gram = planes @ planes.T
+    gram = psi._plane_gram
     corr = (gram[1:, 1:] - np.outer(gram[0, 1:], gram[0, 1:])).reshape(n, 3, n, 3)
     reach = 0.25 * np.square(corr).sum(axis=(1, 3)) > bound**2
     reach |= np.eye(n, dtype=bool)

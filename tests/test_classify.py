@@ -114,21 +114,22 @@ def test_ghz_times_basis_ket_is_rejected_by_the_support_check():
 
 def test_stabilizer_is_solved_once_per_request(monkeypatch):
     # counts the states solved: classify solves its state once, and
-    # decide_equivalence solves both states of the pair in one stacked call
+    # decide_equivalence solves both states of the pair in one stacked call;
+    # stabilizer_pure and stabilizer_pure_stack both solve through _gram_split
     solved = []
-    solve = sys.modules["stabscope.stabilizer"].stabilizer_pure_stack
+    module = sys.modules["stabscope.stabilizer"]
+    solve = module._gram_split
 
-    def counted(vectors, *args, **kwargs):
+    def counted(vectors, *args):
         solved.append(len(vectors))
-        return solve(vectors, *args, **kwargs)
+        return solve(vectors, *args)
 
     rng = np.random.default_rng(11)
     a, b = (
         apply_local_unitary(haar_random_local_unitary(6, rng), ghz_state(6, 0.8)) for _ in range(2)
     )
     k = stabilizer_pure(a)
-    for name in ("stabscope.stabilizer", "stabscope.equivalence"):
-        monkeypatch.setattr(sys.modules[name], "stabilizer_pure_stack", counted)
+    monkeypatch.setattr(module, "_gram_split", counted)
     assert canonicalize_ghz(a, stab=k).residual < 1e-8
     assert solved == []
     assert classify(a).verdict == "ghz_class"

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,20 @@ def test_pair_invariants_are_the_fingerprint_pair_components():
     stream = dict(fingerprint_component_stack(np.stack([psi.vector for psi in states])))
     for i, psi in enumerate(states):
         assert pair_invariants(psi) == tuple(stream[f"pair:I{j}"][i] for j in (1, 2, 3))
+
+
+def test_pair_invariants_stop_before_the_polynomial_invariants(monkeypatch):
+    module = sys.modules["stabscope.invariants"]
+    polynomial = module._polynomial_stack
+    calls = []
+    monkeypatch.setattr(
+        module, "_polynomial_stack", lambda rho, triple: calls.append(triple) or polynomial(rho, triple)
+    )
+    psi = random_state(4, np.random.default_rng(3))
+    values = pair_invariants(psi)
+    assert calls == []
+    assert values == invariant_fingerprint(psi).pair_invariants
+    assert len(calls) == len(DEFAULT_TRIPLES)
 
 
 def test_permutation_triple_key_and_validation():

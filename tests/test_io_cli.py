@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import stabscope.io
+import stabscope.stabilizer
+import stabscope.states
 from stabscope import (
     GuardError,
     PureState,
@@ -453,6 +455,26 @@ def test_cli_analyze_and_classify_json(capsys):
     assert payload["alpha"] == pytest.approx(0.8, abs=1e-9)
     for key in ("n", "stab_dim", "proj_dims", "ambiguous", "notes"):
         assert key in payload
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_cli_request_forms_the_plane_gram_once(command, monkeypatch, capsys):
+    # the pure stabilizer and the product graph read the one Gram matrix
+    # the state caches
+    formed = []
+    grams = stabscope.states._plane_grams
+
+    def counted(vectors):
+        formed.append(len(vectors))
+        return grams(vectors)
+
+    for module in (stabscope.states, stabscope.stabilizer):
+        monkeypatch.setattr(module, "_plane_grams", counted)
+    for spec in ("ghz:5:0.8", "w:4", "haar:12", "singlets"):
+        formed.clear()
+        assert main([command, "--state", spec, "--format", "json"]) == 0
+        capsys.readouterr()
+        assert formed == [1], spec
 
 
 def test_cli_classify_certifies_against_tol_equiv(tmp_path, capsys):

@@ -28,7 +28,14 @@ from stabscope import (
 )
 from stabscope.invariants import _keyed_subsets, fingerprint_component_stack
 from stabscope.stabilizer import stabilizer_pure_stack
-from stabscope.states import STACK_AMPLITUDES, reduced_states, stack_length, subset_purity_stack
+from stabscope.states import (
+    STACK_AMPLITUDES,
+    PureState,
+    _plane_grams,
+    reduced_states,
+    stack_length,
+    subset_purity_stack,
+)
 
 
 def _states(n: int) -> list:
@@ -58,6 +65,8 @@ def test_stacked_slices_equal_stacks_of_one(n):
     for _, subset in _keyed_subsets(n):
         stacked = subset_purity_stack(vectors, subset)
         assert stacked.tolist() == [subset_purity(psi, subset) for psi in states], subset
+    for psi, gram in zip(states, _plane_grams(vectors), strict=True):
+        assert np.array_equal(gram, psi._plane_gram)
     for psi, k in zip(states, stabilizer_pure_stack(vectors), strict=True):
         one = stabilizer_pure(psi)
         assert np.array_equal(k.basis, one.basis)
@@ -90,7 +99,9 @@ def test_stabilizer_stacks_are_solved_in_bounded_chunks(monkeypatch):
     module = sys.modules["stabscope.stabilizer"]
     chunk = module._gram_split
     sizes = []
-    monkeypatch.setattr(module, "_gram_split", lambda planes, tol: sizes.append(len(planes)) or chunk(planes, tol))
+    monkeypatch.setattr(
+        module, "_gram_split", lambda vectors, *rest: sizes.append(len(vectors)) or chunk(vectors, *rest)
+    )
     for n, count in ((4, 300), (10, 6), (12, 2)):
         sizes.clear()
         rng = np.random.default_rng(n)
@@ -124,6 +135,29 @@ def test_fingerprint_forms_only_the_top_level_from_amplitudes(monkeypatch):
     # the tree holds TREE_BYTES = 256 KB of top-level reduced states at a
     # time, and its levels below about half as much again
     assert peak < 1.5e6, peak
+
+
+def test_pure_solve_and_product_graph_hold_one_block_of_planes():
+    # the whole n = 12 planes and their gather temporaries peaked at 4.1 MB
+    # traced; a block of 256 rows of planes is 0.15 MB.  The moved GHZ state
+    # also factorises its 8192 x 11 candidate map, 0.72 MB, which the QR copies
+    haar = random_state(12, np.random.default_rng(12))
+    ghz = apply_local_unitary(
+        haar_random_local_unitary(12, np.random.default_rng(8)), ghz_state(12, 0.8, 0.6)
+    )
+    for psi, dim, bound in ((haar, 0, 1.5e6), (ghz, 11, 2.5e6)):
+        assert stabilizer_pure(psi).dim == dim
+        assert is_product(psi).blocks == (tuple(range(1, 13)),)
+        for solve in (stabilizer_pure, is_product):
+            # a fresh copy has not formed its plane Gram matrix yet
+            fresh = PureState(psi.vector)
+            tracemalloc.start()
+            try:
+                solve(fresh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (solve.__name__, dim, peak)
 
 
 def test_product_test_forms_amplitude_matrices_only_for_pure_sides(monkeypatch):

@@ -33,6 +33,8 @@ from stabscope.states import (
     _amplitude_matrices,
     _bipartition_sides,
     _correlation_components,
+    _plane_grams,
+    _sign_flip_blocks,
     _sign_flip_planes,
     bit_table,
     bits_to_int,
@@ -695,3 +697,26 @@ def test_plane_gram_gives_every_pair_correlation(n):
             a, b = slice(1 + 3 * i, 4 + 3 * i), slice(1 + 3 * j, 4 + 3 * j)
             schur = gram[a, b] - np.outer(gram[0, a], gram[0, b])
             assert np.isclose(0.25 * np.sum(schur**2), np.vdot(corr, corr).real, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_plane_grams_match_the_product_of_the_whole_planes(n):
+    # the row blocks hold the whole planes' entries exactly, signed zeros
+    # too; G is the whole product bit for bit while one block holds a state
+    # (n <= 9), and above within the rounding of dot products of 2 * 2**n
+    # terms whose absolute values sum to at most 1
+    rng = np.random.default_rng(70 + n)
+    eps = np.finfo(np.float64).eps
+    states = [random_state(n, rng) for _ in range(4)] + [basis_state([1] * n)]
+    for size in (1, 2, 5):
+        vectors = np.stack([psi.vector for psi in states[-size:]])
+        planes = _sign_flip_planes(vectors)
+        blocks = [block.reshape(size, 3 * n + 1, 2, -1).copy() for _, block in _sign_flip_blocks(vectors)]
+        assert (len(blocks) == 1) == (n <= 9)
+        joined = np.concatenate(blocks, axis=3).reshape(planes.shape)
+        assert np.array_equal(joined, planes) and np.array_equal(np.signbit(joined), np.signbit(planes))
+        for gram, p in zip(_plane_grams(vectors), planes, strict=True):
+            if n <= 9:
+                assert np.array_equal(gram, p @ p.T)
+            else:
+                assert np.max(np.abs(gram - p @ p.T)) <= 2 ** (n + 1) * eps
