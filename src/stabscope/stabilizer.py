@@ -5,7 +5,7 @@ X|psi> = 0; the stabilizer of a density matrix is the set of X in su(2)^n
 with [X, rho] = 0.  Both are kernels of real-linear maps, realified and
 built from signs and bit flips of real rows: the pure map's columns are the
 generator planes of states._sign_flip_planes, the kernel it shares with the
-optimizer gradient and the product test.  The kernel is cut by
+optimizer gradient and the density range route.  The kernel is cut by
 numerical_rank, as is_product cuts Schmidt coefficients, always on singular
 values of the unsquared map: _null_spaces reduces a map to its small
 triangular QR factor R (in cache-sized row blocks when the map is large)
@@ -18,8 +18,8 @@ blocks, and goes to _null_spaces.  The direct density solve compresses
 the commutator map of a low-rank rho onto the range of rho, an isometry of
 (3n+1)^2 r^2 rows instead of 4^n, and builds the whole map only for a
 higher rank; either map goes to _null_spaces whole.  stabilizer_pure_stack
-solves a stack of states with batched calls per chunk; stabilizer_pure is
-a stack of one.
+solves a stack of states with batched calls per chunk; stabilizer_pure
+solves its state by _gram_split on the Gram matrix the PureState caches.
 """
 
 import warnings
@@ -34,8 +34,9 @@ from .states import (
     QR_BLOCK_BYTES,
     DensityMatrix,
     PureState,
+    _block_rows,
     _plane_grams,
-    _sign_flip_blocks,
+    _plane_rows,
     _sign_flip_planes,
     _stack_qubits,
     numerical_rank,
@@ -190,7 +191,7 @@ def _r_factors(real_maps: np.ndarray) -> np.ndarray:
     s, m, k = real_maps.shape
     if m * k * real_maps.itemsize <= QR_CALL_BYTES:
         return np.linalg.qr(real_maps, mode="r")
-    rows = QR_BLOCK_BYTES // (k * real_maps.itemsize)
+    rows = _block_rows(k * real_maps.itemsize)
     end = m // rows * rows
     step = QR_CALL_BYTES // QR_BLOCK_BYTES * rows
     stacked = [
@@ -240,14 +241,16 @@ def stabilizer_pure(psi: PureState, tol: float = NULL_TOL) -> StabilizerBasis:
 def _candidate_maps(vectors: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """The maps A V_c of an (S, 2**n) stack, shape (S, 2 * 2**n, m), from
     candidate directions cands of shape (S, 3n+1, m), formed in the row
-    blocks of states._sign_flip_blocks, rows in the order of the whole
-    planes; up to n = 9, one block, the product of the whole planes."""
+    blocks of states._plane_grams, rows in the order of the whole planes;
+    up to n = 9, one block, the product of the whole planes."""
     s, d = vectors.shape
+    step = _plane_rows(d.bit_length() - 1)
     left = cands.swapaxes(1, 2)
     out = np.empty((s, cands.shape[2], 2, d))
-    for lo, planes in _sign_flip_blocks(vectors):
-        rows = planes.shape[2] // 2
-        out[..., lo : lo + rows] = np.matmul(left, planes).reshape(s, -1, 2, rows)
+    for lo in range(0, d, step):
+        rows = min(step, d - lo)
+        block = np.matmul(left, _sign_flip_planes(vectors, lo, lo + rows))
+        out[..., lo : lo + rows] = block.reshape(s, -1, 2, rows)
     return out.reshape(s, -1, 2 * d).swapaxes(1, 2)
 
 
@@ -395,7 +398,7 @@ def _residual_norm(matrix: np.ndarray, cols: np.ndarray) -> float:
     formed in row blocks of QR_BLOCK_BYTES: one block up to n = 7, the whole
     residual's bits, and four at n = 8, where the rank-one direct solve then
     peaks at 0.66 MB traced instead of 1.07 MB."""
-    rows = QR_BLOCK_BYTES // matrix[0].nbytes
+    rows = _block_rows(matrix[0].nbytes)
     total = 0.0
     for lo in range(0, len(matrix), rows):
         residual = cols.T[lo : lo + rows] @ cols.conj()

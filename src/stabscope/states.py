@@ -14,17 +14,17 @@ witnesses all go through them.  _sign_flip_planes applies every generator
 of u(1) + su(2)^n at once, as signed, bit-flipped copies of Re psi and
 Im psi: the optimizer gradient and the density range route read them, and
 stabilizer._density_planes builds the direct density map the same way from
-Re rho +- Im rho.  _sign_flip_blocks forms the same planes a row block of
-QR_BLOCK_BYTES at a time, by one gather per block, and _plane_grams sums
-their Gram matrix G = P P^T over the blocks: the pure stabilizer's rank
-split and is_product's correlation graph read G, which a PureState forms
-once and caches, and the pure solve forms its candidate map in the same
-blocks, so no n = 12 solve holds the whole planes.  reduced_states
-forms reduced states from amplitudes: the Gram matrices of the amplitude
-matrices of an (S, 2**n) stack.  Every marginal comes from it but the
-product test's, which takes the SVD of the same amplitude matrix; the
-invariant fingerprint forms only its largest sides there and takes the
-smaller ones as partial traces (invariants._purity_table).  subset_purity
+Re rho +- Im rho.  _sign_flip_planes also forms any row block of the
+planes, and _plane_grams sums their Gram matrix G = P P^T over blocks of
+QR_BLOCK_BYTES: the pure stabilizer's rank split and is_product's
+correlation graph read G, which a PureState forms once and caches, and the
+pure solve forms its candidate map in the same blocks, so no n = 12 solve
+holds the whole planes.  reduced_states forms reduced states from
+amplitudes: the Gram matrices of the amplitude matrices of an (S, 2**n)
+stack.  Every marginal comes from it but the product test's, which takes
+the SVD of the same amplitude matrix; the invariant fingerprint forms only
+its largest sides there and takes the smaller ones as partial traces
+(invariants._purity_table).  subset_purity
 and the other per-state kernels are stacks of one of their stacked forms,
 whose chunks hold at most STACK_AMPLITUDES amplitudes.
 
@@ -54,10 +54,10 @@ STACK_AMPLITUDES = 2**12
 # is_product's fallback enumerates bipartitions of uncorrelated components,
 # which is only sane up to this many components
 PRODUCT_ENUM_LIMIT = 16
-# bytes of one row block of a defining map: one state's sign-flip planes are
-# formed this many bytes of rows at a time (_plane_rows), and a tall map is
-# factorised in blocks of this size (stabilizer._r_factors), small enough
-# that the work on a block stays in cache
+# bytes of one row block (_block_rows): one state's sign-flip planes are
+# formed a block at a time (_plane_rows), a tall map is factorised in blocks
+# (stabilizer._r_factors) and the density residual summed in them, each block
+# small enough that the work on it stays in cache
 QR_BLOCK_BYTES = 2**18
 
 
@@ -303,9 +303,10 @@ def _amplitude_matrices(vectors: np.ndarray, keep: tuple[int, ...]) -> np.ndarra
 _ROW_SIGN = np.array([1.0, -1.0])[:, None]
 
 
-def _sign_flip_planes(vectors: np.ndarray) -> np.ndarray:
-    """Realified pure maps of an (S, 2**n) stack of state vectors, shape
-    (S, 3n+1, 2 * 2**n).
+def _sign_flip_planes(vectors: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Realified pure maps of an (S, 2**n) stack of state vectors at rows
+    lo..hi-1 of psi, all rows by default: shape (S, 3n+1, 2 * (hi - lo)),
+    those rows of each plane's Re half and then of its Im half.
 
     Plane c of a state is generator c applied to it, (Re, Im) of length
     2 * 2**n.  The phase -i psi is (Im psi, -Re psi).  With z the sign of
@@ -315,111 +316,48 @@ def _sign_flip_planes(vectors: np.ndarray) -> np.ndarray:
     a sign and perhaps a flip of (Re psi, Im psi), so each generator type is
     written for all n qubits at once, the flips of every qubit by one gather
     through the flipped row indices: the entries equal those of the complex
-    products exactly.
+    products exactly.  The flips read psi at every row, so a row block holds
+    exactly the whole planes' entries at its rows.
     """
     s, d = vectors.shape
     n = d.bit_length() - 1
+    hi = d if hi is None else min(hi, d)
     # (S, 2, 2**n) view of (Re psi, Im psi)
     w = np.ascontiguousarray(vectors, dtype=np.complex128).view(np.float64)
     w = w.reshape(s, d, 2).swapaxes(1, 2)
     # qubit 1 is the most significant bit of a row index
     masks = 1 << np.arange(n - 1, -1, -1)[:, None]
-    rows = np.arange(d)
+    rows = np.arange(lo, hi)
     flips = rows ^ masks
     minus_z = np.where(rows & masks, 1.0, -1.0)
-    planes = np.empty((s, 3 * n + 1, 2, d))
-    np.multiply(w[:, ::-1], _ROW_SIGN, out=planes[:, 0])
+    planes = np.empty((s, 3 * n + 1, 2, hi - lo))
+    np.multiply(w[:, ::-1, lo:hi], _ROW_SIGN, out=planes[:, 0])
     # (S, qubit, generator, Re/Im, row) views of planes 1 to 3n
-    by_qubit = planes[:, 1:].reshape(s, n, 3, 2, d)
+    by_qubit = planes[:, 1:].reshape(s, n, 3, 2, hi - lo)
     np.multiply(planes[:, :1], minus_z[:, None], out=by_qubit[:, :, 0])
     # (S, qubit, Re/Im, row): (Re psi, Im psi) with qubit j's bit flipped
     flipped = w.take(flips, axis=2).swapaxes(1, 2)
     np.multiply(flipped, minus_z[:, None], out=by_qubit[:, :, 1])
     np.multiply(flipped[:, :, ::-1], -_ROW_SIGN, out=by_qubit[:, :, 2])
-    return planes.reshape(s, 3 * n + 1, 2 * d)
+    return planes.reshape(s, 3 * n + 1, 2 * (hi - lo))
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of row_bytes bytes each in one row block of QR_BLOCK_BYTES."""
+    return max(1, QR_BLOCK_BYTES // row_bytes)
 
 
 def _plane_rows(n: int) -> int:
-    """Rows of psi in one block of _sign_flip_blocks: the largest power of
-    two, at most 2**n, whose block of one state's planes, (3n+1) x 2 x rows
-    reals, fits in QR_BLOCK_BYTES.  A state of up to 9 qubits is one block;
-    a 12-qubit one is 16 blocks of 256 rows."""
-    fit = QR_BLOCK_BYTES // (16 * (3 * n + 1))
-    return min(1 << n, 1 << fit.bit_length() - 1)
-
-
-@cache
-def _sign_flip_table(n: int) -> np.ndarray:
-    """Where each entry of the first row block's planes sits in the flat
-    (Re psi, Im psi, -Re psi, -Im psi) of an n-qubit state, shape
-    (3n+1, 2, _plane_rows(n)); built once per n and shared, so read-only.
-
-    By _sign_flip_planes, a plane is a pair of parts read at row r or at r
-    with qubit j's bit flipped: the phase (Im, -Re) at r; iZ_j (Im, -Re) at r
-    where bit j of r is set, (-Im, Re) where it is clear; J_j (Re, Im) or
-    (-Re, -Im) at the flipped row, by the same rule; iX_j (-Im, Re) there.
-    """
-    d = 1 << n
-    rows = _plane_rows(n)
-    r = np.arange(rows)
-    masks = 1 << np.arange(n - 1, -1, -1)[:, None]
-    table = np.empty((3 * n + 1, 2, rows), dtype=np.intp)
-    table[0] = np.array([[1], [2]]) * d + r
-    # (qubit, generator, Re/Im, row) views of planes 1 to 3n
-    set_parts = np.array([[1, 2], [0, 1], [3, 0]])[:, :, None]
-    clear_parts = np.array([[3, 0], [2, 3], [3, 0]])[:, :, None]
-    parts = np.where((r & masks)[:, None, None] > 0, set_parts, clear_parts)
-    flips = r ^ masks
-    source = np.stack([np.broadcast_to(r, flips.shape), flips, flips], axis=1)
-    table[1:] = (parts * d + source[:, :, None]).reshape(3 * n, 2, rows)
-    table.flags.writeable = False
-    return table
-
-
-def _sign_flip_blocks(vectors: np.ndarray):
-    """The planes of _sign_flip_planes, _plane_rows(n) rows of psi at a
-    time: yield (lo, planes) for each block, planes of shape
-    (S, 3n+1, 2 * rows) holding rows lo..lo+rows-1 of each plane's Re half
-    and then of its Im half, the entries of the whole planes exactly.  One
-    buffer is refilled for every block, so a caller reads a block before it
-    asks for the next one.
-
-    Each block is one gather through _sign_flip_table from the flat
-    (Re, Im, -Re, -Im) shifted by lo: block lo reads every entry lo places
-    after where the first block reads it, except in the planes of a high
-    qubit, one whose flip crosses blocks, when lo sets its bit.  Those read
-    the other pair of parts, at rows lo.. and at the block below, and are
-    copied in as slices.
-    """
-    s, d = vectors.shape
-    n = d.bit_length() - 1
-    rows = _plane_rows(n)
-    w = np.ascontiguousarray(vectors, dtype=np.complex128).view(np.float64)
-    parts = np.empty((s, 4, d))
-    parts[:, :2] = w.reshape(s, d, 2).swapaxes(1, 2)
-    np.negative(parts[:, :2], out=parts[:, 2:])
-    flat = parts.reshape(s, 4 * d)
-    table = _sign_flip_table(n)
-    planes = np.empty((s, 3 * n + 1, 2, rows))
-    high = [(j, 1 << n - j) for j in range(1, n + 2 - rows.bit_length())]
-    for lo in range(0, d, rows):
-        # the planes of set high bits read past the shifted parts: clipped, then overwritten
-        np.take(flat[:, lo:], table, axis=1, out=planes, mode="clip")
-        for j, mask in high:
-            if lo & mask:
-                qubit = planes[:, 3 * j - 2 : 3 * j + 1]
-                here, below = slice(lo, lo + rows), slice(lo - mask, lo - mask + rows)
-                qubit[:, 0] = parts[:, 1:3, here]
-                qubit[:, 1] = parts[:, 0:2, below]
-                qubit[:, 2, 0] = parts[:, 3, below]
-                qubit[:, 2, 1] = parts[:, 0, below]
-        yield lo, planes.reshape(s, 3 * n + 1, 2 * rows)
+    """Rows of psi in one row block of an n-qubit state's sign-flip planes,
+    (3n+1) x 2 reals per row: a state of up to 9 qubits is one block, a
+    12-qubit one ten blocks of at most 442 rows."""
+    return _block_rows(16 * (3 * n + 1))
 
 
 def _plane_grams(vectors: np.ndarray) -> np.ndarray:
     """Gram matrix G = P P^T of the sign-flip planes of each state of an
-    (S, 2**n) stack, shape (S, 3n+1, 3n+1), summed over the row blocks of
-    _sign_flip_blocks, so no more than one block of planes is held.
+    (S, 2**n) stack, shape (S, 3n+1, 3n+1), summed over row blocks of
+    _plane_rows(n) rows, so no more than one block of planes is held.
 
     The rows per block depend on n only: up to n = 9 the sum is one product,
     bit for bit the product of the whole planes, and at every n a state gets
@@ -427,9 +365,14 @@ def _plane_grams(vectors: np.ndarray) -> np.ndarray:
     differently from the whole product, each entry within the rounding of
     a dot product of 2 * 2**n terms whose absolute values sum to at most 1.
     """
+    d = vectors.shape[1]
+    step = _plane_rows(d.bit_length() - 1)
     gram = None
-    for _, planes in _sign_flip_blocks(vectors):
+    for lo in range(0, d, step):
+        planes = _sign_flip_planes(vectors, lo, lo + step)
         part = planes @ planes.swapaxes(1, 2)
+        # drop the block before the next one is formed
+        del planes
         if gram is None:
             gram = part
         else:

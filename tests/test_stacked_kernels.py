@@ -139,7 +139,7 @@ def test_fingerprint_forms_only_the_top_level_from_amplitudes(monkeypatch):
 
 def test_pure_solve_and_product_graph_hold_one_block_of_planes():
     # the whole n = 12 planes and their gather temporaries peaked at 4.1 MB
-    # traced; a block of 256 rows of planes is 0.15 MB.  The moved GHZ state
+    # traced; a block of 442 rows of planes is 0.26 MB.  The moved GHZ state
     # also factorises its 8192 x 11 candidate map, 0.72 MB, which the QR copies
     haar = random_state(12, np.random.default_rng(12))
     ghz = apply_local_unitary(

@@ -34,7 +34,7 @@ from stabscope.states import (
     _bipartition_sides,
     _correlation_components,
     _plane_grams,
-    _sign_flip_blocks,
+    _plane_rows,
     _sign_flip_planes,
     bit_table,
     bits_to_int,
@@ -701,21 +701,25 @@ def test_plane_gram_gives_every_pair_correlation(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_plane_grams_match_the_product_of_the_whole_planes(n):
-    # the row blocks hold the whole planes' entries exactly, signed zeros
-    # too; G is the whole product bit for bit while one block holds a state
-    # (n <= 9), and above within the rounding of dot products of 2 * 2**n
-    # terms whose absolute values sum to at most 1
+    # a row block of the planes holds the whole planes' entries exactly,
+    # signed zeros too, for the blocks _plane_grams sums and for any other
+    # range; G is the whole product bit for bit while one block holds a
+    # state (n <= 9), and above within the rounding of dot products of
+    # 2 * 2**n terms whose absolute values sum to at most 1
     rng = np.random.default_rng(70 + n)
     eps = np.finfo(np.float64).eps
+    d = 2**n
+    step = _plane_rows(n)
+    assert (step >= d) == (n <= 9)
     states = [random_state(n, rng) for _ in range(4)] + [basis_state([1] * n)]
     for size in (1, 2, 5):
         vectors = np.stack([psi.vector for psi in states[-size:]])
-        planes = _sign_flip_planes(vectors)
-        blocks = [block.reshape(size, 3 * n + 1, 2, -1).copy() for _, block in _sign_flip_blocks(vectors)]
-        assert (len(blocks) == 1) == (n <= 9)
-        joined = np.concatenate(blocks, axis=3).reshape(planes.shape)
-        assert np.array_equal(joined, planes) and np.array_equal(np.signbit(joined), np.signbit(planes))
-        for gram, p in zip(_plane_grams(vectors), planes, strict=True):
+        planes = _sign_flip_planes(vectors).reshape(size, 3 * n + 1, 2, d)
+        for lo, hi in [(lo, min(lo + step, d)) for lo in range(0, d, step)] + [(d // 2 - 1, d - 1)]:
+            block = _sign_flip_planes(vectors, lo, hi).reshape(size, 3 * n + 1, 2, hi - lo)
+            whole = planes[..., lo:hi]
+            assert np.array_equal(block, whole) and np.array_equal(np.signbit(block), np.signbit(whole))
+        for gram, p in zip(_plane_grams(vectors), planes.reshape(size, 3 * n + 1, 2 * d), strict=True):
             if n <= 9:
                 assert np.array_equal(gram, p @ p.T)
             else:
